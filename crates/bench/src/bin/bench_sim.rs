@@ -8,8 +8,8 @@
 //! every step's faulty-event and flip-flop-effect counts — is bit-identical
 //! across all of them.
 //!
-//! A second `width` section compares the packed-value backends (Pv64,
-//! Pv256, and Pv512) at serial thread count on s298 and s1423, asserting
+//! A second `width` section compares the packed-value backends (Pv64 and
+//! Pv256) at serial thread count on s298 and s1423, asserting
 //! the same identity checksum across widths — the backend must change
 //! throughput only, never results. Smoke mode additionally replays a short
 //! stream through one synthetic 10k-gate circuit at every width, so CI
@@ -36,11 +36,7 @@ const SIM_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// Circuits the packed-backend width comparison runs on: one mid-size and
 /// one tier-1-largest, so lane utilization at both group counts is covered.
 const WIDTH_CIRCUITS: [&str; 2] = ["s298", "s1423"];
-const WIDTH_BACKENDS: [SimBackend; 3] = [
-    SimBackend::Scalar64,
-    SimBackend::Wide256,
-    SimBackend::Wide512,
-];
+const WIDTH_BACKENDS: [SimBackend; 2] = [SimBackend::Scalar64, SimBackend::Wide256];
 /// Bumped whenever the document shape changes; `--validate` requires it.
 /// 2 added provenance (`git_revision`, `timestamp`); 3 added the `width`
 /// packed-backend comparison section; 4 added the skipped-row shape for

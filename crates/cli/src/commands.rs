@@ -87,26 +87,8 @@ fn sim_thread_count(opts: &Opts) -> Result<usize, Box<dyn Error>> {
     })
 }
 
-/// Parses `--fault-shards`: a positive integer, or `0` / `auto` meaning one
-/// shard per available core. Defaults to 1 (unsharded). Results are
-/// bit-identical at every shard count; the knob only trades fault-group
-/// working-set locality against per-shard bookkeeping.
-fn fault_shard_count(opts: &Opts) -> Result<usize, Box<dyn Error>> {
-    let Some(value) = opts.get("fault-shards") else {
-        return Ok(1);
-    };
-    if value == "auto" {
-        return Ok(0);
-    }
-    value.parse().map_err(|_| {
-        UsageError::boxed(format!(
-            "--fault-shards expects a non-negative integer or `auto`, got `{value}`"
-        ))
-    })
-}
-
-/// Parses `--sim-width`: `scalar64`/`64`, `wide256`/`256`, `wide512`/`512`,
-/// or `auto` (pick the widest backend the host supports well). Defaults to
+/// Parses `--sim-width`: `scalar64`/`64`, `wide256`/`256`, or `auto` (pick
+/// the widest backend the host supports well). Defaults to
 /// scalar64. Results are bit-identical across widths; this knob only trades
 /// per-step cost against how many fault machines ride in one packed word.
 fn sim_width_backend(opts: &Opts) -> Result<SimBackend, Box<dyn Error>> {
@@ -115,7 +97,7 @@ fn sim_width_backend(opts: &Opts) -> Result<SimBackend, Box<dyn Error>> {
     };
     value.parse().map_err(|_| {
         UsageError::boxed(format!(
-            "--sim-width expects scalar64|wide256|wide512|auto (or 64|256|512), got `{value}`"
+            "--sim-width expects scalar64|wide256|auto (or 64|256), got `{value}`"
         ))
     })
 }
@@ -227,7 +209,6 @@ pub fn atpg(opts: &Opts) -> Result<ExitCode, Box<dyn Error>> {
         .with_workers(worker_count(opts)?)
         .with_sim_threads(sim_thread_count(opts)?)
         .with_sim_width(sim_width_backend(opts)?)
-        .with_fault_shards(fault_shard_count(opts)?)
         .with_dedup(!opts.has("no-dedup"));
     if let Some(entries) = eval_cache_override(opts)? {
         config = config.with_eval_cache(entries);
@@ -983,16 +964,6 @@ pub fn summarize_trace(text: &str) -> Result<String, Box<dyn Error>> {
                             "\namortized: {} events shared across lanes, {} frames batch-committed",
                             cf("events_amortized"),
                             cf("commit_batch_frames"),
-                        );
-                    }
-                    // Same rule for shard counters: zero on unsharded
-                    // (K = 1) runs and absent in pre-shard traces.
-                    if cf("shard_tasks") > 0 {
-                        let _ = write!(
-                            footer,
-                            "\nsharded sim: {} shard dispatches, {:.3}s merging",
-                            cf("shard_tasks"),
-                            cf("shard_merge_ns") as f64 / 1e9,
                         );
                     }
                     if cf("report_records_streamed") > 0 {

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! gatest atpg     <circuit> [--seed N] [--sample N] [--workers N|auto]
-//!                 [--sim-threads N|auto] [--sim-width scalar64|wide256|wide512|auto]
-//!                 [--fault-shards N|auto] [--out tests.txt]
+//!                 [--sim-threads N|auto] [--sim-width scalar64|wide256|auto]
+//!                 [--out tests.txt]
 //!                 [--eval-cache N|off] [--no-dedup] [--paranoid-cache]
 //!                 [--trace-out trace.jsonl] [--progress] [-v|--verbose] [-q|--quiet]
 //!                 [--metrics-addr 127.0.0.1:9184]
@@ -19,19 +19,9 @@
 //!
 //! `--sim-width` picks the packed-simulation backend: `scalar64` (default,
 //! 64 fault machines per word), `wide256` (256 lanes, autovectorized with
-//! an AVX2 path when the host has it), `wide512` (512 lanes, same AVX2
-//! path over twice the words — opt-in, wins only on large circuits), or
-//! `auto` (widest that reliably helps, currently wide256). Like the thread
-//! knobs it is an execution detail: results are bit-identical at every
-//! width, and a checkpoint taken at one width resumes at another.
-//!
-//! `--fault-shards N` partitions the collapsed fault list into N
-//! contiguous shards, each simulated by its own fault simulator over the
-//! shared netlist (`auto`/`0` = one shard per core). Sharding bounds the
-//! per-simulator working set on large fault lists; like the other
-//! execution knobs it never changes results — detections, scores, and
-//! the result JSON are bit-identical at every shard count, and a
-//! checkpoint taken at one count resumes at another.
+//! an AVX2 path when the host has it), or `auto` (currently wide256). Like
+//! the thread knobs it is an execution detail: results are bit-identical
+//! at every width, and a checkpoint taken at one width resumes at another.
 //!
 //! `--fault-report FILE` streams one JSONL record per committed fault
 //! detection as the run progresses, closing with a summary line and an
@@ -75,10 +65,11 @@
 //! path to a `.bench` / `.v` netlist.
 //!
 //! Exit codes follow convention: `0` on success, `1` on runtime errors
-//! (unreadable files, failed runs), `2` on usage errors (unknown commands or
-//! flags, missing arguments), `3` when an `atpg` run stopped early but
-//! gracefully — on SIGINT/SIGTERM or an exhausted `--max-wall-secs` /
-//! `--max-evals` budget — with its state checkpointed for `--resume`.
+//! (unreadable files, failed runs), `2` on usage errors (unknown commands,
+//! flags the command does not take, missing arguments), `3` when an `atpg`
+//! run stopped early but gracefully — on SIGINT/SIGTERM or an exhausted
+//! `--max-wall-secs` / `--max-evals` budget — with its state checkpointed
+//! for `--resume`.
 
 use std::error::Error;
 use std::process::ExitCode;
@@ -149,12 +140,9 @@ fn usage() -> String {
     s.push_str("\nparallelism (atpg): --workers N (alias --threads) sizes the\n");
     s.push_str("fitness-evaluation pool; --sim-threads N sizes the fault-group\n");
     s.push_str("pool inside each simulator; 0 or `auto` uses all available\n");
-    s.push_str("cores; --sim-width scalar64|wide256|wide512|auto picks the packed\n");
-    s.push_str("backend (64, 256, or 512 fault machines per word); --fault-shards N\n");
-    s.push_str("partitions the fault list into N independent simulators (auto = one\n");
-    s.push_str("per core) to bound the working set on large fault lists; results are\n");
-    s.push_str("bit-identical at every workers/sim-threads/sim-width/fault-shards\n");
-    s.push_str("combination\n");
+    s.push_str("cores; --sim-width scalar64|wide256|auto picks the packed backend\n");
+    s.push_str("(64 or 256 fault machines per word); results are bit-identical at\n");
+    s.push_str("every workers/sim-threads/sim-width combination\n");
     s.push_str("\nmemoization (atpg): --eval-cache N bounds the fitness cache\n");
     s.push_str("(default 4096; `off` disables cache, dedup, and prefix sharing);\n");
     s.push_str("--no-dedup keeps duplicate chromosomes' evaluations; --paranoid-cache\n");
@@ -182,8 +170,63 @@ fn usage() -> String {
     s
 }
 
+/// The long flags each command takes; any other flag is a usage error.
+const COMMAND_FLAGS: [(&str, &[&str]); 10] = [
+    (
+        "atpg",
+        &[
+            "seed",
+            "sample",
+            "workers",
+            "threads",
+            "sim-threads",
+            "sim-width",
+            "out",
+            "eval-cache",
+            "no-dedup",
+            "paranoid-cache",
+            "trace-out",
+            "progress",
+            "verbose",
+            "quiet",
+            "metrics-addr",
+            "checkpoint",
+            "checkpoint-every",
+            "resume",
+            "max-wall-secs",
+            "max-evals",
+            "result-json",
+            "fault-report",
+        ],
+    ),
+    (
+        "serve",
+        &[
+            "addr",
+            "state-dir",
+            "slice-ticks",
+            "queue-depth",
+            "runners",
+            "port-file",
+            "result-ttl-secs",
+            "quiet",
+        ],
+    ),
+    ("grade", &["tests", "transition", "survivors", "report"]),
+    ("compact", &["tests", "out"]),
+    ("diagnose", &["tests", "observe", "top"]),
+    ("stats", &[]),
+    ("scan", &["out"]),
+    ("convert", &["to", "out"]),
+    ("hitec", &["scoap", "frames", "backtracks", "out"]),
+    ("trace", &["threshold", "no-timing"]),
+];
+
 fn run(command: &str, args: Vec<String>) -> Result<ExitCode, Box<dyn Error>> {
     let opts = Opts::parse(args)?;
+    if let Some((_, flags)) = COMMAND_FLAGS.iter().find(|(name, _)| *name == command) {
+        opts.expect_flags(flags)?;
+    }
     let done = |r: Result<(), Box<dyn Error>>| r.map(|()| ExitCode::SUCCESS);
     match command {
         "atpg" => commands::atpg(&opts),

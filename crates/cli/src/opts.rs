@@ -102,6 +102,21 @@ impl Opts {
     pub fn has(&self, name: &str) -> bool {
         self.flags.contains_key(name)
     }
+
+    /// Fails with a usage error naming the first (alphabetically) long flag
+    /// that is not in `known`, so a misspelt or retired flag is never
+    /// silently ignored.
+    pub fn expect_flags(&self, known: &[&str]) -> Result<(), Box<dyn Error>> {
+        match self
+            .flags
+            .keys()
+            .filter(|name| !known.contains(&name.as_str()))
+            .min()
+        {
+            Some(name) => Err(UsageError::boxed(format!("unknown flag `--{name}`"))),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -167,6 +182,15 @@ mod tests {
     fn unknown_short_flag_is_a_usage_error() {
         let err = Opts::parse(vec![String::from("-z")]).unwrap_err();
         assert!(err.downcast_ref::<UsageError>().is_some());
+    }
+
+    #[test]
+    fn unexpected_long_flags_are_usage_errors() {
+        let o = parse(&["s27", "--seed", "1", "--max-eval", "5", "-q"]);
+        let err = o.expect_flags(&["seed", "max-evals", "quiet"]).unwrap_err();
+        assert!(err.downcast_ref::<UsageError>().is_some());
+        assert_eq!(err.to_string(), "unknown flag `--max-eval`");
+        assert!(o.expect_flags(&["seed", "max-eval", "quiet"]).is_ok());
     }
 
     #[test]

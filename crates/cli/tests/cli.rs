@@ -129,6 +129,31 @@ fn usage_errors_exit_with_code_2() {
 }
 
 #[test]
+fn flags_a_command_does_not_take_exit_with_code_2() {
+    // A misspelt budget must not run unbudgeted, and retired knobs must
+    // not be silently ignored.
+    for (args, named) in [
+        (&["atpg", "s27", "--max-eval", "5"][..], "--max-eval"),
+        (
+            &["atpg", "s27", "--fault-shards", "2"][..],
+            "--fault-shards",
+        ),
+        (&["stats", "s27", "--seed", "1"][..], "--seed"),
+    ] {
+        let out = gatest(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(named),
+            "{args:?} must name {named}: {stderr}"
+        );
+    }
+    let out = gatest(&["atpg", "s27", "--sim-width", "wide512"]);
+    assert_eq!(out.status.code(), Some(2), "wide512 is no longer a width");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("wide512"));
+}
+
+#[test]
 fn runtime_errors_exit_with_code_1() {
     // An unreadable circuit file is a runtime failure, not a usage one.
     let out = gatest(&["stats", "/nonexistent/missing.bench"]);
@@ -192,7 +217,7 @@ fn sim_width_backends_produce_byte_identical_result_json() {
     let dir = std::env::temp_dir().join("gatest_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
     let mut jsons = Vec::new();
-    for backend in ["scalar64", "wide256", "wide512", "auto"] {
+    for backend in ["scalar64", "wide256", "auto"] {
         let json = dir.join(format!("s27.{backend}.json"));
         let out = gatest(&[
             "atpg",
@@ -215,8 +240,7 @@ fn sim_width_backends_produce_byte_identical_result_json() {
         jsons.push(std::fs::read(&json).unwrap());
     }
     assert_eq!(jsons[0], jsons[1], "scalar64 vs wide256 result JSON differ");
-    assert_eq!(jsons[0], jsons[2], "scalar64 vs wide512 result JSON differ");
-    assert_eq!(jsons[0], jsons[3], "scalar64 vs auto result JSON differ");
+    assert_eq!(jsons[0], jsons[2], "scalar64 vs auto result JSON differ");
 }
 
 #[test]

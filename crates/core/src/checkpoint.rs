@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! magic   8 bytes   b"GATESTCP"
-//! version u32       format version (currently 4)
+//! version u32       format version (currently 5)
 //! payload ...       length-prefixed fields in a fixed order
 //! crc     u64       FNV-1a 64 over magic + version + payload
 //! ```
@@ -48,16 +48,14 @@ pub const MAGIC: [u8; 8] = *b"GATESTCP";
 /// Current checkpoint format version. Version 2 added the evaluation epoch
 /// (the fitness cache's invalidation key) and the memoization counters;
 /// version 3 added the wide-backend counters (`wide_groups`,
-/// `lanes_per_group`); version 4 stores the simulator state as a vector of
-/// per-shard [`SimState`]s (in shard order) and persists the full current
-/// counter set. Older files are rejected with
-/// [`CheckpointError::VersionMismatch`]. Note that neither the simulation
-/// backend nor the shard count is stored: like thread counts, they are
-/// execution details that cannot change results, so a run may resume under
-/// a different `--sim-width` or `--fault-shards` than it was checkpointed
-/// with (resume concatenates the shard states and re-splits them under its
-/// own plan).
-pub const VERSION: u32 = 4;
+/// `lanes_per_group`); version 4 stored the simulator state as a vector of
+/// per-shard [`SimState`]s; version 5 stores exactly one [`SimState`] and
+/// drops the two shard counters. Older files are rejected with
+/// [`CheckpointError::VersionMismatch`]. Note that the simulation backend
+/// is not stored: like thread counts, it is an execution detail that cannot
+/// change results, so a run may resume under a different `--sim-width`
+/// than it was checkpointed with.
+pub const VERSION: u32 = 5;
 
 /// A complete, serializable snapshot of an in-progress (or finished)
 /// generator run. Produced by the generator's checkpoint cadence or its
@@ -103,12 +101,8 @@ pub struct RunSnapshot {
     /// Where in the flow the run stopped.
     pub pos: SnapshotPos,
     /// The fault simulator's complete mutable state at the stop point (for
-    /// a stop mid-GA-invocation: the state at the invocation's start), one
-    /// entry per fault shard in shard order. An unsharded run stores a
-    /// single entry; resume concatenates the entries and re-splits them
-    /// under its own shard plan, so the shard count may change across a
-    /// checkpoint boundary without affecting results.
-    pub sim: Vec<SimState>,
+    /// a stop mid-GA-invocation: the state at the invocation's start).
+    pub sim: SimState,
     /// Telemetry counter totals at the stop point.
     pub counters: CounterSnapshot,
 }
@@ -235,8 +229,8 @@ pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Digest of every configuration field that influences the search path
 /// (everything except the seed — stored separately — and the runtime-only
-/// knobs `parallel_workers`, `sim_threads`, `sim_width`, `fault_shards`,
-/// the two budget limits, and the memoization knobs `eval_cache_entries` /
+/// knobs `parallel_workers`, `sim_threads`, `sim_width`, the two budget
+/// limits, and the memoization knobs `eval_cache_entries` /
 /// `dedup` / `paranoid_cache`, which are all bit-identity-neutral). Resume
 /// compares this digest so a checkpoint is never silently continued under
 /// a different configuration.
@@ -517,30 +511,28 @@ impl RunSnapshot {
             }
             SnapshotPos::Done => e.u8(2),
         }
-        e.u64(self.sim.len() as u64);
-        for sim in &self.sim {
-            e.logics(&sim.good_values);
-            e.logics(&sim.good_next_state);
-            e.u64(sim.status.len() as u64);
-            for s in &sim.status {
-                match s {
-                    FaultStatus::Undetected => e.u8(0),
-                    FaultStatus::Detected { vector } => {
-                        e.u8(1);
-                        e.u32(*vector);
-                    }
+        let sim = &self.sim;
+        e.logics(&sim.good_values);
+        e.logics(&sim.good_next_state);
+        e.u64(sim.status.len() as u64);
+        for s in &sim.status {
+            match s {
+                FaultStatus::Undetected => e.u8(0),
+                FaultStatus::Detected { vector } => {
+                    e.u8(1);
+                    e.u32(*vector);
                 }
             }
-            e.u64(sim.faulty_ff.len() as u64);
-            for entries in &sim.faulty_ff {
-                e.u64(entries.len() as u64);
-                for &(dff, value) in entries {
-                    e.u32(dff);
-                    e.logic(value);
-                }
-            }
-            e.u32(sim.vectors_applied);
         }
+        e.u64(sim.faulty_ff.len() as u64);
+        for entries in &sim.faulty_ff {
+            e.u64(entries.len() as u64);
+            for &(dff, value) in entries {
+                e.u32(dff);
+                e.logic(value);
+            }
+        }
+        e.u32(sim.vectors_applied);
         let c = &self.counters;
         for v in [
             c.step_calls,
@@ -567,8 +559,6 @@ impl RunSnapshot {
             c.events_amortized,
             c.commit_batch_frames,
             c.csr_bytes,
-            c.shard_tasks,
-            c.shard_merge_ns,
             c.report_records_streamed,
         ] {
             e.u64(v);
@@ -667,52 +657,41 @@ impl RunSnapshot {
                 )))
             }
         };
-        let nshards = d.len("sim.shards")?;
-        if nshards == 0 {
-            return Err(CheckpointError::Corrupt(
-                "checkpoint holds zero simulator shards".to_string(),
-            ));
-        }
-        let sim = (0..nshards)
-            .map(|_| {
-                let good_values = d.logics("sim.good_values")?;
-                let good_next_state = d.logics("sim.good_next_state")?;
-                let n = d.len("sim.status")?;
-                let status = (0..n)
-                    .map(|_| match d.u8("sim.status")? {
-                        0 => Ok(FaultStatus::Undetected),
-                        1 => Ok(FaultStatus::Detected {
-                            vector: d.u32("sim.status")?,
-                        }),
-                        v => Err(CheckpointError::Corrupt(format!(
-                            "invalid fault-status tag {v}"
-                        ))),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let n = d.len("sim.faulty_ff")?;
-                let faulty_ff = (0..n)
-                    .map(|_| {
-                        let n = d.len("sim.faulty_ff")?;
-                        (0..n)
-                            .map(|_| {
-                                let dff = d.u32("sim.faulty_ff")?;
-                                let value = d.logic("sim.faulty_ff")?;
-                                Ok((dff, value))
-                            })
-                            .collect::<Result<Vec<_>, CheckpointError>>()
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let vectors_applied = d.u32("sim.vectors_applied")?;
-                Ok(SimState {
-                    good_values,
-                    good_next_state,
-                    status,
-                    faulty_ff,
-                    vectors_applied,
-                })
+        let good_values = d.logics("sim.good_values")?;
+        let good_next_state = d.logics("sim.good_next_state")?;
+        let n = d.len("sim.status")?;
+        let status = (0..n)
+            .map(|_| match d.u8("sim.status")? {
+                0 => Ok(FaultStatus::Undetected),
+                1 => Ok(FaultStatus::Detected {
+                    vector: d.u32("sim.status")?,
+                }),
+                v => Err(CheckpointError::Corrupt(format!(
+                    "invalid fault-status tag {v}"
+                ))),
             })
-            .collect::<Result<Vec<_>, CheckpointError>>()?;
-        let mut counter_fields = [0u64; 27];
+            .collect::<Result<Vec<_>, _>>()?;
+        let n = d.len("sim.faulty_ff")?;
+        let faulty_ff = (0..n)
+            .map(|_| {
+                let n = d.len("sim.faulty_ff")?;
+                (0..n)
+                    .map(|_| {
+                        let dff = d.u32("sim.faulty_ff")?;
+                        let value = d.logic("sim.faulty_ff")?;
+                        Ok((dff, value))
+                    })
+                    .collect::<Result<Vec<_>, CheckpointError>>()
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let sim = SimState {
+            good_values,
+            good_next_state,
+            status,
+            faulty_ff,
+            vectors_applied: d.u32("sim.vectors_applied")?,
+        };
+        let mut counter_fields = [0u64; 25];
         for v in &mut counter_fields {
             *v = d.u64("counters")?;
         }
@@ -741,9 +720,7 @@ impl RunSnapshot {
             events_amortized: counter_fields[21],
             commit_batch_frames: counter_fields[22],
             csr_bytes: counter_fields[23],
-            shard_tasks: counter_fields[24],
-            shard_merge_ns: counter_fields[25],
-            report_records_streamed: counter_fields[26],
+            report_records_streamed: counter_fields[24],
         };
         if d.pos != d.buf.len() {
             return Err(CheckpointError::Corrupt(format!(
@@ -862,22 +839,17 @@ mod tests {
                     diversity_history: vec![2.0, 1.5, 1.0],
                 }),
             },
-            sim: vec![
-                SimState {
-                    good_values: vec![Logic::One, Logic::Zero, Logic::X],
-                    good_next_state: vec![Logic::X, Logic::One],
-                    status: vec![FaultStatus::Undetected, FaultStatus::Detected { vector: 1 }],
-                    faulty_ff: vec![vec![], vec![(0, Logic::One)]],
-                    vectors_applied: 2,
-                },
-                SimState {
-                    good_values: vec![Logic::One, Logic::Zero, Logic::X],
-                    good_next_state: vec![Logic::X, Logic::One],
-                    status: vec![FaultStatus::Undetected],
-                    faulty_ff: vec![vec![(1, Logic::Zero)]],
-                    vectors_applied: 2,
-                },
-            ],
+            sim: SimState {
+                good_values: vec![Logic::One, Logic::Zero, Logic::X],
+                good_next_state: vec![Logic::X, Logic::One],
+                status: vec![
+                    FaultStatus::Undetected,
+                    FaultStatus::Detected { vector: 1 },
+                    FaultStatus::Undetected,
+                ],
+                faulty_ff: vec![vec![], vec![(0, Logic::One)], vec![(1, Logic::Zero)]],
+                vectors_applied: 2,
+            },
             counters: CounterSnapshot {
                 step_calls: 100,
                 gate_evals: 5000,
@@ -890,8 +862,6 @@ mod tests {
                 events_amortized: 77,
                 commit_batch_frames: 11,
                 csr_bytes: 4096,
-                shard_tasks: 6,
-                shard_merge_ns: 1234,
                 report_records_streamed: 2,
                 ..CounterSnapshot::default()
             },
@@ -931,11 +901,11 @@ mod tests {
     #[test]
     fn old_versions_are_rejected_with_the_found_version() {
         // Version 2 added the eval epoch and memoization counters; version 3
-        // added the wide-backend counters; version 4 stores per-shard sim
-        // states and the full counter set. Older files lack those fields,
-        // so decoding must refuse them up front rather than misinterpret
-        // the stream.
-        for old in [1u32, 2, 3] {
+        // added the wide-backend counters; version 4 stored per-shard sim
+        // states and two shard counters, which version 5 drops. Older files
+        // differ in layout, so decoding must refuse them up front rather
+        // than misinterpret the stream.
+        for old in [1u32, 2, 3, 4] {
             let mut bytes = sample_snapshot().encode();
             bytes[8..12].copy_from_slice(&old.to_le_bytes());
             match RunSnapshot::decode(&bytes) {
@@ -996,7 +966,6 @@ mod tests {
         b.dedup = false;
         b.paranoid_cache = true;
         b.sim_width = gatest_sim::SimBackend::Wide256;
-        b.fault_shards = 8;
         assert_eq!(config_digest(&a), config_digest(&b), "runtime knobs");
         let mut c = a.clone();
         c.generations = 9;

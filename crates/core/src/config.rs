@@ -114,16 +114,6 @@ pub struct GatestConfig {
     /// width, so it is excluded from the checkpoint config digest and a run
     /// may resume under a different width.
     pub sim_width: SimBackend,
-    /// Fault-list shards: the collapsed fault list is deterministically
-    /// partitioned into this many contiguous ranges, each simulated by an
-    /// independent per-shard fault simulator sharing the immutable netlist
-    /// (see `gatest-sim`'s `ShardPlan`). `1` is the monolithic path; `0`
-    /// means auto-detect like `parallel_workers` (see
-    /// [`GatestConfig::resolved_fault_shards`]). An execution detail like
-    /// `sim_threads`/`sim_width`: results are bit-identical at any shard
-    /// count, so it is excluded from the checkpoint config digest and a
-    /// run may resume under a different value.
-    pub fault_shards: usize,
     /// Capacity (in entries) of the epoch-keyed fitness cache, the heart of
     /// the memoization layer in front of candidate evaluation. `0` disables
     /// the whole layer (cache and prefix-sharing sequence evaluation) —
@@ -176,7 +166,6 @@ impl Default for GatestConfig {
             parallel_workers: 1,
             sim_threads: 1,
             sim_width: SimBackend::Scalar64,
-            fault_shards: 1,
             eval_cache_entries: 4096,
             dedup: true,
             paranoid_cache: false,
@@ -235,15 +224,6 @@ impl GatestConfig {
         self
     }
 
-    /// A new configuration with a different fault-shard count (`0` =
-    /// auto-detect at run time, see
-    /// [`GatestConfig::resolved_fault_shards`]). Runtime-only: results are
-    /// bit-identical at any shard count.
-    pub fn with_fault_shards(mut self, shards: usize) -> Self {
-        self.fault_shards = shards;
-        self
-    }
-
     /// A new configuration with a different fitness-cache capacity
     /// (`0` disables the memoization layer entirely).
     pub fn with_eval_cache(mut self, entries: usize) -> Self {
@@ -293,20 +273,6 @@ impl GatestConfig {
                 .unwrap_or(1)
         } else {
             self.sim_threads
-        }
-    }
-
-    /// The effective fault-shard count: `fault_shards`, or the machine's
-    /// [`std::thread::available_parallelism`] when it is `0` (falling back
-    /// to 1). The shard plan additionally clamps to the fault-list size so
-    /// no shard is empty.
-    pub fn resolved_fault_shards(&self) -> usize {
-        if self.fault_shards == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.fault_shards
         }
     }
 
@@ -423,24 +389,6 @@ mod tests {
                 .resolved(),
             SimBackend::Wide256
         );
-    }
-
-    #[test]
-    fn fault_shards_resolve_like_workers() {
-        let cfg = GatestConfig::default();
-        assert_eq!(cfg.fault_shards, 1, "monolithic by default");
-        assert_eq!(cfg.resolved_fault_shards(), 1);
-        assert_eq!(
-            GatestConfig::default()
-                .with_fault_shards(4)
-                .resolved_fault_shards(),
-            4
-        );
-        let auto = GatestConfig::default().with_fault_shards(0);
-        assert!(auto.resolved_fault_shards() >= 1);
-        if let Ok(n) = std::thread::available_parallelism() {
-            assert_eq!(auto.resolved_fault_shards(), n.get());
-        }
     }
 
     #[test]

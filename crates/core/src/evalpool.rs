@@ -11,7 +11,7 @@
 //!   worker call the same function, so pooled scores are bit-identical to
 //!   serial scores by construction.
 //! * [`EvalPool`] keeps a fixed set of worker threads alive for the whole
-//!   run, each owning one `ShardedFaultSim` clone. Work arrives through one shared
+//!   run, each owning one `FaultSim` clone. Work arrives through one shared
 //!   injector queue of (checkpoint, job, chromosome-chunk) requests and
 //!   scores return over a shared reply channel, tagged with their batch
 //!   offset so results are reassembled in input order. The shared queue
@@ -23,7 +23,7 @@
 //!   spawn-scoped-threads-per-batch scheme, which deep-cloned the entire
 //!   simulator (fault tables included) for every GA generation's batch.
 //! * [`EvalContext`] bundles what a candidate's score depends on besides
-//!   the chromosome itself: the simulator [`ShardCheckpoint`] (cheap to clone —
+//!   the chromosome itself: the simulator [`Checkpoint`] (cheap to clone —
 //!   copy-on-write `Arc` slices) and the [`EvalJob`] describing the phase,
 //!   fault sample, and fitness scale. One context is shared per GA
 //!   invocation via `Arc`.
@@ -35,7 +35,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use gatest_ga::Chromosome;
-use gatest_sim::{FaultId, Logic, ShardCheckpoint, ShardedFaultSim, StepReport};
+use gatest_sim::{Checkpoint, FaultId, FaultSim, Logic, StepReport};
 use gatest_telemetry::SimCounters;
 
 use crate::fitness::{phase1, phase2, phase3, phase4, FitnessScale, Phase};
@@ -77,7 +77,7 @@ pub struct EvalContext {
     /// fault sample. The fitness cache keys on it to rule out stale hits.
     pub epoch: u64,
     /// Simulator state every candidate evaluation starts from.
-    pub checkpoint: ShardCheckpoint,
+    pub checkpoint: Checkpoint,
     /// The simulation/scoring recipe.
     pub job: EvalJob,
 }
@@ -115,7 +115,7 @@ pub fn decode_frame_into(chrom: &Chromosome, pis: usize, frame: usize, out: &mut
 /// [`EvalPool`] worker call it, which is what makes pooled evaluation
 /// bit-identical to serial evaluation.
 pub fn evaluate_candidate(
-    sim: &mut ShardedFaultSim,
+    sim: &mut FaultSim,
     ctx: &EvalContext,
     chrom: &Chromosome,
     scratch: &mut Vec<Logic>,
@@ -168,7 +168,7 @@ pub fn evaluate_candidate(
 ///
 /// The batch is walked as a prefix trie over decoded frames: at each depth
 /// the still-live candidates are partitioned by their next frame, an O(1)
-/// copy-on-write [`ShardCheckpoint`] is taken when the partition branches, and
+/// copy-on-write [`Checkpoint`] is taken when the partition branches, and
 /// each distinct frame is simulated once for its whole subtree. Candidates
 /// sharing a k-frame prefix therefore pay for those k frames once instead
 /// of once each; the frames *not* simulated are recorded as
@@ -181,7 +181,7 @@ pub fn evaluate_candidate(
 ///
 /// Falls back to the flat per-candidate loop for non-sequence jobs.
 pub fn evaluate_sequences_shared(
-    sim: &mut ShardedFaultSim,
+    sim: &mut FaultSim,
     ctx: &EvalContext,
     batch: &[Chromosome],
     scratch: &mut Vec<Logic>,
@@ -246,7 +246,7 @@ impl PrefixWalk<'_> {
 
     /// Evaluates `group` (candidates sharing their first `depth` frames)
     /// with the simulator positioned after those frames.
-    fn descend(&mut self, sim: &mut ShardedFaultSim, group: &[usize], depth: usize) {
+    fn descend(&mut self, sim: &mut FaultSim, group: &[usize], depth: usize) {
         if depth == self.frames {
             let score = phase4(&self.reports, self.scale);
             for &i in group {
@@ -646,7 +646,7 @@ struct Worker {
 
 /// A persistent pool of fitness-evaluation workers.
 ///
-/// Each worker thread owns one [`ShardedFaultSim`] clone for the pool's entire
+/// Each worker thread owns one [`FaultSim`] clone for the pool's entire
 /// lifetime (sharing the base simulator's telemetry counters), so per-batch
 /// cost is a few queue pushes instead of a full simulator deep-clone plus
 /// thread spawn. Batches are split into contiguous chunks pushed onto one
@@ -674,7 +674,7 @@ impl EvalPool {
     /// # Panics
     ///
     /// Panics if `workers` is 0.
-    pub fn new(base: &ShardedFaultSim, workers: usize) -> Self {
+    pub fn new(base: &FaultSim, workers: usize) -> Self {
         assert!(workers > 0, "a pool needs at least one worker");
         let counters = base.counters().cloned();
         let (reply_tx, reply_rx) = channel::<Reply>();
@@ -834,9 +834,9 @@ mod tests {
     use super::*;
     use gatest_ga::Rng;
 
-    fn warmed_sim() -> ShardedFaultSim {
+    fn warmed_sim() -> FaultSim {
         let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
-        let mut sim = ShardedFaultSim::new(circuit);
+        let mut sim = FaultSim::new(circuit);
         let mut rng = Rng::new(77);
         for _ in 0..4 {
             let v: Vec<Logic> = (0..3).map(|_| Logic::from_bool(rng.coin())).collect();
@@ -850,7 +850,7 @@ mod tests {
         (0..n).map(|_| Chromosome::random(bits, &mut rng)).collect()
     }
 
-    fn vector_ctx(sim: &ShardedFaultSim, phase: Phase) -> Arc<EvalContext> {
+    fn vector_ctx(sim: &FaultSim, phase: Phase) -> Arc<EvalContext> {
         let sample = sim.active_faults().to_vec();
         let scale = FitnessScale {
             faults: sample.len(),
@@ -869,7 +869,7 @@ mod tests {
         })
     }
 
-    fn sequence_ctx(sim: &ShardedFaultSim, frames: usize, epoch: u64) -> Arc<EvalContext> {
+    fn sequence_ctx(sim: &FaultSim, frames: usize, epoch: u64) -> Arc<EvalContext> {
         let sample = sim.active_faults().to_vec();
         let scale = FitnessScale {
             faults: sample.len(),

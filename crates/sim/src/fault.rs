@@ -290,19 +290,6 @@ impl FaultList {
             .enumerate()
             .map(|(i, &f)| (FaultId(i as u32), f))
     }
-
-    /// A new list holding only the faults in `range` (local ids start at 0).
-    /// The universe size is preserved so coverage denominators stay global.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds.
-    pub fn subrange(&self, range: std::ops::Range<usize>) -> FaultList {
-        FaultList {
-            faults: self.faults[range].to_vec(),
-            universe: self.universe,
-        }
-    }
 }
 
 /// Enumerates the uncollapsed fault universe in deterministic order.

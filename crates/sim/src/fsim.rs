@@ -38,7 +38,7 @@ use crate::group::{
     Scratch,
 };
 use crate::grouppool::GroupPool;
-use crate::value::{LaneMask, Logic, PackedValue, Pv256, Pv512, Pv64, SimBackend};
+use crate::value::{LaneMask, Logic, PackedValue, Pv256, Pv64, SimBackend};
 
 /// Statistics from simulating one vector over the active fault list.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -201,11 +201,6 @@ pub struct FaultSim {
     /// Requested fault-group parallelism: 1 = serial (default), 0 = one
     /// thread per available core, N = exactly N threads.
     sim_threads: usize,
-    /// Whether this simulator is the lead shard for telemetry purposes.
-    /// Follower shards (in a [`crate::ShardedFaultSim`]) record real work
-    /// (gate evaluations, faulty events, restore traffic) but not logical
-    /// tallies (step calls, good events), which the lead already counted.
-    lead: bool,
 }
 
 /// One backend's execution state: the simulator's own propagation arena,
@@ -253,14 +248,12 @@ impl<P: PackedValue> Clone for EngineState<P> {
 enum Engine {
     Scalar64(EngineState<Pv64>),
     Wide256(EngineState<Pv256>),
-    Wide512(EngineState<Pv512>),
 }
 
 impl Engine {
     fn new(backend: SimBackend, circuit: &Circuit, max_level: usize) -> Engine {
         match backend.resolved() {
             SimBackend::Scalar64 => Engine::Scalar64(EngineState::new(circuit, max_level)),
-            SimBackend::Wide512 => Engine::Wide512(EngineState::new(circuit, max_level)),
             _ => Engine::Wide256(EngineState::new(circuit, max_level)),
         }
     }
@@ -269,7 +262,6 @@ impl Engine {
         match self {
             Engine::Scalar64(_) => SimBackend::Scalar64,
             Engine::Wide256(_) => SimBackend::Wide256,
-            Engine::Wide512(_) => SimBackend::Wide512,
         }
     }
 
@@ -277,7 +269,6 @@ impl Engine {
         match self {
             Engine::Scalar64(e) => e.pool = None,
             Engine::Wide256(e) => e.pool = None,
-            Engine::Wide512(e) => e.pool = None,
         }
     }
 }
@@ -304,7 +295,6 @@ impl Clone for FaultSim {
             backend: self.backend,
             engine: self.engine.clone(),
             sim_threads: self.sim_threads,
-            lead: self.lead,
         }
     }
 }
@@ -319,14 +309,6 @@ impl FaultSim {
     /// Creates a simulator over a caller-supplied fault list.
     pub fn with_faults(circuit: Arc<Circuit>, faults: FaultList) -> Self {
         let good = GoodSim::new(Arc::clone(&circuit));
-        Self::with_good(good, faults)
-    }
-
-    /// Creates a simulator adopting a donor good machine (typically a clone
-    /// of another shard's, so the `Arc`-shared levelization/CSR is reused
-    /// instead of rebuilt per shard).
-    pub(crate) fn with_good(good: GoodSim, faults: FaultList) -> Self {
-        let circuit = Arc::clone(good.circuit());
         let nfaults = faults.len();
         let max_level = good.levelization().max_level() as usize;
         let comb_gates = circuit
@@ -353,20 +335,7 @@ impl FaultSim {
             backend,
             engine,
             sim_threads: 1,
-            lead: true,
         }
-    }
-
-    /// Marks this simulator as a follower shard: real-work counters still
-    /// accumulate, logical tallies are left to the lead shard.
-    pub(crate) fn set_lead(&mut self, lead: bool) {
-        self.lead = lead;
-    }
-
-    /// The shared active-fault list pointer (for the sharded wrapper's
-    /// zero-copy single-shard fast path).
-    pub(crate) fn active_arc(&self) -> Arc<Vec<FaultId>> {
-        Arc::clone(&self.active)
     }
 
     /// The circuit under simulation.
@@ -545,11 +514,7 @@ impl FaultSim {
         self.vectors_applied += 1;
         let report = self.good.apply(vector);
         if let Some(counters) = &self.counters {
-            if self.lead {
-                counters.record_good_only(self.comb_gates, report.events);
-            } else {
-                counters.record_follower_step(self.comb_gates, 0);
-            }
+            counters.record_good_only(self.comb_gates, report.events);
         }
         report
     }
@@ -638,31 +603,10 @@ impl FaultSim {
                 &mut reports,
                 &mut detected,
             ),
-            Engine::Wide512(engine) => run_engine_window(
-                &self.circuit,
-                &self.good,
-                &self.faults,
-                &mut self.faulty_ff,
-                &mut self.ff_entries,
-                &self.empty_ff,
-                &targets,
-                &frames,
-                engine,
-                &mut reports,
-                &mut detected,
-            ),
         };
         if let Some(counters) = &self.counters {
             for report in &reports {
-                if self.lead {
-                    counters.record_step(
-                        report.gate_evals,
-                        report.good_events,
-                        report.faulty_events,
-                    );
-                } else {
-                    counters.record_follower_step(report.gate_evals, report.faulty_events);
-                }
+                counters.record_step(report.gate_evals, report.good_events, report.faulty_events);
             }
             counters.record_scratch_reuse(scratch_bytes);
             counters.record_events_amortized(events_amortized);
@@ -748,27 +692,9 @@ impl FaultSim {
                 &mut report,
                 &mut detected,
             ),
-            Engine::Wide512(engine) => run_engine(
-                &self.circuit,
-                &self.good,
-                &self.faults,
-                &mut self.faulty_ff,
-                &mut self.ff_entries,
-                &self.empty_ff,
-                targets,
-                threads,
-                probe.as_ref(),
-                engine,
-                &mut report,
-                &mut detected,
-            ),
         };
         if let Some(counters) = &self.counters {
-            if self.lead {
-                counters.record_step(report.gate_evals, report.good_events, report.faulty_events);
-            } else {
-                counters.record_follower_step(report.gate_evals, report.faulty_events);
-            }
+            counters.record_step(report.gate_evals, report.good_events, report.faulty_events);
             counters.record_scratch_reuse(scratch_bytes);
             counters.record_events_amortized(events_amortized);
             if let Some((tasks, steal_ns, _)) = group_dispatch {
@@ -839,11 +765,7 @@ impl FaultSim {
     pub fn restore(&mut self, cp: &Checkpoint) {
         assert_eq!(cp.status.len(), self.status.len());
         if let Some(counters) = &self.counters {
-            if self.lead {
-                counters.record_restore(Self::deep_restore_bytes(cp));
-            } else {
-                counters.record_follower_restore(Self::deep_restore_bytes(cp));
-            }
+            counters.record_restore(Self::deep_restore_bytes(cp));
         }
         self.good.restore(&cp.good);
         if !Arc::ptr_eq(&self.status, &cp.status) {
@@ -1669,26 +1591,6 @@ mod tests {
     }
 
     #[test]
-    fn wide512_backend_matches_scalar_bit_for_bit() {
-        // Same contract as wide256: only gate_evals may differ per step.
-        let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
-        let faults = FaultList::full(&circuit);
-        let mut narrow = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
-        let mut wide = FaultSim::with_faults(Arc::clone(&circuit), faults);
-        wide.set_backend(SimBackend::Wide512);
-        assert_eq!(wide.backend(), SimBackend::Wide512);
-        for v in prng_sequence(circuit.num_inputs(), 48, 41) {
-            let a = narrow.step(&v);
-            let b = wide.step(&v);
-            assert_eq!(without_gate_evals(a), without_gate_evals(b));
-        }
-        assert_eq!(narrow.detected_count(), wide.detected_count());
-        for &f in narrow.active_faults() {
-            assert_eq!(narrow.faulty_ff_state(f), wide.faulty_ff_state(f));
-        }
-    }
-
-    #[test]
     fn step_window_matches_serial_steps_bit_for_bit() {
         // The batched commit path must reproduce serial stepping exactly —
         // same per-vector reports (minus gate_evals), same detection
@@ -1697,11 +1599,7 @@ mod tests {
         let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
         let faults = FaultList::full(&circuit);
         let seq = prng_sequence(circuit.num_inputs(), 36, 61);
-        for backend in [
-            SimBackend::Scalar64,
-            SimBackend::Wide256,
-            SimBackend::Wide512,
-        ] {
+        for backend in [SimBackend::Scalar64, SimBackend::Wide256] {
             let mut serial = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
             let mut windowed = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
             serial.set_backend(backend);

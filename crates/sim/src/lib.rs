@@ -7,10 +7,9 @@
 //!
 //! * [`value`] — scalar [`Logic`] (0/1/X) and the width-generic
 //!   [`PackedValue`] backends used for bit-parallel fault propagation:
-//!   the 64-lane [`Pv64`], the 256-lane [`Pv256`], and the 512-lane
-//!   [`Pv512`] (the wide ones autovectorized, with an AVX2 fast path
-//!   dispatched at runtime). [`SimBackend`] selects a backend by name;
-//!   results are bit-identical across widths.
+//!   the 64-lane [`Pv64`] and the 256-lane [`Pv256`] (autovectorized, with
+//!   an AVX2 fast path dispatched at runtime). [`SimBackend`] selects a
+//!   backend by name; results are bit-identical across widths.
 //! * [`eval`] — gate evaluation over both representations.
 //! * [`fault`] — the single stuck-at fault universe and equivalence
 //!   collapsing ([`FaultList`]).
@@ -65,7 +64,6 @@ pub(crate) mod group;
 pub(crate) mod grouppool;
 pub mod packed_good;
 pub mod ppsfp;
-pub mod shard;
 pub mod state_space;
 pub mod transition;
 pub mod value;
@@ -77,9 +75,8 @@ pub use fault_report::{FaultReportWriter, StreamRecord, StreamSummary};
 pub use fsim::{Checkpoint, FaultSim, SimState, StepReport};
 pub use good_sim::{GoodSim, GoodSimState, GoodStepReport};
 pub use packed_good::PackedGoodSim;
-pub use shard::{ShardCheckpoint, ShardPlan, ShardedFaultSim};
 pub use transition::{Slow, TransitionFault, TransitionFaultSim};
-pub use value::{LaneMask, Logic, Mask256, Mask512, PackedValue, Pv256, Pv512, Pv64, SimBackend};
+pub use value::{LaneMask, Logic, Mask256, PackedValue, Pv256, Pv64, SimBackend};
 
 /// The s27 circuit for intra-crate tests.
 #[cfg(test)]

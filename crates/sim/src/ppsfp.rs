@@ -8,7 +8,7 @@
 //!   independent).
 //!
 //! The good machine is simulated once per pattern block (`P::LANES`
-//! patterns wide — 64 for [`Pv64`], 256 or 512 for the wide backends via
+//! patterns wide — 64 for [`Pv64`], 256 for [`Pv256`] via
 //! [`Ppsfp::grade_backend`]); each fault is then propagated event-driven
 //! from its injection site through the block. Because the first detecting
 //! pattern index is `block * P::LANES + lane` and lanes are filled in
@@ -24,7 +24,7 @@ use gatest_netlist::{Circuit, GateKind, NetId};
 
 use crate::eval::eval_packed;
 use crate::fault::{FaultList, FaultSite};
-use crate::value::{LaneMask, Logic, PackedValue, Pv256, Pv512, Pv64, SimBackend};
+use crate::value::{LaneMask, Logic, PackedValue, Pv256, Pv64, SimBackend};
 
 /// Error for circuits PPSFP cannot handle (sequential ones).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,7 +153,6 @@ impl Ppsfp {
     pub fn grade_backend(&self, patterns: &[Vec<Logic>], backend: SimBackend) -> PpsfpResult {
         match backend.resolved() {
             SimBackend::Scalar64 => self.grade_with::<Pv64>(patterns),
-            SimBackend::Wide512 => self.grade_with::<Pv512>(patterns),
             _ => self.grade_with::<Pv256>(patterns),
         }
     }
@@ -400,12 +399,7 @@ mod tests {
         let patterns = random_patterns(comb.num_inputs(), 300, 13);
         let grader = Ppsfp::new(Arc::clone(&comb)).unwrap();
         let narrow = grader.grade(&patterns);
-        for backend in [
-            SimBackend::Scalar64,
-            SimBackend::Wide256,
-            SimBackend::Wide512,
-            SimBackend::Auto,
-        ] {
+        for backend in [SimBackend::Scalar64, SimBackend::Wide256, SimBackend::Auto] {
             let result = grader.grade_backend(&patterns, backend);
             assert_eq!(result.detected, narrow.detected, "{backend}");
             assert_eq!(

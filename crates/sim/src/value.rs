@@ -15,14 +15,12 @@
 //! With this encoding every gate function is a handful of word operations,
 //! e.g. `AND`: `one = a.one & b.one`, `zero = a.zero | b.zero`.
 //!
-//! The planes come in three widths behind the [`PackedValue`] trait:
-//! [`Pv64`] (one 64-bit word per plane, the PROOFS original), [`Pv256`]
+//! The planes come in two widths behind the [`PackedValue`] trait:
+//! [`Pv64`] (one 64-bit word per plane, the PROOFS original) and [`Pv256`]
 //! (four words per plane, written so the per-word loops autovectorize —
 //! with an explicit AVX2 gate-evaluation path selected once at runtime on
-//! x86-64), and [`Pv512`] (eight words per plane, same AVX2 dispatch, two
-//! registers per plane op). Which width the fault simulator uses is an
-//! execution detail chosen via [`SimBackend`]; results are bit-identical
-//! across widths.
+//! x86-64). Which width the fault simulator uses is an execution detail
+//! chosen via [`SimBackend`]; results are bit-identical across widths.
 
 use std::fmt;
 use std::ops::Not;
@@ -305,49 +303,6 @@ impl LaneMask for Mask256 {
     #[inline]
     fn invert(self) -> Mask256 {
         Mask256(std::array::from_fn(|w| !self.0[w]))
-    }
-}
-
-/// A 512-lane mask: one bit per [`Pv512`] lane, eight words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct Mask512(pub [u64; 8]);
-
-impl LaneMask for Mask512 {
-    const WORDS: usize = 8;
-    const EMPTY: Mask512 = Mask512([0; 8]);
-
-    #[inline]
-    fn low(n: usize) -> Mask512 {
-        assert!(n <= 512);
-        let mut words = [0u64; 8];
-        for (w, word) in words.iter_mut().enumerate() {
-            let lanes = n.saturating_sub(w * 64).min(64);
-            *word = <u64 as LaneMask>::low(lanes);
-        }
-        Mask512(words)
-    }
-    #[inline]
-    fn bit(lane: usize) -> Mask512 {
-        assert!(lane < 512);
-        let mut words = [0u64; 8];
-        words[lane / 64] = 1u64 << (lane % 64);
-        Mask512(words)
-    }
-    #[inline]
-    fn word(self, w: usize) -> u64 {
-        self.0[w]
-    }
-    #[inline]
-    fn or(self, rhs: Mask512) -> Mask512 {
-        Mask512(std::array::from_fn(|w| self.0[w] | rhs.0[w]))
-    }
-    #[inline]
-    fn and(self, rhs: Mask512) -> Mask512 {
-        Mask512(std::array::from_fn(|w| self.0[w] & rhs.0[w]))
-    }
-    #[inline]
-    fn invert(self) -> Mask512 {
-        Mask512(std::array::from_fn(|w| !self.0[w]))
     }
 }
 
@@ -894,7 +849,7 @@ impl fmt::Display for Pv256 {
 /// portable (still autovectorizable) path.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{eval_gate_portable, Pv256, Pv512};
+    use super::{eval_gate_portable, Pv256};
     use gatest_netlist::GateKind;
     use std::sync::OnceLock;
 
@@ -911,218 +866,6 @@ mod avx2 {
     pub(super) unsafe fn eval_gate(kind: GateKind, fanin: &[Pv256]) -> Pv256 {
         eval_gate_portable(kind, fanin)
     }
-
-    /// The [`Pv512`] clone of [`eval_gate`]: each `[u64; 8]` plane op lowers
-    /// to a pair of 256-bit vector instructions. (`avx512f` as a
-    /// `target_feature` needs a newer compiler than this crate's MSRV, so
-    /// 512-bit lanes ride two AVX2 registers per plane for now.)
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 support (see [`available`]).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn eval_gate512(kind: GateKind, fanin: &[Pv512]) -> Pv512 {
-        eval_gate_portable(kind, fanin)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pv512: eight words per plane
-
-/// A packed word of 512 three-valued values: eight 64-bit words per plane.
-///
-/// Doubles [`Pv256`]'s lane count so half as many fault groups pay the
-/// width-independent per-group costs (forcing-table builds, event
-/// scheduling, per-gate bookkeeping). The per-word loops autovectorize; on
-/// x86-64 hosts with AVX2 the gate-evaluation fold dispatches to a clone
-/// compiled with 256-bit vector registers enabled (two per plane op —
-/// `avx512f` codegen needs a newer compiler than the crate's MSRV). Both
-/// paths are bit-identical to [`Pv64`] semantics in every lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct Pv512 {
-    /// Plane of lanes holding logic 0.
-    pub zero: [u64; 8],
-    /// Plane of lanes holding logic 1.
-    pub one: [u64; 8],
-}
-
-impl Pv512 {
-    /// All 512 lanes X.
-    pub const ALL_X: Pv512 = Pv512 {
-        zero: [0; 8],
-        one: [0; 8],
-    };
-
-    /// All 512 lanes 0.
-    pub const ALL_ZERO: Pv512 = Pv512 {
-        zero: [!0; 8],
-        one: [0; 8],
-    };
-
-    /// All 512 lanes 1.
-    pub const ALL_ONE: Pv512 = Pv512 {
-        zero: [0; 8],
-        one: [!0; 8],
-    };
-}
-
-impl PackedValue for Pv512 {
-    const WORDS: usize = 8;
-    const LANES: usize = 512;
-    const NAME: &'static str = "wide512";
-    type Mask = Mask512;
-
-    const ALL_X: Pv512 = Pv512::ALL_X;
-    const ALL_ZERO: Pv512 = Pv512::ALL_ZERO;
-    const ALL_ONE: Pv512 = Pv512::ALL_ONE;
-
-    #[inline]
-    fn broadcast(v: Logic) -> Pv512 {
-        match v {
-            Logic::Zero => Pv512::ALL_ZERO,
-            Logic::One => Pv512::ALL_ONE,
-            Logic::X => Pv512::ALL_X,
-        }
-    }
-
-    #[inline]
-    fn get_lane(self, lane: usize) -> Logic {
-        assert!(lane < 512);
-        let (w, b) = (lane / 64, lane % 64);
-        let z = (self.zero[w] >> b) & 1;
-        let o = (self.one[w] >> b) & 1;
-        match (z, o) {
-            (1, 0) => Logic::Zero,
-            (0, 1) => Logic::One,
-            (0, 0) => Logic::X,
-            _ => unreachable!("invalid Pv512 encoding in lane {lane}"),
-        }
-    }
-
-    #[inline]
-    fn set_lane(&mut self, lane: usize, v: Logic) {
-        assert!(lane < 512);
-        let (w, b) = (lane / 64, lane % 64);
-        let bit = 1u64 << b;
-        self.zero[w] &= !bit;
-        self.one[w] &= !bit;
-        match v {
-            Logic::Zero => self.zero[w] |= bit,
-            Logic::One => self.one[w] |= bit,
-            Logic::X => {}
-        }
-    }
-
-    #[inline]
-    fn and(self, rhs: Pv512) -> Pv512 {
-        let mut out = Pv512::ALL_X;
-        for w in 0..8 {
-            out.zero[w] = self.zero[w] | rhs.zero[w];
-            out.one[w] = self.one[w] & rhs.one[w];
-        }
-        out
-    }
-
-    #[inline]
-    fn or(self, rhs: Pv512) -> Pv512 {
-        let mut out = Pv512::ALL_X;
-        for w in 0..8 {
-            out.zero[w] = self.zero[w] & rhs.zero[w];
-            out.one[w] = self.one[w] | rhs.one[w];
-        }
-        out
-    }
-
-    #[inline]
-    fn xor(self, rhs: Pv512) -> Pv512 {
-        let mut out = Pv512::ALL_X;
-        for w in 0..8 {
-            out.zero[w] = (self.zero[w] & rhs.zero[w]) | (self.one[w] & rhs.one[w]);
-            out.one[w] = (self.zero[w] & rhs.one[w]) | (self.one[w] & rhs.zero[w]);
-        }
-        out
-    }
-
-    #[inline]
-    fn not(self) -> Pv512 {
-        Pv512 {
-            zero: self.one,
-            one: self.zero,
-        }
-    }
-
-    #[inline]
-    fn binary_diff(self, rhs: Pv512) -> Mask512 {
-        Mask512(std::array::from_fn(|w| {
-            (self.zero[w] & rhs.one[w]) | (self.one[w] & rhs.zero[w])
-        }))
-    }
-
-    #[inline]
-    fn any_diff(self, rhs: Pv512) -> Mask512 {
-        Mask512(std::array::from_fn(|w| {
-            (self.zero[w] ^ rhs.zero[w]) | (self.one[w] ^ rhs.one[w])
-        }))
-    }
-
-    #[inline]
-    fn known_mask(self) -> Mask512 {
-        Mask512(std::array::from_fn(|w| self.zero[w] | self.one[w]))
-    }
-
-    #[inline]
-    fn is_valid(self) -> bool {
-        (0..8).all(|w| self.zero[w] & self.one[w] == 0)
-    }
-
-    #[inline]
-    fn force(self, mask: Mask512, v: Logic) -> Pv512 {
-        let mut out = Pv512::ALL_X;
-        for w in 0..8 {
-            out.zero[w] = self.zero[w] & !mask.0[w];
-            out.one[w] = self.one[w] & !mask.0[w];
-            match v {
-                Logic::Zero => out.zero[w] |= mask.0[w],
-                Logic::One => out.one[w] |= mask.0[w],
-                Logic::X => {}
-            }
-        }
-        out
-    }
-
-    #[inline]
-    fn load_planes(zero: &[u64], one: &[u64]) -> Pv512 {
-        Pv512 {
-            zero: zero[..8].try_into().expect("eight words per plane"),
-            one: one[..8].try_into().expect("eight words per plane"),
-        }
-    }
-
-    #[inline]
-    fn store_planes(self, zero: &mut [u64], one: &mut [u64]) {
-        zero[..8].copy_from_slice(&self.zero);
-        one[..8].copy_from_slice(&self.one);
-    }
-
-    #[inline]
-    fn eval_gate(kind: GateKind, fanin: &[Pv512]) -> Pv512 {
-        #[cfg(target_arch = "x86_64")]
-        if avx2::available() {
-            // SAFETY: `available` checked AVX2 support at runtime.
-            return unsafe { avx2::eval_gate512(kind, fanin) };
-        }
-        eval_gate_portable(kind, fanin)
-    }
-}
-
-impl fmt::Display for Pv512 {
-    /// Lane 0 first.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 0..512 {
-            write!(f, "{}", self.get_lane(i))?;
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1134,9 +877,7 @@ impl fmt::Display for Pv512 {
 /// bit-identical results, so the width is excluded from the checkpoint
 /// configuration digest and is free to differ between a run and its resumed
 /// leg. `Auto` resolves to [`Pv256`], whose gate evaluation additionally
-/// uses AVX2 when the host supports it; [`Pv512`] is opt-in (its plane ops
-/// span two AVX2 registers, which wins only when group-count amortization
-/// dominates — measure before defaulting to it).
+/// uses AVX2 when the host supports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimBackend {
     /// One 64-bit word per plane ([`Pv64`]) — 64 faults per group.
@@ -1144,8 +885,6 @@ pub enum SimBackend {
     Scalar64,
     /// Four words per plane ([`Pv256`]) — 256 faults per group.
     Wide256,
-    /// Eight words per plane ([`Pv512`]) — 512 faults per group.
-    Wide512,
     /// Pick for the host: resolves to [`SimBackend::Wide256`].
     Auto,
 }
@@ -1156,19 +895,16 @@ impl SimBackend {
         match s {
             "scalar64" | "64" => Some(SimBackend::Scalar64),
             "wide256" | "256" => Some(SimBackend::Wide256),
-            "wide512" | "512" => Some(SimBackend::Wide512),
             "auto" => Some(SimBackend::Auto),
             _ => None,
         }
     }
 
-    /// The canonical flag spelling (`scalar64`, `wide256`, `wide512`,
-    /// `auto`).
+    /// The canonical flag spelling (`scalar64`, `wide256`, `auto`).
     pub fn as_str(self) -> &'static str {
         match self {
             SimBackend::Scalar64 => "scalar64",
             SimBackend::Wide256 => "wide256",
-            SimBackend::Wide512 => "wide512",
             SimBackend::Auto => "auto",
         }
     }
@@ -1177,10 +913,8 @@ impl SimBackend {
     ///
     /// `Auto` picks [`SimBackend::Wide256`]: one AVX2 register per plane
     /// operation on x86-64, and group-count amortization over [`Pv64`] at
-    /// every size. [`SimBackend::Wide512`] stays opt-in — its plane ops
-    /// span two registers, so it wins only when the per-group overheads it
-    /// halves outweigh the wider words it moves. AVX2-vs-portable is
-    /// decided separately, per gate evaluation, inside [`Pv256`]/[`Pv512`].
+    /// every size. AVX2-vs-portable is decided separately, per gate
+    /// evaluation, inside [`Pv256`].
     pub fn resolved(self) -> SimBackend {
         match self {
             SimBackend::Auto => SimBackend::Wide256,
@@ -1192,7 +926,6 @@ impl SimBackend {
     pub fn lanes(self) -> usize {
         match self.resolved() {
             SimBackend::Scalar64 => Pv64::LANES,
-            SimBackend::Wide512 => Pv512::LANES,
             _ => Pv256::LANES,
         }
     }
@@ -1201,7 +934,6 @@ impl SimBackend {
     pub fn name(self) -> &'static str {
         match self.resolved() {
             SimBackend::Scalar64 => Pv64::NAME,
-            SimBackend::Wide512 => Pv512::NAME,
             _ => Pv256::NAME,
         }
     }
@@ -1218,7 +950,7 @@ impl std::str::FromStr for SimBackend {
 
     fn from_str(s: &str) -> Result<SimBackend, String> {
         SimBackend::parse(s).ok_or_else(|| {
-            format!("unknown sim backend `{s}` (expected scalar64, wide256, wide512, or auto)")
+            format!("unknown sim backend `{s}` (expected scalar64, wide256, or auto)")
         })
     }
 }
@@ -1360,20 +1092,15 @@ mod tests {
     fn backend_parse_and_resolution() {
         assert_eq!(SimBackend::parse("scalar64"), Some(SimBackend::Scalar64));
         assert_eq!(SimBackend::parse("wide256"), Some(SimBackend::Wide256));
-        assert_eq!(SimBackend::parse("wide512"), Some(SimBackend::Wide512));
         assert_eq!(SimBackend::parse("auto"), Some(SimBackend::Auto));
         assert_eq!(SimBackend::parse("1024"), None);
-        // Auto stays at 256 lanes: wide512 is opt-in (see `resolved`).
         assert_eq!(SimBackend::Auto.resolved(), SimBackend::Wide256);
         assert_eq!(SimBackend::Auto.lanes(), 256);
         assert_eq!(SimBackend::Scalar64.lanes(), 64);
-        assert_eq!(SimBackend::Wide512.lanes(), 512);
         assert_eq!(SimBackend::Auto.name(), "wide256");
-        assert_eq!(SimBackend::Wide512.name(), "wide512");
         assert_eq!(SimBackend::Scalar64.to_string(), "scalar64");
         assert!("bogus".parse::<SimBackend>().is_err());
         assert_eq!("256".parse::<SimBackend>(), Ok(SimBackend::Wide256));
-        assert_eq!("512".parse::<SimBackend>(), Ok(SimBackend::Wide512));
     }
 
     /// A deterministic per-lane value pattern: three-valued, cycling with a
@@ -1564,7 +1291,6 @@ mod tests {
 
     packed_backend_suite!(pv64_backend, Pv64);
     packed_backend_suite!(pv256_backend, Pv256);
-    packed_backend_suite!(pv512_backend, Pv512);
 
     #[test]
     fn pv256_lanes_mirror_four_pv64_words() {
@@ -1574,22 +1300,6 @@ mod tests {
         let mut narrow = [Pv64::ALL_X; 4];
         for lane in 0..256 {
             let v = pattern(lane, 11);
-            wide.set_lane(lane, v);
-            narrow[lane / 64].set((lane % 64) as u32, v);
-        }
-        for (w, n) in narrow.iter().enumerate() {
-            assert_eq!(wide.zero[w], n.zero);
-            assert_eq!(wide.one[w], n.one);
-        }
-    }
-
-    #[test]
-    fn pv512_lanes_mirror_eight_pv64_words() {
-        // Likewise, a Pv512 is eight Pv64s laid side by side.
-        let mut wide = Pv512::ALL_X;
-        let mut narrow = [Pv64::ALL_X; 8];
-        for lane in 0..512 {
-            let v = pattern(lane, 13);
             wide.set_lane(lane, v);
             narrow[lane / 64].set((lane % 64) as u32, v);
         }

@@ -77,13 +77,6 @@ pub struct SimCounters {
     /// Bytes of the levelized CSR adjacency arena (schedule-ordered fanin
     /// records plus per-net fanout edges). A last-write-wins gauge.
     pub csr_bytes: AtomicU64,
-    /// Per-shard simulation tasks dispatched by the sharded fault simulator
-    /// (K per logical step when the fault list is partitioned across K > 1
-    /// shards; zero for unsharded runs, so old traces render alike).
-    pub shard_tasks: AtomicU64,
-    /// Nanoseconds spent merging per-shard step reports back into the
-    /// global shard-order result (the sharded analogue of group merging).
-    pub shard_merge_ns: AtomicU64,
     /// Detection records streamed to a `--fault-report` JSONL file.
     pub report_records_streamed: AtomicU64,
 }
@@ -210,35 +203,6 @@ impl SimCounters {
         self.csr_bytes.store(bytes, Ordering::Relaxed);
     }
 
-    /// Records the work of a *follower* fault-list shard's step: real gate
-    /// evaluations and faulty events, but **not** `step_calls` or
-    /// `good_events` — the lead shard already counted the logical step and
-    /// the (identical) good-machine events, so per-step derived rates stay
-    /// meaningful under sharding.
-    #[inline]
-    pub fn record_follower_step(&self, gate_evals: u64, faulty_events: u64) {
-        self.gate_evals.fetch_add(gate_evals, Ordering::Relaxed);
-        self.faulty_events
-            .fetch_add(faulty_events, Ordering::Relaxed);
-    }
-
-    /// Records a follower shard's checkpoint restore: the avoided deep-copy
-    /// bytes are real per-shard savings, but the restore *count* belongs to
-    /// the lead shard (one logical restore per candidate evaluation).
-    #[inline]
-    pub fn record_follower_restore(&self, bytes_avoided: u64) {
-        self.restore_bytes_avoided
-            .fetch_add(bytes_avoided, Ordering::Relaxed);
-    }
-
-    /// Records one sharded step's dispatch: per-shard tasks run and the
-    /// nanoseconds spent merging their reports in shard order.
-    #[inline]
-    pub fn record_shard_dispatch(&self, tasks: u64, merge_ns: u64) {
-        self.shard_tasks.fetch_add(tasks, Ordering::Relaxed);
-        self.shard_merge_ns.fetch_add(merge_ns, Ordering::Relaxed);
-    }
-
     /// Records detection records streamed to a fault-report file.
     #[inline]
     pub fn record_report_records(&self, records: u64) {
@@ -296,10 +260,6 @@ impl SimCounters {
         self.commit_batch_frames
             .store(snapshot.commit_batch_frames, Ordering::Relaxed);
         self.csr_bytes.store(snapshot.csr_bytes, Ordering::Relaxed);
-        self.shard_tasks
-            .store(snapshot.shard_tasks, Ordering::Relaxed);
-        self.shard_merge_ns
-            .store(snapshot.shard_merge_ns, Ordering::Relaxed);
         self.report_records_streamed
             .store(snapshot.report_records_streamed, Ordering::Relaxed);
     }
@@ -331,13 +291,13 @@ impl SimCounters {
             events_amortized: self.events_amortized.load(Ordering::Relaxed),
             commit_batch_frames: self.commit_batch_frames.load(Ordering::Relaxed),
             csr_bytes: self.csr_bytes.load(Ordering::Relaxed),
-            shard_tasks: self.shard_tasks.load(Ordering::Relaxed),
-            shard_merge_ns: self.shard_merge_ns.load(Ordering::Relaxed),
             report_records_streamed: self.report_records_streamed.load(Ordering::Relaxed),
         }
     }
 
-    /// Zeroes every counter.
+    /// Zeroes every tally. The `csr_bytes` gauge is kept: it describes the
+    /// simulator's netlist, which is sized once at attach time and does not
+    /// change between runs.
     pub fn reset(&self) {
         self.step_calls.store(0, Ordering::Relaxed);
         self.good_only_calls.store(0, Ordering::Relaxed);
@@ -362,9 +322,6 @@ impl SimCounters {
         self.lanes_per_group.store(0, Ordering::Relaxed);
         self.events_amortized.store(0, Ordering::Relaxed);
         self.commit_batch_frames.store(0, Ordering::Relaxed);
-        self.csr_bytes.store(0, Ordering::Relaxed);
-        self.shard_tasks.store(0, Ordering::Relaxed);
-        self.shard_merge_ns.store(0, Ordering::Relaxed);
         self.report_records_streamed.store(0, Ordering::Relaxed);
     }
 }
@@ -420,10 +377,6 @@ pub struct CounterSnapshot {
     pub commit_batch_frames: u64,
     /// Bytes of the levelized CSR adjacency arena (gauge).
     pub csr_bytes: u64,
-    /// Per-shard simulation tasks dispatched by the sharded fault simulator.
-    pub shard_tasks: u64,
-    /// Nanoseconds spent merging per-shard step reports in shard order.
-    pub shard_merge_ns: u64,
     /// Detection records streamed to a `--fault-report` JSONL file.
     pub report_records_streamed: u64,
 }
@@ -438,7 +391,7 @@ impl CounterSnapshot {
     /// order. The single source of field names for the JSON serializer and
     /// the Prometheus renderer, so adding a counter cannot silently skip a
     /// consumer.
-    pub fn fields(&self) -> [(&'static str, u64); 27] {
+    pub fn fields(&self) -> [(&'static str, u64); 25] {
         [
             ("step_calls", self.step_calls),
             ("good_only_calls", self.good_only_calls),
@@ -464,8 +417,6 @@ impl CounterSnapshot {
             ("events_amortized", self.events_amortized),
             ("commit_batch_frames", self.commit_batch_frames),
             ("csr_bytes", self.csr_bytes),
-            ("shard_tasks", self.shard_tasks),
-            ("shard_merge_ns", self.shard_merge_ns),
             ("report_records_streamed", self.report_records_streamed),
         ]
     }
@@ -552,7 +503,14 @@ mod tests {
         resumed.load_snapshot(&s);
         assert_eq!(resumed.snapshot(), s);
         c.reset();
-        assert_eq!(c.snapshot(), CounterSnapshot::default());
+        assert_eq!(
+            c.snapshot(),
+            CounterSnapshot {
+                csr_bytes: 12_000,
+                ..CounterSnapshot::default()
+            },
+            "reset zeroes the tallies but keeps the arena-size gauge"
+        );
     }
 
     #[test]
@@ -598,15 +556,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_counters_accumulate_and_reload() {
+    fn report_counters_accumulate_and_reload() {
         let c = SimCounters::new();
-        c.record_shard_dispatch(4, 1_500);
-        c.record_shard_dispatch(4, 500);
         c.record_report_records(3);
         c.record_report_records(2);
         let s = c.snapshot();
-        assert_eq!(s.shard_tasks, 8);
-        assert_eq!(s.shard_merge_ns, 2_000);
         assert_eq!(s.report_records_streamed, 5);
 
         let resumed = SimCounters::new();
@@ -614,24 +568,6 @@ mod tests {
         assert_eq!(resumed.snapshot(), s);
         c.reset();
         assert_eq!(c.snapshot(), CounterSnapshot::default());
-    }
-
-    #[test]
-    fn follower_records_skip_logical_tallies() {
-        let c = SimCounters::new();
-        c.record_step(100, 7, 30);
-        c.record_follower_step(90, 25);
-        c.record_restore(4_096);
-        c.record_follower_restore(2_048);
-        let s = c.snapshot();
-        // Work accumulates from every shard...
-        assert_eq!(s.gate_evals, 190);
-        assert_eq!(s.faulty_events, 55);
-        assert_eq!(s.restore_bytes_avoided, 6_144);
-        // ...but logical step/event/restore counts stay lead-only.
-        assert_eq!(s.step_calls, 1);
-        assert_eq!(s.good_events, 7);
-        assert_eq!(s.checkpoint_restores, 1);
     }
 
     #[test]

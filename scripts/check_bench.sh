@@ -162,14 +162,13 @@ for circuit in s298 s1423; do
     }'
 done
 
-# srate FILE CIRCUIT BACKEND THREADS SHARDS -> vectors_per_sec from
-# BENCH_scale's row for that size, backend, thread count, and shard count.
+# srate FILE CIRCUIT BACKEND THREADS -> vectors_per_sec from BENCH_scale's
+# row for that size, backend, and thread count.
 srate() {
-    awk -v circuit="$2" -v backend="$3" -v threads="$4" -v shards="$5" '
+    awk -v circuit="$2" -v backend="$3" -v threads="$4" '
         /"circuit":/ { inside = index($0, "\"" circuit "\"") > 0 }
         inside && index($0, "\"backend\": \"" backend "\"") > 0 \
-               && index($0, "\"sim_threads\": " threads ",") > 0 \
-               && index($0, "\"fault_shards\": " shards ",") > 0 {
+               && index($0, "\"sim_threads\": " threads ",") > 0 {
             if (match($0, /"vectors_per_sec": [0-9.]+/)) {
                 print substr($0, RSTART + 19, RLENGTH - 19)
                 exit
@@ -206,19 +205,14 @@ compare "sim sim_threads=1" \
 # run covers (its per-size stream and warmup match the committed full-mode
 # baseline's, so the absolute rates are comparable on the same shape).
 compare "scale 10k scalar64" \
-    "$(srate BENCH_scale.json scale_10000 scalar64 1 1)" \
-    "$(srate "$tmpdir/scale.json" scale_10000 scalar64 1 1)"
+    "$(srate BENCH_scale.json scale_10000 scalar64 1)" \
+    "$(srate "$tmpdir/scale.json" scale_10000 scalar64 1)"
 
-# The sharded-simulation scaling gate: the committed full-mode baseline's
-# fault-events/s decay from 1.5k to 500k gates must stay under a fixed
-# ceiling so the big end of the curve cannot silently regress. The decay
-# at 500k is dominated by the circuit-wide good-value and CSR arrays
-# falling out of cache — a cost fault-list sharding does not touch (each
-# shard still simulates the whole netlist), so on a single-CPU host small
-# shard counts are rate-neutral within noise and the committed curve sits
-# near 3.9. The ceiling leaves ~10% headroom over that; shrinking it is
-# the tracked goal of ROADMAP item 3 (multi-process shard placement).
-# Sits behind the host_cpus guard above with the other absolute-rate
+# The scaling gate: the committed full-mode baseline's fault-events/s
+# decay from 1.5k to 500k gates must stay under a fixed ceiling so the big
+# end of the curve cannot silently regress. The decay at 500k is dominated
+# by the circuit-wide good-value and CSR arrays falling out of cache, and
+# the committed curve sits near 4.1. Sits behind the host_cpus guard above with the other absolute-rate
 # gates: the committed numbers are only meaningfully re-checked on the
 # shape they were recorded on.
 awk -v e1500="$(max_erate BENCH_scale.json scale_1500)" \

@@ -120,40 +120,28 @@ fn arbitrary_snapshot(seed: u64) -> RunSnapshot {
         elapsed_ns: mix.next(),
         eval_epoch: mix.below(10_000),
         pos,
-        sim: {
-            // v4 stores one state per fault shard; split the universe into
-            // 1-3 contiguous shares like a ShardPlan would.
-            let shards = 1 + mix.below(3) as usize;
-            let vectors_applied = mix.below(10_000) as u32;
-            (0..shards)
-                .map(|s| {
-                    let lo = nfaults * s / shards;
-                    let hi = nfaults * (s + 1) / shards;
-                    SimState {
-                        good_values: mix.logics(20),
-                        good_next_state: mix.logics(nffs),
-                        status: (lo..hi)
-                            .map(|_| {
-                                if mix.next() & 1 == 1 {
-                                    FaultStatus::Detected {
-                                        vector: mix.below(1000) as u32,
-                                    }
-                                } else {
-                                    FaultStatus::Undetected
-                                }
-                            })
-                            .collect(),
-                        faulty_ff: (lo..hi)
-                            .map(|_| {
-                                (0..mix.below(3))
-                                    .map(|_| (mix.below(nffs.max(1) as u64) as u32, mix.logic()))
-                                    .collect()
-                            })
-                            .collect(),
-                        vectors_applied,
+        sim: SimState {
+            good_values: mix.logics(20),
+            good_next_state: mix.logics(nffs),
+            status: (0..nfaults)
+                .map(|_| {
+                    if mix.next() & 1 == 1 {
+                        FaultStatus::Detected {
+                            vector: mix.below(1000) as u32,
+                        }
+                    } else {
+                        FaultStatus::Undetected
                     }
                 })
-                .collect()
+                .collect(),
+            faulty_ff: (0..nfaults)
+                .map(|_| {
+                    (0..mix.below(3))
+                        .map(|_| (mix.below(nffs.max(1) as u64) as u32, mix.logic()))
+                        .collect()
+                })
+                .collect(),
+            vectors_applied: mix.below(10_000) as u32,
         },
         counters: CounterSnapshot {
             step_calls: mix.next(),
@@ -292,9 +280,9 @@ fn s298_sampled_kills_resume_bit_identically() {
 }
 
 /// Backend width is an execution detail, not run state: a checkpoint taken
-/// under one width resumes under any other — same v3 format, no width
-/// recorded, no adjacency persisted (the CSR is derived data rebuilt on
-/// load) — and reproduces the uninterrupted run byte for byte.
+/// under one width resumes under any other — no width recorded, no
+/// adjacency persisted (the CSR is derived data rebuilt on load) — and
+/// reproduces the uninterrupted run byte for byte.
 #[test]
 fn checkpoint_resumes_across_sim_widths_bit_identically() {
     use gatest_sim::SimBackend;
@@ -310,8 +298,8 @@ fn checkpoint_resumes_across_sim_widths_bit_identically() {
     let ck = temp_path("s298-xwidth");
     for (writer, resumer) in [
         (SimBackend::Scalar64, SimBackend::Wide256),
-        (SimBackend::Wide256, SimBackend::Wide512),
-        (SimBackend::Wide512, SimBackend::Scalar64),
+        (SimBackend::Wide256, SimBackend::Auto),
+        (SimBackend::Auto, SimBackend::Scalar64),
     ] {
         let leg = make(writer).run_controlled(&RunControls {
             checkpoint_path: Some(ck.clone()),
@@ -442,6 +430,45 @@ fn resume_rejects_mismatched_seed_and_circuit() {
         .unwrap_err();
     assert!(err.to_string().contains("digest"), "{err}");
     let _ = std::fs::remove_file(&ck);
+}
+
+/// A checksum-valid checkpoint whose simulator state does not fit the
+/// circuit or fault list (a hand-edited or foreign file) is refused with a
+/// `ResumeError` instead of panicking inside the simulator.
+#[test]
+fn resume_rejects_mis_shaped_simulator_state() {
+    let ck = temp_path("s27-shape");
+    let controls = RunControls {
+        checkpoint_path: Some(ck.clone()),
+        max_ticks: Some(12),
+        ..RunControls::default()
+    };
+    let leg = s27_generator(3).run_controlled(&controls);
+    assert_eq!(leg.stop, StopCause::Interrupted);
+    let snap = RunSnapshot::load(&ck).unwrap();
+    let _ = std::fs::remove_file(&ck);
+
+    type Edit = (&'static str, fn(&mut SimState));
+    let edits: [Edit; 5] = [
+        ("fault status", |s| s.status.truncate(s.status.len() - 1)),
+        ("faulty-FF", |s| s.faulty_ff.truncate(s.faulty_ff.len() - 1)),
+        ("good value", |s| {
+            s.good_values.truncate(s.good_values.len() - 1)
+        }),
+        ("next-state", |s| {
+            s.good_next_state.truncate(s.good_next_state.len() - 1)
+        }),
+        ("flip-flop", |s| s.faulty_ff[0].push((99, Logic::One))),
+    ];
+    for (table, edit) in edits {
+        let mut bad = snap.clone();
+        edit(&mut bad.sim);
+        let bad = RunSnapshot::decode(&bad.encode()).expect("re-encoded file is checksum-valid");
+        let err = s27_generator(3)
+            .resume(&bad, &RunControls::default())
+            .unwrap_err();
+        assert!(err.to_string().contains(table), "{table}: {err}");
+    }
 }
 
 #[test]

@@ -165,8 +165,8 @@ fn s27_kill_resume_with_cache_round_trips_the_epoch() {
     let _ = std::fs::remove_file(&ck);
 }
 
-/// Checkpoints written by this build are version 4; a version-1 header is
-/// refused with the found version rather than misread.
+/// Checkpoints written by this build carry the current format version; a
+/// version-1 header is refused with the found version rather than misread.
 #[test]
 fn version_1_checkpoints_are_refused() {
     let make = || {
@@ -187,7 +187,7 @@ fn version_1_checkpoints_are_refused() {
     let mut bytes = std::fs::read(&ck).unwrap();
     assert_eq!(
         u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
-        4,
+        gatest_core::checkpoint::VERSION,
         "current format version"
     );
     bytes[8..12].copy_from_slice(&1u32.to_le_bytes());

@@ -4,22 +4,24 @@
 
 use std::sync::Arc;
 
+use gatest_core::{FaultSample, GatestConfig, TestGenerator};
 use gatest_netlist::benchmarks;
 use gatest_netlist::levelize::Levelization;
 use gatest_netlist::Circuit;
 use gatest_sim::eval::eval_scalar;
-use gatest_sim::{Fault, FaultList, FaultSim, FaultSite, Logic};
+use gatest_sim::{Fault, FaultList, FaultSim, FaultSite, FaultStatus, Logic};
 
 /// Simulates the good and single-fault machines independently, gate by
 /// gate, frame by frame — no packing, no events, no sharing. Slow and
-/// obviously correct.
-fn reference_detects(circuit: &Arc<Circuit>, fault: Fault, sequence: &[Vec<Logic>]) -> bool {
+/// obviously correct. Returns the 0-based index of the first frame at which
+/// a primary output differs (both values known), or `None`.
+fn reference_detects(circuit: &Arc<Circuit>, fault: Fault, sequence: &[Vec<Logic>]) -> Option<u32> {
     let lev = Levelization::new(circuit);
     let mut gvals = vec![Logic::X; circuit.num_gates()];
     let mut fvals = vec![Logic::X; circuit.num_gates()];
     let mut gstate = vec![Logic::X; circuit.num_dffs()];
     let mut fstate = vec![Logic::X; circuit.num_dffs()];
-    for vec in sequence {
+    for (frame, vec) in sequence.iter().enumerate() {
         for (i, &ff) in circuit.dffs().iter().enumerate() {
             gvals[ff.index()] = gstate[i];
             fvals[ff.index()] = fstate[i];
@@ -64,7 +66,7 @@ fn reference_detects(circuit: &Arc<Circuit>, fault: Fault, sequence: &[Vec<Logic
             let g = gvals[po.index()];
             let f = fvals[po.index()];
             if g.is_known() && f.is_known() && g != f {
-                return true;
+                return Some(frame as u32);
             }
         }
         for (i, &ff) in circuit.dffs().iter().enumerate() {
@@ -80,7 +82,7 @@ fn reference_detects(circuit: &Arc<Circuit>, fault: Fault, sequence: &[Vec<Logic
             fstate[i] = fv;
         }
     }
-    false
+    None
 }
 
 fn random_sequence(pis: usize, len: usize, seed: u64) -> Vec<Vec<Logic>> {
@@ -105,7 +107,7 @@ fn cross_validate(name: &str, vectors: usize, seed: u64) {
     }
 
     for (id, fault) in faults.iter() {
-        let expect = reference_detects(&circuit, fault, &sequence);
+        let expect = reference_detects(&circuit, fault, &sequence).is_some();
         assert_eq!(
             fast[id.index()],
             expect,
@@ -159,5 +161,50 @@ fn sampled_stepping_detects_subset_of_full() {
                 "sampled sim detected {f:?} that full sim missed"
             );
         }
+    }
+}
+
+/// Runs the generator and checks every fault's claimed status — detected or
+/// not, and for a detection the index of the vector that caught it —
+/// against a reference replay of the generated test set. Returns the
+/// number of detected faults.
+fn generated_claims_match_replay(
+    name: &str,
+    config: impl FnOnce(GatestConfig) -> GatestConfig,
+) -> usize {
+    let circuit = Arc::new(benchmarks::iscas89(name).expect("bundled circuit"));
+    let config = config(GatestConfig::for_circuit(&circuit).with_seed(5));
+    let mut generator = TestGenerator::new(Arc::clone(&circuit), config);
+    let result = generator.run();
+    let faults = generator.sim().fault_list();
+    let mut detected = 0;
+    for (id, fault) in faults.iter() {
+        let claimed = match generator.sim().status(id) {
+            FaultStatus::Detected { vector } => Some(vector),
+            FaultStatus::Undetected => None,
+        };
+        let replayed = reference_detects(&circuit, fault, &result.test_set);
+        assert_eq!(
+            claimed,
+            replayed,
+            "{name}: fault {} claims {claimed:?}, replay gives {replayed:?}",
+            fault.display(&circuit)
+        );
+        detected += usize::from(claimed.is_some());
+    }
+    assert_eq!(detected, result.detected, "{name}: detected count");
+    detected
+}
+
+#[test]
+fn generated_detections_match_an_independent_replay() {
+    let full = generated_claims_match_replay("s27", |c| c);
+    assert_eq!(full, 26, "s27 reaches full coverage at seed 5");
+    for name in ["s298", "s386"] {
+        let detected = generated_claims_match_replay(name, |c| GatestConfig {
+            fault_sample: FaultSample::Count(60),
+            ..c.with_max_evals(3_000)
+        });
+        assert!(detected > 0, "{name}: the budgeted run detects something");
     }
 }

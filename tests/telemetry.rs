@@ -152,6 +152,19 @@ fn s27_run_emits_a_consistent_event_stream() {
     assert_eq!(last_total, Some(result.detected));
 }
 
+/// The CSR arena size is a gauge of the netlist, not a per-run tally: a
+/// finished run still reports it.
+#[test]
+fn finished_runs_report_the_csr_arena_size() {
+    let circuit = Arc::new(benchmarks::iscas89("s27").expect("bundled circuit"));
+    let config = GatestConfig::for_circuit(&circuit).with_seed(3);
+    let result = TestGenerator::new(Arc::clone(&circuit), config).run();
+    assert_eq!(
+        result.telemetry.counters.csr_bytes,
+        gatest_netlist::levelize::Levelization::new(&circuit).csr_bytes()
+    );
+}
+
 #[test]
 fn observed_and_unobserved_runs_are_identical() {
     let circuit = Arc::new(benchmarks::iscas89("s298").expect("bundled circuit"));

@@ -1,11 +1,11 @@
 //! Width-generic packed-value property tests: every lane of every backend
 //! must behave exactly like a scalar [`Logic`] value, and the lane masks
 //! the diff operations produce must agree with per-lane predicates. One
-//! generic checker runs against [`Pv64`], [`Pv256`], and [`Pv512`], so
+//! generic checker runs against [`Pv64`] and [`Pv256`], so
 //! adding a backend means adding one instantiation line, not a new suite.
 
 use gatest_netlist::GateKind;
-use gatest_sim::{LaneMask, Logic, PackedValue, Pv256, Pv512, Pv64};
+use gatest_sim::{LaneMask, Logic, PackedValue, Pv256, Pv64};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -15,7 +15,7 @@ fn logic() -> impl Strategy<Value = Logic> {
 
 /// Lane values for the widest backend; narrower backends use a prefix.
 fn lanes() -> impl Strategy<Value = Vec<Logic>> {
-    vec(logic(), Pv512::LANES)
+    vec(logic(), Pv256::LANES)
 }
 
 /// Packs the first `P::LANES` of `values` into a word, lane by lane.
@@ -190,25 +190,22 @@ proptest! {
     fn lane_ops_match_scalar_logic(a in lanes(), b in lanes()) {
         check_lane_ops::<Pv64>(&a, &b);
         check_lane_ops::<Pv256>(&a, &b);
-        check_lane_ops::<Pv512>(&a, &b);
     }
 
     #[test]
     fn force_masks_round_trip(
         a in lanes(),
-        mask in vec(any::<bool>(), Pv512::LANES),
+        mask in vec(any::<bool>(), Pv256::LANES),
         v in logic(),
     ) {
         check_force_roundtrip::<Pv64>(&a, &mask, v);
         check_force_roundtrip::<Pv256>(&a, &mask, v);
-        check_force_roundtrip::<Pv512>(&a, &mask, v);
     }
 
     #[test]
     fn soa_planes_round_trip(a in lanes()) {
         check_planes_roundtrip::<Pv64>(&a);
         check_planes_roundtrip::<Pv256>(&a);
-        check_planes_roundtrip::<Pv512>(&a);
     }
 
     /// Gate evaluation — including the wide backends' runtime-dispatched
@@ -218,7 +215,6 @@ proptest! {
     fn eval_gate_matches_scalar_fold(fanin in vec(lanes(), 1..5usize)) {
         check_eval_gate::<Pv64>(&fanin);
         check_eval_gate::<Pv256>(&fanin);
-        check_eval_gate::<Pv512>(&fanin);
     }
 
     #[test]
@@ -228,9 +224,6 @@ proptest! {
         }
         for lane in 0..Pv256::LANES {
             prop_assert_eq!(Pv256::broadcast(v).get_lane(lane), v);
-        }
-        for lane in 0..Pv512::LANES {
-            prop_assert_eq!(Pv512::broadcast(v).get_lane(lane), v);
         }
     }
 }
