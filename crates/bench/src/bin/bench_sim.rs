@@ -8,13 +8,16 @@
 //! every step's faulty-event and flip-flop-effect counts — is bit-identical
 //! across all of them.
 //!
-//! A second `width` section compares the packed-value backends (Pv64 and
-//! Pv256) at serial thread count on s298 and s1423, asserting
-//! the same identity checksum across widths — the backend must change
-//! throughput only, never results. Smoke mode additionally replays a short
-//! stream through one synthetic 10k-gate circuit at every width, so CI
-//! exercises the CSR adjacency and group scheduling at a size where the
-//! ISCAS89 suite cannot.
+//! The thread sweep runs pinned to `scalar64`. A second `width` section
+//! compares the packed-value backends — pinned Pv64 and Pv256, and `auto`,
+//! which picks each step's width ([`SimBackend::for_step`]) — at serial
+//! thread count on s298 and s1423, asserting the same identity checksum
+//! across widths — the backend must change throughput only, never results.
+//! The widths replay the stream in interleaved chunks, so a slow spell of
+//! the host lands on every width alike instead of on one row. Smoke mode
+//! additionally replays a short stream through one synthetic
+//! 10k-gate circuit at every width, so CI exercises the CSR adjacency and
+//! group scheduling at a size where the ISCAS89 suite cannot.
 //!
 //! Prints a JSON document to stdout; `scripts/bench_eval.sh` redirects it to
 //! `BENCH_sim.json` so the performance trajectory is tracked across PRs.
@@ -36,7 +39,10 @@ const SIM_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// Circuits the packed-backend width comparison runs on: one mid-size and
 /// one tier-1-largest, so lane utilization at both group counts is covered.
 const WIDTH_CIRCUITS: [&str; 2] = ["s298", "s1423"];
-const WIDTH_BACKENDS: [SimBackend; 2] = [SimBackend::Scalar64, SimBackend::Wide256];
+const WIDTH_BACKENDS: [SimBackend; 3] =
+    [SimBackend::Scalar64, SimBackend::Wide256, SimBackend::Auto];
+/// Vectors each width replays in turn in the `width` section.
+const WIDTH_CHUNK: usize = 50;
 /// Bumped whenever the document shape changes; `--validate` requires it.
 /// 2 added provenance (`git_revision`, `timestamp`); 3 added the `width`
 /// packed-backend comparison section; 4 added the skipped-row shape for
@@ -116,8 +122,9 @@ fn main() {
             continue;
         }
         let mut sim = base.clone();
+        sim.set_backend(SimBackend::Scalar64);
         sim.set_sim_threads(threads);
-        let (secs, sum, events) = run_stream(&mut sim, &stream);
+        let (secs, sum, events) = run_stream(&mut sim, &stream, 0);
         match checksum {
             None => checksum = Some(sum),
             Some(c) => assert_eq!(
@@ -148,12 +155,14 @@ fn main() {
 /// Replays `stream` through `sim`, returning elapsed seconds, the identity
 /// checksum (step index × fault id over every newly detected fault plus
 /// per-step faulty-event and flip-flop-effect counts — all width- and
-/// thread-invariant), and the total faulty-event count.
-fn run_stream(sim: &mut FaultSim, stream: &[Vec<Logic>]) -> (f64, u64, u64) {
+/// thread-invariant), and the total faulty-event count. `first` is the
+/// stream index of `stream[0]`, so the checksums of consecutive chunks add
+/// up to the whole stream's.
+fn run_stream(sim: &mut FaultSim, stream: &[Vec<Logic>], first: usize) -> (f64, u64, u64) {
     let mut events = 0u64;
     let mut sum = 0u64;
     let start = Instant::now();
-    for (n, v) in stream.iter().enumerate() {
+    for (n, v) in (first..).zip(stream) {
         let report = sim.step(v);
         events += report.faulty_events;
         sum = sum
@@ -196,19 +205,16 @@ fn smoke_synthetic_10k() {
     for backend in WIDTH_BACKENDS {
         let mut sim = base.clone();
         sim.set_backend(backend);
-        let (secs, sum, _) = run_stream(&mut sim, &stream);
+        let (secs, sum, _) = run_stream(&mut sim, &stream, 0);
         match reference {
             None => reference = Some(sum),
             Some(c) => assert_eq!(
-                c,
-                sum,
-                "synthetic 10k: {} diverged from the scalar64 results",
-                backend.name()
+                c, sum,
+                "synthetic 10k: {backend} diverged from the scalar64 results"
             ),
         }
         eprintln!(
-            "smoke synthetic 10k {}: {} vectors in {secs:.2}s = {:.0} vectors/sec",
-            backend.name(),
+            "smoke synthetic 10k {backend}: {} vectors in {secs:.2}s = {:.0} vectors/sec",
             stream.len(),
             stream.len() as f64 / secs
         );
@@ -217,8 +223,9 @@ fn smoke_synthetic_10k() {
 
 /// The packed-backend comparison: serial step throughput per backend per
 /// circuit, asserting the identity checksum is bit-identical across widths.
-/// Wide rows carry `speedup_vs_scalar64` so the trajectory of the wide
-/// backend's advantage is tracked directly in the committed baseline.
+/// The `wide256` and `auto` rows carry `speedup_vs_scalar64` so the
+/// trajectory of their advantage is tracked directly in the committed
+/// baseline. An `auto` row reports the most lanes a group may carry.
 fn width_rows(smoke: bool) -> String {
     let mut rows = String::new();
     for &name in &WIDTH_CIRCUITS {
@@ -230,20 +237,37 @@ fn width_rows(smoke: bool) -> String {
             let v: Vec<Logic> = (0..pis).map(|_| Logic::from_bool(rng.coin())).collect();
             base.step(&v);
         }
+        // s298 replays its full stream in smoke mode too: its steps take
+        // microseconds, and its wide/scalar ratio, which the smoke gate
+        // holds against the committed full-mode row, grows with the stream
+        // length.
         let vectors = match (smoke, name) {
-            (true, _) => 200,
+            (true, "s1423") => 200,
             (false, "s1423") => 1500,
-            (false, _) => 4000,
+            _ => 4000,
         };
         let mut vec_rng = Rng::new(9);
         let stream: Vec<Vec<Logic>> = (0..vectors)
             .map(|_| (0..pis).map(|_| Logic::from_bool(vec_rng.coin())).collect())
             .collect();
+        // Per width: simulator, seconds, identity checksum.
+        let mut runs: Vec<(FaultSim, f64, u64)> = WIDTH_BACKENDS
+            .iter()
+            .map(|&backend| {
+                let mut sim = base.clone();
+                sim.set_backend(backend);
+                (sim, 0.0, 0)
+            })
+            .collect();
+        for (c, chunk) in stream.chunks(WIDTH_CHUNK).enumerate() {
+            for (sim, secs, sum) in &mut runs {
+                let (s, part, _) = run_stream(sim, chunk, c * WIDTH_CHUNK);
+                *secs += s;
+                *sum = sum.wrapping_add(part);
+            }
+        }
         let mut reference: Option<(u64, f64)> = None;
-        for backend in WIDTH_BACKENDS {
-            let mut sim = base.clone();
-            sim.set_backend(backend);
-            let (secs, sum, _) = run_stream(&mut sim, &stream);
+        for (backend, (_, secs, sum)) in WIDTH_BACKENDS.into_iter().zip(runs) {
             let rate = vectors as f64 / secs;
             let speedup = match reference {
                 None => {
@@ -252,10 +276,8 @@ fn width_rows(smoke: bool) -> String {
                 }
                 Some((c, scalar_rate)) => {
                     assert_eq!(
-                        c,
-                        sum,
-                        "{name}: {} diverged from the scalar64 results",
-                        backend.name()
+                        c, sum,
+                        "{name}: {backend} diverged from the scalar64 results"
                     );
                     format!(", \"speedup_vs_scalar64\": {:.3}", rate / scalar_rate)
                 }
@@ -264,13 +286,11 @@ fn width_rows(smoke: bool) -> String {
                 rows.push_str(",\n");
             }
             rows.push_str(&format!(
-                "    {{\"circuit\": \"{name}\", \"backend\": \"{}\", \"lanes\": {}, \"vectors\": {vectors}, \"secs\": {secs:.4}, \"vectors_per_sec\": {rate:.0}, \"identity_checksum\": {sum}{speedup}}}",
-                backend.name(),
+                "    {{\"circuit\": \"{name}\", \"backend\": \"{backend}\", \"lanes\": {}, \"vectors\": {vectors}, \"secs\": {secs:.4}, \"vectors_per_sec\": {rate:.0}, \"identity_checksum\": {sum}{speedup}}}",
                 backend.lanes()
             ));
             eprintln!(
-                "width {name} {}: {vectors} vectors in {secs:.2}s = {rate:.0} vectors/sec",
-                backend.name()
+                "width {name} {backend}: {vectors} vectors in {secs:.2}s = {rate:.0} vectors/sec"
             );
         }
     }

@@ -87,10 +87,11 @@ fn sim_thread_count(opts: &Opts) -> Result<usize, Box<dyn Error>> {
     })
 }
 
-/// Parses `--sim-width`: `scalar64`/`64`, `wide256`/`256`, or `auto` (pick
-/// the widest backend the host supports well). Defaults to
-/// scalar64. Results are bit-identical across widths; this knob only trades
-/// per-step cost against how many fault machines ride in one packed word.
+/// Parses `--sim-width`: `auto` (the default: each step's width follows its
+/// fault count and the circuit's shape), or `scalar64`/`64` and
+/// `wide256`/`256` to pin one width.
+/// Results are bit-identical across widths; this knob only trades per-step
+/// cost against how many fault machines ride in one packed word.
 fn sim_width_backend(opts: &Opts) -> Result<SimBackend, Box<dyn Error>> {
     let Some(value) = opts.get("sim-width") else {
         return Ok(SimBackend::default());

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! gatest atpg     <circuit> [--seed N] [--sample N] [--workers N|auto]
-//!                 [--sim-threads N|auto] [--sim-width scalar64|wide256|auto]
+//!                 [--sim-threads N|auto] [--sim-width auto|scalar64|wide256]
 //!                 [--out tests.txt]
 //!                 [--eval-cache N|off] [--no-dedup] [--paranoid-cache]
 //!                 [--trace-out trace.jsonl] [--progress] [-v|--verbose] [-q|--quiet]
@@ -17,11 +17,14 @@
 //! integer, or `0`/`auto` for all available cores. Results are bit-identical
 //! at every combination.
 //!
-//! `--sim-width` picks the packed-simulation backend: `scalar64` (default,
-//! 64 fault machines per word), `wide256` (256 lanes, autovectorized with
-//! an AVX2 path when the host has it), or `auto` (currently wide256). Like
-//! the thread knobs it is an execution detail: results are bit-identical
-//! at every width, and a checkpoint taken at one width resumes at another.
+//! `--sim-width` picks the packed-simulation backend: `auto` (default:
+//! each step runs 256 fault machines per word when it simulates more than
+//! 128 faults on a circuit with at most 32 gates per flip-flop or output,
+//! 64 otherwise), or a pinned `scalar64` (64 lanes) or
+//! `wide256` (256 lanes, autovectorized with an AVX2 path when the host has
+//! it). Like the thread knobs it is an execution detail: results are
+//! bit-identical at every width, and a checkpoint taken at one width
+//! resumes at another.
 //!
 //! `--fault-report FILE` streams one JSONL record per committed fault
 //! detection as the run progresses, closing with a summary line and an
@@ -140,9 +143,11 @@ fn usage() -> String {
     s.push_str("\nparallelism (atpg): --workers N (alias --threads) sizes the\n");
     s.push_str("fitness-evaluation pool; --sim-threads N sizes the fault-group\n");
     s.push_str("pool inside each simulator; 0 or `auto` uses all available\n");
-    s.push_str("cores; --sim-width scalar64|wide256|auto picks the packed backend\n");
-    s.push_str("(64 or 256 fault machines per word); results are bit-identical at\n");
-    s.push_str("every workers/sim-threads/sim-width combination\n");
+    s.push_str("cores; --sim-width auto|scalar64|wide256 picks the packed backend\n");
+    s.push_str("(default auto: 256 fault machines per word for steps over 128\n");
+    s.push_str("faults unless the circuit has over 32 gates per flip-flop or\n");
+    s.push_str("output, 64 otherwise; scalar64/wide256 pin one width); results\n");
+    s.push_str("are bit-identical at every workers/sim-threads/sim-width combination\n");
     s.push_str("\nmemoization (atpg): --eval-cache N bounds the fitness cache\n");
     s.push_str("(default 4096; `off` disables cache, dedup, and prefix sharing);\n");
     s.push_str("--no-dedup keeps duplicate chromosomes' evaluations; --paranoid-cache\n");

@@ -107,9 +107,12 @@ pub struct GatestConfig {
     /// `workers × sim_threads` — and results stay bit-identical at any
     /// combination (see [`GatestConfig::resolved_sim_threads`]).
     pub sim_threads: usize,
-    /// Packed-simulation backend width: `scalar64` (one 64-lane `u64` word
-    /// per plane), `wide256` (four words, autovectorized with a runtime
-    /// AVX2 fast path), or `auto` (the widest available). Like the thread
+    /// Packed-simulation backend width: `auto` (the default: each step
+    /// runs on 256-lane groups when it simulates more than 128 faults on a
+    /// circuit with at most 32 gates per flip-flop or output, and on
+    /// 64-lane groups otherwise; see [`SimBackend::for_step`]), or a pinned
+    /// `scalar64` (one 64-lane `u64` word per plane) or `wide256` (four
+    /// words, autovectorized with a runtime AVX2 fast path). Like the thread
     /// counts this is an execution detail: results are bit-identical at any
     /// width, so it is excluded from the checkpoint config digest and a run
     /// may resume under a different width.
@@ -165,7 +168,7 @@ impl Default for GatestConfig {
             max_vectors: 10_000,
             parallel_workers: 1,
             sim_threads: 1,
-            sim_width: SimBackend::Scalar64,
+            sim_width: SimBackend::Auto,
             eval_cache_entries: 4096,
             dedup: true,
             paranoid_cache: false,
@@ -376,19 +379,18 @@ mod tests {
     }
 
     #[test]
-    fn sim_width_defaults_to_scalar() {
+    fn sim_width_defaults_to_auto() {
         let cfg = GatestConfig::default();
-        assert_eq!(cfg.sim_width, SimBackend::Scalar64);
-        assert_eq!(cfg.sim_width.lanes(), 64);
+        assert_eq!(cfg.sim_width, SimBackend::Auto);
+        assert_eq!(cfg.sim_width.for_lanes(128), SimBackend::Scalar64);
+        assert_eq!(cfg.sim_width.for_lanes(129), SimBackend::Wide256);
+        // The fixed widths pin every step.
+        let narrow = GatestConfig::default().with_sim_width(SimBackend::Scalar64);
+        assert_eq!(narrow.sim_width.for_lanes(1000), SimBackend::Scalar64);
+        assert_eq!(narrow.sim_width.lanes(), 64);
         let wide = GatestConfig::default().with_sim_width(SimBackend::Wide256);
+        assert_eq!(wide.sim_width.for_lanes(1), SimBackend::Wide256);
         assert_eq!(wide.sim_width.lanes(), 256);
-        assert_eq!(
-            GatestConfig::default()
-                .with_sim_width(SimBackend::Auto)
-                .sim_width
-                .resolved(),
-            SimBackend::Wide256
-        );
     }
 
     #[test]

@@ -544,7 +544,12 @@ impl TestGenerator {
     ) -> (TestGenResult, Option<RunSnapshot>) {
         let start = Instant::now();
         let run_span = self.probe().map(|p| p.enter(SpanKind::Run));
-        let backend = self.sim.backend().resolved();
+        // Under `auto` the width follows each step's fault count; report the
+        // one a step over every undetected fault starts at.
+        let backend = self
+            .sim
+            .backend()
+            .for_step(self.sim.remaining(), &self.circuit);
         self.observer.on_event(&RunEvent::RunStarted {
             circuit: self.circuit.name().to_string(),
             total_faults: self.sim.fault_list().len(),
@@ -575,7 +580,13 @@ impl TestGenerator {
             // through the shared EvalContext instead of deep-cloning per
             // batch.
             pool: (workers > 1).then(|| EvalPool::new(&self.sim, workers)),
-            packed: (nffs > 0).then(|| PackedGood::new(backend, Arc::clone(&self.circuit))),
+            packed: (nffs > 0).then(|| {
+                PackedGood::new(
+                    self.sim.backend(),
+                    self.config.vector_population,
+                    Arc::clone(&self.circuit),
+                )
+            }),
             memo: EvalMemo::new(self.config.eval_cache_entries, self.config.dedup),
             scratch: Vec::with_capacity(pis),
             seq_lens: self.config.sequence_lengths(self.seq_depth),
@@ -1517,7 +1528,7 @@ fn snapshot_ga(ga: &ActiveGa) -> GaSnapshot {
 }
 
 /// The packed phase-1 good-machine simulator at the width the run's
-/// simulation backend selected. Phase-1 scores are per-candidate and
+/// simulation backend selects. Phase-1 scores are per-candidate and
 /// lane-wise identical across widths, so this is — like the backend itself —
 /// pure mechanism.
 enum PackedGood {
@@ -1526,8 +1537,10 @@ enum PackedGood {
 }
 
 impl PackedGood {
-    fn new(backend: SimBackend, circuit: Arc<Circuit>) -> Self {
-        match backend.resolved() {
+    /// One lane per candidate: under `auto`, populations of up to 128
+    /// candidates score on 64 lanes.
+    fn new(backend: SimBackend, population: usize, circuit: Arc<Circuit>) -> Self {
+        match backend.for_lanes(population) {
             SimBackend::Scalar64 => PackedGood::Narrow(PackedGoodSim::new(circuit)),
             _ => PackedGood::Wide(PackedGoodSim::new(circuit)),
         }

@@ -135,49 +135,46 @@ impl FaultList {
     /// ```
     pub fn collapsed(circuit: &Circuit) -> Self {
         let all = universe(circuit);
-        let index: std::collections::HashMap<Fault, usize> =
-            all.iter().enumerate().map(|(i, &f)| (f, i)).collect();
         let mut uf = UnionFind::new(all.len());
 
+        // Universe indices are arithmetic (see `universe`): the stem fault
+        // `net/SA v` sits at `2·net + v`, and branch faults follow, two per
+        // multi-fanout pin in (gate, pin) order — the order this loop
+        // visits pins in, so a running cursor tracks each branch's index.
+        let stuck_at = |v: Logic| usize::from(v == Logic::One);
+        let mut next_branch = 2 * circuit.num_gates();
         for gate in circuit.net_ids() {
             let kind = circuit.kind(gate);
-            let merges: Vec<(Logic, Logic)> = match kind {
+            let controlled;
+            let merges: &[(Logic, Logic)] = match kind {
                 GateKind::Buf | GateKind::Dff => {
-                    vec![(Logic::Zero, Logic::Zero), (Logic::One, Logic::One)]
+                    &[(Logic::Zero, Logic::Zero), (Logic::One, Logic::One)]
                 }
-                GateKind::Not => vec![(Logic::Zero, Logic::One), (Logic::One, Logic::Zero)],
+                GateKind::Not => &[(Logic::Zero, Logic::One), (Logic::One, Logic::Zero)],
                 _ => match (controlling_value(kind), controlled_output(kind)) {
-                    (Some(cv), Some(co)) => vec![(cv, co)],
-                    _ => vec![],
+                    (Some(cv), Some(co)) => {
+                        controlled = [(cv, co)];
+                        &controlled
+                    }
+                    _ => &[],
                 },
             };
-            if merges.is_empty() {
-                continue;
-            }
-            for (pin, &driver) in circuit.fanin(gate).iter().enumerate() {
-                for &(in_val, out_val) in &merges {
-                    let input_fault = if circuit.fanout(driver).len() == 1 {
-                        Fault {
-                            site: FaultSite::Stem(driver),
-                            stuck: in_val,
-                        }
-                    } else {
-                        Fault {
-                            site: FaultSite::Branch {
-                                gate,
-                                pin: pin as u16,
-                            },
-                            stuck: in_val,
-                        }
-                    };
-                    let output_fault = Fault {
-                        site: FaultSite::Stem(gate),
-                        stuck: out_val,
-                    };
-                    uf.union(index[&input_fault], index[&output_fault]);
+            for &driver in circuit.fanin(gate) {
+                let input_base = if circuit.fanout(driver).len() == 1 {
+                    2 * driver.index()
+                } else {
+                    next_branch += 2;
+                    next_branch - 2
+                };
+                for &(in_val, out_val) in merges {
+                    uf.union(
+                        input_base + stuck_at(in_val),
+                        2 * gate.index() + stuck_at(out_val),
+                    );
                 }
             }
         }
+        debug_assert_eq!(next_branch, all.len());
 
         // One representative per class; prefer stem faults (cheapest to
         // inject), break ties by universe order for determinism.
@@ -365,6 +362,77 @@ mod tests {
         // 17 nets -> 34 stem faults; 9 fanout branch pins -> 18 branch faults.
         assert_eq!(full.len(), 52);
         assert_eq!(full.universe_size(), 52);
+    }
+
+    /// The collapsing rule as first written: universe indices looked up in
+    /// a hash map instead of computed.
+    fn hash_indexed_collapse(circuit: &Circuit) -> Vec<Fault> {
+        let all = universe(circuit);
+        let index: std::collections::HashMap<Fault, usize> =
+            all.iter().enumerate().map(|(i, &f)| (f, i)).collect();
+        let mut uf = UnionFind::new(all.len());
+        for gate in circuit.net_ids() {
+            let kind = circuit.kind(gate);
+            let merges: Vec<(Logic, Logic)> = match kind {
+                GateKind::Buf | GateKind::Dff => {
+                    vec![(Logic::Zero, Logic::Zero), (Logic::One, Logic::One)]
+                }
+                GateKind::Not => vec![(Logic::Zero, Logic::One), (Logic::One, Logic::Zero)],
+                _ => match (controlling_value(kind), controlled_output(kind)) {
+                    (Some(cv), Some(co)) => vec![(cv, co)],
+                    _ => vec![],
+                },
+            };
+            for (pin, &driver) in circuit.fanin(gate).iter().enumerate() {
+                for &(in_val, out_val) in &merges {
+                    let site = if circuit.fanout(driver).len() == 1 {
+                        FaultSite::Stem(driver)
+                    } else {
+                        FaultSite::Branch {
+                            gate,
+                            pin: pin as u16,
+                        }
+                    };
+                    let input = Fault {
+                        site,
+                        stuck: in_val,
+                    };
+                    let output = Fault {
+                        site: FaultSite::Stem(gate),
+                        stuck: out_val,
+                    };
+                    uf.union(index[&input], index[&output]);
+                }
+            }
+        }
+        let mut rep: Vec<Option<usize>> = vec![None; all.len()];
+        for (i, fault) in all.iter().enumerate() {
+            let root = uf.find(i);
+            let better = match rep[root] {
+                None => true,
+                Some(cur) => {
+                    matches!(fault.site, FaultSite::Stem(_))
+                        && !matches!(all[cur].site, FaultSite::Stem(_))
+                }
+            };
+            if better {
+                rep[root] = Some(i);
+            }
+        }
+        let mut chosen: Vec<usize> = rep.into_iter().flatten().collect();
+        chosen.sort_unstable();
+        chosen.into_iter().map(|i| all[i]).collect()
+    }
+
+    #[test]
+    fn collapsing_matches_a_hash_indexed_reference_on_every_suite_circuit() {
+        for name in gatest_netlist::benchmarks::suite_names() {
+            let c = gatest_netlist::benchmarks::iscas89(name).unwrap();
+            let collapsed = FaultList::collapsed(&c);
+            let faults: Vec<Fault> = collapsed.iter().map(|(_, f)| f).collect();
+            assert_eq!(faults, hash_indexed_collapse(&c), "{name}");
+            assert_eq!(collapsed.universe_size(), universe(&c).len(), "{name}");
+        }
     }
 
     #[test]

@@ -34,11 +34,11 @@ use gatest_telemetry::{Instruments, SimCounters, SpanHandle, SpanKind};
 use crate::fault::{FaultId, FaultList, FaultStatus};
 use crate::good_sim::{GoodSim, GoodSimState, GoodStepReport};
 use crate::group::{
-    simulate_group, simulate_group_window, FaultyFfState, GoodFrame, GroupCtx, GroupOutcome,
-    Scratch,
+    simulate_group, simulate_group_window, Arena, FaultyFfState, GoodFrame, GroupCtx, GroupOutcome,
+    GroupWidth, OutcomeSlots,
 };
 use crate::grouppool::GroupPool;
-use crate::value::{LaneMask, Logic, PackedValue, Pv256, Pv64, SimBackend};
+use crate::value::{LaneMask, Logic, Pv256, Pv64, SimBackend};
 
 /// Statistics from simulating one vector over the active fault list.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -196,87 +196,40 @@ pub struct FaultSim {
     comb_gates: u64,
     /// The requested packed-value backend (possibly `Auto`).
     backend: SimBackend,
-    /// The width-concrete execution engine (arena, outcome slots, pool).
+    /// Execution scratch: arena, outcome slots, and worker pool.
     engine: Engine,
     /// Requested fault-group parallelism: 1 = serial (default), 0 = one
     /// thread per available core, N = exactly N threads.
     sim_threads: usize,
 }
 
-/// One backend's execution state: the simulator's own propagation arena,
-/// reusable per-group outcome slots, and the lazily-built worker pool.
-#[derive(Debug)]
-struct EngineState<P: PackedValue> {
-    /// The simulator's own propagation arena, reused across steps (and
-    /// used directly when the step runs serially).
-    scratch: Scratch<P>,
+/// The simulator's execution scratch: the propagation arena (built by the
+/// first step), per-width outcome slots, and the worker pool (built by the
+/// first step that can fan out). Nothing here outlives a step's meaning, so
+/// a clone starts empty and builds its own on demand.
+#[derive(Debug, Default)]
+struct Engine {
+    /// The simulator's own propagation arena, shared by both widths.
+    arena: Option<Arena>,
     /// Per-group outcome slots, reused across steps.
-    outcomes: Vec<GroupOutcome<P>>,
+    slots: OutcomeSlots,
     /// The persistent fault-group worker pool, created lazily on the first
     /// step that can actually use it (so serial simulators, clones, and
-    /// short runs never spawn threads).
-    pool: Option<GroupPool<P>>,
+    /// short runs never spawn threads). One pool serves both widths.
+    pool: Option<GroupPool>,
 }
 
-impl<P: PackedValue> EngineState<P> {
-    fn new(circuit: &Circuit, max_level: usize) -> Self {
-        EngineState {
-            scratch: Scratch::new(circuit, max_level),
-            outcomes: Vec::new(),
-            pool: None,
-        }
-    }
-}
-
-impl<P: PackedValue> Clone for EngineState<P> {
-    /// Clones the arena and outcome slots but **not** the worker pool — the
-    /// clone lazily builds its own if a parallel step ever runs on it.
+impl Clone for Engine {
+    /// A fresh, empty engine: arenas, slots, and pools are never copied.
     fn clone(&self) -> Self {
-        EngineState {
-            scratch: self.scratch.clone(),
-            outcomes: self.outcomes.clone(),
-            pool: None,
-        }
-    }
-}
-
-/// The width-concrete engine behind [`FaultSim`]: one variant per
-/// [`PackedValue`] backend. Runtime dispatch happens once per step (the
-/// match below); everything inside a variant is monomorphized over its
-/// packed type.
-#[derive(Debug, Clone)]
-enum Engine {
-    Scalar64(EngineState<Pv64>),
-    Wide256(EngineState<Pv256>),
-}
-
-impl Engine {
-    fn new(backend: SimBackend, circuit: &Circuit, max_level: usize) -> Engine {
-        match backend.resolved() {
-            SimBackend::Scalar64 => Engine::Scalar64(EngineState::new(circuit, max_level)),
-            _ => Engine::Wide256(EngineState::new(circuit, max_level)),
-        }
-    }
-
-    fn backend(&self) -> SimBackend {
-        match self {
-            Engine::Scalar64(_) => SimBackend::Scalar64,
-            Engine::Wide256(_) => SimBackend::Wide256,
-        }
-    }
-
-    fn drop_pool(&mut self) {
-        match self {
-            Engine::Scalar64(e) => e.pool = None,
-            Engine::Wide256(e) => e.pool = None,
-        }
+        Engine::default()
     }
 }
 
 impl Clone for FaultSim {
-    /// Clones the simulator state but **not** the worker pool: the clone
-    /// keeps its `sim_threads` setting and lazily builds its own pool if a
-    /// parallel step ever runs on it.
+    /// Clones the simulator state but **not** its execution scratch: the
+    /// clone keeps its backend and `sim_threads` settings and lazily builds
+    /// its own arena (and pool, if a parallel step ever runs on it).
     fn clone(&self) -> Self {
         FaultSim {
             circuit: Arc::clone(&self.circuit),
@@ -310,14 +263,11 @@ impl FaultSim {
     pub fn with_faults(circuit: Arc<Circuit>, faults: FaultList) -> Self {
         let good = GoodSim::new(Arc::clone(&circuit));
         let nfaults = faults.len();
-        let max_level = good.levelization().max_level() as usize;
         let comb_gates = circuit
             .net_ids()
             .filter(|&id| circuit.kind(id).is_combinational())
             .count() as u64;
         let empty_ff: Arc<[(u32, Logic)]> = Arc::from(Vec::new());
-        let backend = SimBackend::default();
-        let engine = Engine::new(backend, &circuit, max_level);
         FaultSim {
             circuit,
             good,
@@ -332,8 +282,8 @@ impl FaultSim {
             probe: None,
             comb_gates,
             faults,
-            backend,
-            engine,
+            backend: SimBackend::default(),
+            engine: Engine::default(),
             sim_threads: 1,
         }
     }
@@ -434,26 +384,24 @@ impl FaultSim {
     pub fn set_sim_threads(&mut self, threads: usize) {
         if threads != self.sim_threads {
             self.sim_threads = threads;
-            self.engine.drop_pool();
+            self.engine.pool = None;
         }
     }
 
     /// Sets the packed-value backend for [`FaultSim::step`] (see
     /// [`SimBackend`]). Like thread counts, the backend is a pure execution
     /// detail: results are bit-identical at every width, so it is safe to
-    /// change between runs (or mid-run). Switching to a different resolved
-    /// width rebuilds the engine (arena, outcome slots, worker pool);
-    /// re-setting the current width is free.
+    /// change between runs (or mid-run). The default, `Auto`, picks each
+    /// step's width from the number of faults it simulates and the
+    /// circuit's shape ([`SimBackend::for_step`]); the arena is shared by
+    /// both widths, so
+    /// switching costs nothing beyond growing its planes once.
     pub fn set_backend(&mut self, backend: SimBackend) {
         self.backend = backend;
-        if backend.resolved() != self.engine.backend() {
-            let max_level = self.good.levelization().max_level() as usize;
-            self.engine = Engine::new(backend, &self.circuit, max_level);
-        }
     }
 
     /// The requested packed-value backend (possibly `Auto`; use
-    /// [`SimBackend::resolved`] for the width actually running).
+    /// [`SimBackend::for_step`] for the width a step runs at).
     pub fn backend(&self) -> SimBackend {
         self.backend
     }
@@ -576,8 +524,9 @@ impl FaultSim {
         // run in group order, so every frame's accumulators see groups in
         // the same order as a serial step's merge.
         let mut detected: Vec<Vec<FaultId>> = vec![Vec::new(); vectors.len()];
-        let (ngroups, scratch_bytes, events_amortized) = match &mut self.engine {
-            Engine::Scalar64(engine) => run_engine_window(
+        let width = self.backend.for_step(targets.len(), &self.circuit);
+        let (ngroups, scratch_bytes, events_amortized) = match width {
+            SimBackend::Scalar64 => run_engine_window::<Pv64>(
                 &self.circuit,
                 &self.good,
                 &self.faults,
@@ -586,11 +535,11 @@ impl FaultSim {
                 &self.empty_ff,
                 &targets,
                 &frames,
-                engine,
+                &mut self.engine,
                 &mut reports,
                 &mut detected,
             ),
-            Engine::Wide256(engine) => run_engine_window(
+            _ => run_engine_window::<Pv256>(
                 &self.circuit,
                 &self.good,
                 &self.faults,
@@ -599,7 +548,7 @@ impl FaultSim {
                 &self.empty_ff,
                 &targets,
                 &frames,
-                engine,
+                &mut self.engine,
                 &mut reports,
                 &mut detected,
             ),
@@ -611,7 +560,7 @@ impl FaultSim {
             counters.record_scratch_reuse(scratch_bytes);
             counters.record_events_amortized(events_amortized);
             counters.record_commit_batch(vectors.len() as u64);
-            let lanes = self.engine.backend().lanes();
+            let lanes = width.lanes();
             if lanes > 64 {
                 counters.record_backend_groups(lanes as u64, ngroups * vectors.len() as u64);
             }
@@ -659,12 +608,13 @@ impl FaultSim {
         // against the advanced good machine, writing per-group outcomes
         // into reusable slots — serially with the simulator's own arena, or
         // fanned out across the group pool — then merge them back. The
-        // engine match is the per-step backend dispatch; everything inside
+        // width match is the per-step backend dispatch; everything inside
         // `run_engine` is monomorphized over the packed type.
         let threads = self.resolved_sim_threads();
+        let width = self.backend.for_step(targets.len(), &self.circuit);
         let mut detected: Vec<FaultId> = Vec::new();
-        let (ngroups, scratch_bytes, events_amortized, group_dispatch) = match &mut self.engine {
-            Engine::Scalar64(engine) => run_engine(
+        let (ngroups, scratch_bytes, events_amortized, group_dispatch) = match width {
+            SimBackend::Scalar64 => run_engine::<Pv64>(
                 &self.circuit,
                 &self.good,
                 &self.faults,
@@ -674,11 +624,11 @@ impl FaultSim {
                 targets,
                 threads,
                 probe.as_ref(),
-                engine,
+                &mut self.engine,
                 &mut report,
                 &mut detected,
             ),
-            Engine::Wide256(engine) => run_engine(
+            _ => run_engine::<Pv256>(
                 &self.circuit,
                 &self.good,
                 &self.faults,
@@ -688,7 +638,7 @@ impl FaultSim {
                 targets,
                 threads,
                 probe.as_ref(),
-                engine,
+                &mut self.engine,
                 &mut report,
                 &mut detected,
             ),
@@ -700,7 +650,7 @@ impl FaultSim {
             if let Some((tasks, steal_ns, _)) = group_dispatch {
                 counters.record_group_dispatch(tasks, steal_ns);
             }
-            let lanes = self.engine.backend().lanes();
+            let lanes = width.lanes();
             if lanes > 64 {
                 counters.record_backend_groups(lanes as u64, ngroups);
             }
@@ -898,7 +848,7 @@ impl FaultSim {
     }
 }
 
-/// Runs one step's group fan-out and merge on a width-concrete engine.
+/// Runs one step's group fan-out and merge at width `P`.
 ///
 /// Returns `(ngroups, scratch_bytes, events_amortized, dispatch)` where
 /// `dispatch` is the pool's `(tasks, steal_ns, wait_ns)` when the step
@@ -911,7 +861,7 @@ impl FaultSim {
 /// its emission order (output-major within each group) genuinely depends on
 /// how faults were grouped.
 #[allow(clippy::too_many_arguments)]
-fn run_engine<P: PackedValue>(
+fn run_engine<P: GroupWidth>(
     circuit: &Arc<Circuit>,
     good: &GoodSim,
     faults: &FaultList,
@@ -921,17 +871,21 @@ fn run_engine<P: PackedValue>(
     targets: &[FaultId],
     threads: usize,
     probe: Option<&SpanHandle>,
-    engine: &mut EngineState<P>,
+    engine: &mut Engine,
     report: &mut StepReport,
     detected: &mut Vec<FaultId>,
 ) -> (u64, u64, u64, Option<(u64, u64, u64)>) {
     let ngroups = targets.len().div_ceil(P::LANES);
-    if engine.outcomes.len() < ngroups {
-        engine.outcomes.resize_with(ngroups, GroupOutcome::default);
+    let max_level = good.levelization().max_level() as usize;
+    let arena = engine
+        .arena
+        .get_or_insert_with(|| Arena::new(circuit, max_level));
+    let outcomes = P::outcomes(&mut engine.slots);
+    if outcomes.len() < ngroups {
+        outcomes.resize_with(ngroups, GroupOutcome::default);
     }
     let mut dispatch: Option<(u64, u64, u64)> = None;
     if threads > 1 && ngroups > 1 && engine.pool.is_none() {
-        let max_level = good.levelization().max_level() as usize;
         engine.pool = Some(GroupPool::new(circuit, max_level, threads));
     }
     {
@@ -944,16 +898,11 @@ fn run_engine<P: PackedValue>(
         };
         match &engine.pool {
             Some(pool) if threads > 1 && ngroups > 1 => {
-                dispatch = Some(pool.run(
-                    &ctx,
-                    targets,
-                    &mut engine.outcomes[..ngroups],
-                    &mut engine.scratch,
-                ));
+                dispatch = Some(pool.run(&ctx, targets, &mut outcomes[..ngroups], arena));
             }
             _ => {
-                for (group, out) in targets.chunks(P::LANES).zip(engine.outcomes.iter_mut()) {
-                    simulate_group(&ctx, group, &mut engine.scratch, out);
+                for (group, out) in targets.chunks(P::LANES).zip(outcomes.iter_mut()) {
+                    simulate_group(&ctx, group, arena, out);
                 }
             }
         }
@@ -966,7 +915,7 @@ fn run_engine<P: PackedValue>(
     let mut scratch_bytes = 0u64;
     let mut events_amortized = 0u64;
     for (gi, group) in targets.chunks(P::LANES).enumerate() {
-        let out = &mut engine.outcomes[gi];
+        let out = &mut outcomes[gi];
         report.gate_evals += out.gate_evals;
         report.faulty_events += out.faulty_events;
         report.ff_effect_pairs += out.ff_effect_pairs;
@@ -992,8 +941,8 @@ fn run_engine<P: PackedValue>(
     (ngroups as u64, scratch_bytes, events_amortized, dispatch)
 }
 
-/// Runs a whole commit window's group replay and per-frame merge on a
-/// width-concrete engine. Always serial: committed vectors are rare next to
+/// Runs a whole commit window's group replay and per-frame merge at width
+/// `P`. Always serial: committed vectors are rare next to
 /// candidate evaluations, and the win here is the frame-to-frame faulty-FF
 /// carry inside the arena, not fan-out.
 ///
@@ -1001,7 +950,7 @@ fn run_engine<P: PackedValue>(
 /// same walk as [`run_engine`]'s, once per frame: groups in group order,
 /// lanes in fault order, `po_detections` sorted per frame.
 #[allow(clippy::too_many_arguments)]
-fn run_engine_window<P: PackedValue>(
+fn run_engine_window<P: GroupWidth>(
     circuit: &Arc<Circuit>,
     good: &GoodSim,
     faults: &FaultList,
@@ -1010,15 +959,18 @@ fn run_engine_window<P: PackedValue>(
     empty_ff: &FaultyFfState,
     targets: &[FaultId],
     frames: &[GoodFrame<'_>],
-    engine: &mut EngineState<P>,
+    engine: &mut Engine,
     reports: &mut [StepReport],
     detected: &mut [Vec<FaultId>],
 ) -> (u64, u64, u64) {
     let ngroups = targets.len().div_ceil(P::LANES);
-    if engine.outcomes.len() < frames.len() {
-        engine
-            .outcomes
-            .resize_with(frames.len(), GroupOutcome::default);
+    let max_level = good.levelization().max_level() as usize;
+    let arena = engine
+        .arena
+        .get_or_insert_with(|| Arena::new(circuit, max_level));
+    let outcomes = P::outcomes(&mut engine.slots);
+    if outcomes.len() < frames.len() {
+        outcomes.resize_with(frames.len(), GroupOutcome::default);
     }
     let mut scratch_bytes = 0u64;
     let mut events_amortized = 0u64;
@@ -1033,15 +985,9 @@ fn run_engine_window<P: PackedValue>(
                 faulty_ff: faulty_ff.as_slice(),
                 empty_ff,
             };
-            simulate_group_window(
-                &ctx,
-                frames,
-                group,
-                &mut engine.scratch,
-                &mut engine.outcomes[..frames.len()],
-            );
+            simulate_group_window(&ctx, frames, group, arena, &mut outcomes[..frames.len()]);
         }
-        for (f, out) in engine.outcomes[..frames.len()].iter_mut().enumerate() {
+        for (f, out) in outcomes[..frames.len()].iter_mut().enumerate() {
             let report = &mut reports[f];
             report.gate_evals += out.gate_evals;
             report.faulty_events += out.faulty_events;
@@ -1493,6 +1439,8 @@ mod tests {
         let faults = FaultList::full(&circuit);
         let mut serial = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
         let mut parallel = FaultSim::with_faults(Arc::clone(&circuit), faults);
+        serial.set_backend(SimBackend::Scalar64);
+        parallel.set_backend(SimBackend::Scalar64);
         parallel.set_sim_threads(3);
         assert_eq!(parallel.sim_threads(), 3);
         for v in prng_sequence(circuit.num_inputs(), 48, 41) {
@@ -1520,6 +1468,7 @@ mod tests {
         let faults = FaultList::full(&circuit);
         let mut narrow = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
         let mut wide = FaultSim::with_faults(Arc::clone(&circuit), faults);
+        narrow.set_backend(SimBackend::Scalar64);
         wide.set_backend(SimBackend::Wide256);
         assert_eq!(wide.backend(), SimBackend::Wide256);
         for v in prng_sequence(circuit.num_inputs(), 48, 41) {
@@ -1541,6 +1490,7 @@ mod tests {
         let faults = FaultList::full(&circuit);
         let mut reference = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
         let mut switching = FaultSim::with_faults(Arc::clone(&circuit), faults);
+        reference.set_backend(SimBackend::Scalar64);
         for (i, v) in prng_sequence(circuit.num_inputs(), 24, 77)
             .iter()
             .enumerate()
@@ -1577,6 +1527,7 @@ mod tests {
         let faults = FaultList::full(&circuit);
         let mut serial = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
         let mut parallel = FaultSim::with_faults(Arc::clone(&circuit), faults);
+        serial.set_backend(SimBackend::Scalar64);
         parallel.set_backend(SimBackend::Wide256);
         parallel.set_sim_threads(3);
         for v in prng_sequence(circuit.num_inputs(), 32, 51) {
@@ -1627,6 +1578,103 @@ mod tests {
             );
             assert_eq!(serial.vectors_applied(), windowed.vectors_applied());
             assert_eq!(serial.export_state(), windowed.export_state(), "{backend}");
+        }
+    }
+
+    #[test]
+    fn auto_width_switches_match_scalar64_bit_for_bit() {
+        // Under the default `Auto`, full-list steps (more than 128 faults)
+        // run on 256-lane groups, 100-fault sampled evaluations on 64-lane
+        // groups, and windowed commits on whatever the active list needs;
+        // with three sim threads one group pool runs both widths. Every
+        // report but gate_evals, and the final state, must match a serial
+        // twin pinned to scalar64.
+        use crate::value::AUTO_NARROW_MAX_LANES;
+        let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
+        let mut auto = FaultSim::new(Arc::clone(&circuit));
+        let mut pinned = FaultSim::new(Arc::clone(&circuit));
+        assert_eq!(auto.backend(), SimBackend::Auto);
+        auto.set_sim_threads(3);
+        pinned.set_backend(SimBackend::Scalar64);
+        let counters = Arc::new(SimCounters::new());
+        auto.set_counters(Some(Arc::clone(&counters)));
+        let seq = prng_sequence(circuit.num_inputs(), 40, 73);
+        for (round, chunk) in seq.chunks(8).enumerate() {
+            assert!(auto.remaining() > AUTO_NARROW_MAX_LANES, "round {round}");
+            let (a, b) = (auto.step(&chunk[0]), pinned.step(&chunk[0]));
+            assert_eq!(without_gate_evals(a), without_gate_evals(b), "step {round}");
+
+            let sample: Vec<FaultId> = auto
+                .active_faults()
+                .iter()
+                .step_by(2)
+                .take(100)
+                .copied()
+                .collect();
+            assert_eq!(sample.len(), 100);
+            let (cp_auto, cp_pinned) = (auto.checkpoint(), pinned.checkpoint());
+            for v in &chunk[1..4] {
+                let (a, b) = (
+                    auto.step_sampled(v, &sample),
+                    pinned.step_sampled(v, &sample),
+                );
+                assert_eq!(
+                    without_gate_evals(a),
+                    without_gate_evals(b),
+                    "sampled {round}"
+                );
+            }
+            auto.restore(&cp_auto);
+            pinned.restore(&cp_pinned);
+
+            let (a, b) = (
+                auto.step_window(&chunk[4..]),
+                pinned.step_window(&chunk[4..]),
+            );
+            assert_eq!(a.len(), b.len());
+            for (i, (a, b)) in a.into_iter().zip(b).enumerate() {
+                assert_eq!(
+                    without_gate_evals(a),
+                    without_gate_evals(b),
+                    "window {round}.{i}"
+                );
+            }
+        }
+        let snapshot = counters.snapshot();
+        assert!(snapshot.wide_groups > 0, "auto ran 256-lane groups");
+        assert!(snapshot.group_tasks > 0, "the group pool ran");
+        assert_eq!(auto.export_state(), pinned.export_state());
+    }
+
+    /// Builds `sim`'s arena if no step has yet and places its frame stamp.
+    fn place_stamp(sim: &mut FaultSim, stamp: u32) {
+        let max_level = sim.good.levelization().max_level() as usize;
+        let circuit = Arc::clone(&sim.circuit);
+        sim.engine
+            .arena
+            .get_or_insert_with(|| Arena::new(&circuit, max_level))
+            .set_stamp(stamp);
+    }
+
+    #[test]
+    fn stamp_wrap_around_matches_a_fresh_simulator() {
+        // A simulator whose frame stamp starts just below the u32
+        // wrap-around crosses it within its first steps; at both widths
+        // every step must still match a simulator nowhere near it.
+        let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
+        for backend in [SimBackend::Scalar64, SimBackend::Wide256] {
+            let mut fresh = FaultSim::new(Arc::clone(&circuit));
+            let mut wrapped = FaultSim::new(Arc::clone(&circuit));
+            fresh.set_backend(backend);
+            wrapped.set_backend(backend);
+            place_stamp(&mut wrapped, u32::MAX - 7);
+            for (i, v) in prng_sequence(circuit.num_inputs(), 12, 5)
+                .iter()
+                .enumerate()
+            {
+                assert_eq!(fresh.step(v), wrapped.step(v), "{backend} step {i}");
+            }
+            assert_eq!(fresh.export_state(), wrapped.export_state(), "{backend}");
         }
     }
 

@@ -6,7 +6,7 @@
 //! shared circuit, good values, and per-fault sparse flip-flop state, and
 //! writes only its own lanes. This module factors the per-group propagation
 //! out of `FaultSim` into a free function over borrowed shared state
-//! ([`GroupCtx`]) plus a private arena ([`Scratch`]), so the serial step and
+//! ([`GroupCtx`]) plus a private arena ([`Arena`]), so the serial step and
 //! the fault-group worker pool run the exact same code — serially with the
 //! simulator's own arena, or concurrently with one arena per worker.
 //!
@@ -21,11 +21,21 @@
 //! inline implementation paid: `HashMap` forcing tables are replaced with
 //! slices sorted by net plus stamped `(start, end)` range tables, the
 //! per-gate fanin `Vec` with one reusable buffer, and the per-group
-//! faulty-FF state builders with per-lane persistent vectors. Faulty net
-//! values live in structure-of-arrays form — one flat `zero` plane array
-//! and one flat `one` plane array, `P::WORDS` words per net — so a wide
-//! backend's plane arithmetic runs over contiguous words the compiler can
-//! keep in vector registers.
+//! faulty-FF state builders with one flat flip-flop-effect buffer. Faulty
+//! net values live in structure-of-arrays form — one flat `zero` plane
+//! array and one flat `one` plane array, `P::WORDS` words per net — so a
+//! wide backend's plane arithmetic runs over contiguous words the compiler
+//! can keep in vector registers. One arena serves both widths: only the
+//! planes' length depends on the width, and they grow to the widest width
+//! the owner has run.
+//!
+//! A group's cost follows the faults it carries. Carried faulty flip-flop
+//! state is seeded per flip-flop: each seed writes its lane straight into
+//! the flip-flop's planes, and each diverged flip-flop's fanout is
+//! scheduled once, however many lanes it carries. The flip-flop effects a
+//! frame produces are appended to one buffer in flip-flop order; a window's
+//! next frame seeds from it directly, and only the step's last frame
+//! regroups it by lane into the sparse per-fault state.
 //!
 //! Scheduling runs entirely on the levelized CSR
 //! ([`Levelization::comb_fanout`]): fanout edges carry their consumer's
@@ -44,7 +54,7 @@ use gatest_netlist::{Circuit, NetId};
 use crate::eval::eval_packed;
 use crate::fault::{FaultId, FaultList, FaultSite};
 use crate::good_sim::GoodSim;
-use crate::value::{LaneMask, Logic, PackedValue};
+use crate::value::{LaneMask, Logic, PackedValue, Pv256, Pv64};
 
 /// Sparse faulty flip-flop state for one fault: `(dff index, faulty value)`
 /// wherever the faulty machine differs from the good machine. `Arc`-shared
@@ -130,16 +140,74 @@ impl<P: PackedValue> GroupOutcome<P> {
     }
 }
 
+/// One flip-flop effect of one lane: `(dff index, lane, faulty value)`.
+type FfEffect = (u32, u16, Logic);
+
+/// A packed width an [`Arena`] can simulate groups at. Every arena table is
+/// shared by all widths; the gate fan-in buffer and the per-group outcome
+/// slots are the only typed scratch, so each width names its own.
+pub(crate) trait GroupWidth: PackedValue {
+    /// This width's fan-in buffer inside `arena`.
+    fn fanin(arena: &mut Arena) -> &mut Vec<Self>;
+    /// This width's outcome slots.
+    fn outcomes(slots: &mut OutcomeSlots) -> &mut Vec<GroupOutcome<Self>>;
+}
+
+impl GroupWidth for Pv64 {
+    fn fanin(arena: &mut Arena) -> &mut Vec<Pv64> {
+        &mut arena.fanin64
+    }
+    fn outcomes(slots: &mut OutcomeSlots) -> &mut Vec<GroupOutcome<Pv64>> {
+        &mut slots.narrow
+    }
+}
+
+impl GroupWidth for Pv256 {
+    fn fanin(arena: &mut Arena) -> &mut Vec<Pv256> {
+        &mut arena.fanin256
+    }
+    fn outcomes(slots: &mut OutcomeSlots) -> &mut Vec<GroupOutcome<Pv256>> {
+        &mut slots.wide
+    }
+}
+
+/// Reusable per-group outcome slots, one vector per width, kept across
+/// steps so merging a step allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct OutcomeSlots {
+    narrow: Vec<GroupOutcome<Pv64>>,
+    wide: Vec<GroupOutcome<Pv256>>,
+}
+
+/// Advances a frame stamp by two. Stamped tables start at zero, and the
+/// scheduling guard returns to zero after each evaluation, so a stamp of
+/// zero would make untouched entries read as current: when the stamp wraps
+/// around, every table is cleared and the stamp restarts at two.
+pub(crate) fn advance_stamp<const N: usize>(stamp: &mut u32, tables: [&mut [u32]; N]) {
+    *stamp = stamp.wrapping_add(2);
+    if *stamp == 0 {
+        for table in tables {
+            table.fill(0);
+        }
+        *stamp = 2;
+    }
+}
+
 /// The per-owner simulation arena: every buffer one group propagation
 /// needs, allocated once and reused for the life of the owner (a
 /// `FaultSim`, or one fault-group pool worker).
 ///
-/// Stamp discipline: `stamp` is bumped per group, and any stamped array
-/// entry is valid only while its stamp matches — so "clearing" the faulty
-/// values, the forcing-range tables, and the scheduling guard between
+/// One arena serves every width. The faulty-value planes hold `P::WORDS`
+/// words per net for the group running, so they grow to the widest width
+/// the owner has run and narrower groups use a prefix; all other tables are
+/// indexed by net, level, lane or entry and do not depend on the width.
+///
+/// Stamp discipline: `stamp` is bumped per group frame, and any stamped
+/// array entry is valid only while its stamp matches — so "clearing" the
+/// faulty values, the forcing-range tables, and the scheduling guard between
 /// groups costs one integer increment instead of a sweep.
-#[derive(Debug, Clone)]
-pub(crate) struct Scratch<P: PackedValue> {
+#[derive(Debug)]
+pub(crate) struct Arena {
     /// Zero plane of the faulty value per net (structure-of-arrays:
     /// `P::WORDS` contiguous words per net), valid where `fstamp` matches.
     fzero: Vec<u64>,
@@ -147,7 +215,7 @@ pub(crate) struct Scratch<P: PackedValue> {
     fone: Vec<u64>,
     /// Validity stamp for the faulty planes.
     fstamp: Vec<u32>,
-    /// Current group stamp (bumped by 2 per group).
+    /// Current frame stamp (bumped by 2 per group frame).
     stamp: u32,
     /// Scheduling guard per gate (queued when it matches `stamp`).
     queued: Vec<u32>,
@@ -173,23 +241,30 @@ pub(crate) struct Scratch<P: PackedValue> {
     stem_tmp: Vec<(NetId, u32, Logic)>,
     /// Sort buffer for branch faults: `(gate, pin, lane, stuck)`.
     branch_tmp: Vec<(NetId, u16, u32, Logic)>,
-    /// Reusable gate fanin buffer (fanin is small and bounded).
-    fanin: Vec<P>,
-    /// Per-lane faulty-FF state builders, reused across groups.
-    new_state: Vec<Vec<(u32, Logic)>>,
-    /// Per-lane carry of the previous frame's faulty-FF state, used by the
-    /// windowed path to seed frame `f+1` from frame `f` without touching
-    /// the shared copy-on-write table.
-    carry_state: Vec<Vec<(u32, Logic)>>,
+    /// Flip-flop nets seeded with carried faulty state this frame.
+    seeded: Vec<NetId>,
+    /// Gate fan-in buffer for 64-lane groups (fan-in is small and bounded).
+    fanin64: Vec<Pv64>,
+    /// Gate fan-in buffer for 256-lane groups.
+    fanin256: Vec<Pv256>,
+    /// The flip-flop-effect buffer: this frame's effects in flip-flop
+    /// order. A window's next frame seeds from it before overwriting it.
+    effects: Vec<FfEffect>,
+    /// `effects` regrouped by lane when a group materializes its new
+    /// faulty flip-flop state.
+    by_lane: Vec<(u32, Logic)>,
+    /// Per-lane effect counts, then lane offsets into `by_lane`.
+    lane_start: Vec<u32>,
 }
 
-impl<P: PackedValue> Scratch<P> {
-    /// An arena sized for `circuit` (combinational depth `max_level`).
+impl Arena {
+    /// An arena sized for `circuit` (combinational depth `max_level`). The
+    /// faulty-value planes are allocated by the first group that runs.
     pub(crate) fn new(circuit: &Circuit, max_level: usize) -> Self {
         let n = circuit.num_gates();
-        Scratch {
-            fzero: vec![0; n * P::WORDS],
-            fone: vec![0; n * P::WORDS],
+        Arena {
+            fzero: Vec::new(),
+            fone: Vec::new(),
             fstamp: vec![0; n],
             stamp: 0,
             queued: vec![0; n],
@@ -204,24 +279,48 @@ impl<P: PackedValue> Scratch<P> {
             branch_stamp: vec![0; n],
             stem_tmp: Vec::new(),
             branch_tmp: Vec::new(),
-            fanin: Vec::new(),
-            new_state: vec![Vec::new(); P::LANES],
-            carry_state: vec![Vec::new(); P::LANES],
+            seeded: Vec::new(),
+            fanin64: Vec::new(),
+            fanin256: Vec::new(),
+            effects: Vec::new(),
+            by_lane: Vec::new(),
+            lane_start: vec![0; Pv256::LANES + 1],
         }
     }
 
-    /// Starts a new group (or window frame): bumps the stamp and resets the
+    /// Starts a new group (or window frame) at width `P`: grows the planes
+    /// on the first frame at a wider width, bumps the stamp, and resets the
     /// scheduled level band.
-    fn begin_frame(&mut self) {
-        self.stamp = self.stamp.wrapping_add(2);
+    fn begin_frame<P: PackedValue>(&mut self) {
+        let words = self.fstamp.len() * P::WORDS;
+        if self.fzero.len() < words {
+            self.fzero.resize(words, 0);
+            self.fone.resize(words, 0);
+        }
+        advance_stamp(
+            &mut self.stamp,
+            [
+                &mut self.fstamp,
+                &mut self.queued,
+                &mut self.stem_stamp,
+                &mut self.branch_stamp,
+            ],
+        );
         self.sched_lo = u32::MAX;
         self.sched_hi = 0;
+    }
+
+    /// Places the frame stamp, so tests can start a simulator just below
+    /// the wrap-around.
+    #[cfg(test)]
+    pub(crate) fn set_stamp(&mut self, stamp: u32) {
+        self.stamp = stamp;
     }
 
     /// The faulty word of `net` for the current group, defaulting to the
     /// broadcast good value (`values[net]`) if the net has not diverged.
     #[inline]
-    fn effective(&self, values: &[Logic], net: NetId) -> P {
+    fn effective<P: PackedValue>(&self, values: &[Logic], net: NetId) -> P {
         let i = net.index();
         if self.fstamp[i] == self.stamp {
             let at = i * P::WORDS;
@@ -233,11 +332,41 @@ impl<P: PackedValue> Scratch<P> {
 
     /// Records `w` as the faulty word of `net` for the current group.
     #[inline]
-    fn record(&mut self, net: NetId, w: P) {
+    fn record<P: PackedValue>(&mut self, net: NetId, w: P) {
         let i = net.index();
         let at = i * P::WORDS;
         w.store_planes(&mut self.fzero[at..], &mut self.fone[at..]);
         self.fstamp[i] = self.stamp;
+    }
+
+    /// Sets `lane` of flip-flop `ff` to the carried faulty value `v`. The
+    /// first seed of a flip-flop this frame starts its word from the good
+    /// value; every seed then writes its one lane straight into the planes
+    /// (encoding: 0 = zero plane, 1 = one plane, X = neither).
+    #[inline]
+    fn seed<P: PackedValue>(&mut self, values: &[Logic], ff: NetId, lane: usize, v: Logic) {
+        let i = ff.index();
+        if self.fstamp[i] != self.stamp {
+            self.record(ff, P::broadcast(values[i]));
+            self.seeded.push(ff);
+        }
+        let at = i * P::WORDS + lane / 64;
+        let bit = 1u64 << (lane % 64);
+        self.fzero[at] = (self.fzero[at] & !bit) | if v == Logic::Zero { bit } else { 0 };
+        self.fone[at] = (self.fone[at] & !bit) | if v == Logic::One { bit } else { 0 };
+    }
+
+    /// Schedules the fanout of every seeded flip-flop whose word diverged
+    /// from the good value, once per flip-flop however many lanes it seeds.
+    fn schedule_seeded<P: PackedValue>(&mut self, lev: &Levelization, values: &[Logic]) {
+        let mut seeded = std::mem::take(&mut self.seeded);
+        for &ff in &seeded {
+            if self.effective::<P>(values, ff) != P::broadcast(values[ff.index()]) {
+                self.schedule_fanout(lev, ff);
+            }
+        }
+        seeded.clear();
+        self.seeded = seeded;
     }
 
     /// Stem forces on `net` this group (empty when the range is stale).
@@ -291,63 +420,95 @@ impl<P: PackedValue> Scratch<P> {
 /// net is ascending lane order (forced by the sort key), which matches the
 /// insertion order the old HashMap tables had. Returns the estimated
 /// scratch bytes served.
-fn publish_forcing<P: PackedValue>(
-    faults: &FaultList,
-    group: &[FaultId],
-    scratch: &mut Scratch<P>,
-) -> u64 {
-    let stamp = scratch.stamp;
-    scratch.stem_tmp.clear();
-    scratch.branch_tmp.clear();
+fn publish_forcing(faults: &FaultList, group: &[FaultId], arena: &mut Arena) -> u64 {
+    let stamp = arena.stamp;
+    arena.stem_tmp.clear();
+    arena.branch_tmp.clear();
     for (lane, &fid) in group.iter().enumerate() {
         let lane = lane as u32;
         let fault = faults.get(fid);
         match fault.site {
-            FaultSite::Stem(net) => scratch.stem_tmp.push((net, lane, fault.stuck)),
+            FaultSite::Stem(net) => arena.stem_tmp.push((net, lane, fault.stuck)),
             FaultSite::Branch { gate, pin } => {
-                scratch.branch_tmp.push((gate, pin, lane, fault.stuck))
+                arena.branch_tmp.push((gate, pin, lane, fault.stuck))
             }
         }
     }
-    scratch
+    arena
         .stem_tmp
         .sort_unstable_by_key(|&(net, lane, _)| (net.index(), lane));
-    scratch
+    arena
         .branch_tmp
         .sort_unstable_by_key(|&(gate, _, lane, _)| (gate.index(), lane));
-    scratch.stem_entries.clear();
-    for i in 0..scratch.stem_tmp.len() {
-        let (net, lane, stuck) = scratch.stem_tmp[i];
+    arena.stem_entries.clear();
+    for i in 0..arena.stem_tmp.len() {
+        let (net, lane, stuck) = arena.stem_tmp[i];
         let n = net.index();
-        let end = scratch.stem_entries.len() as u32;
-        if scratch.stem_stamp[n] != stamp {
-            scratch.stem_stamp[n] = stamp;
-            scratch.stem_range[n].0 = end;
+        let end = arena.stem_entries.len() as u32;
+        if arena.stem_stamp[n] != stamp {
+            arena.stem_stamp[n] = stamp;
+            arena.stem_range[n].0 = end;
         }
-        scratch.stem_entries.push((lane, stuck));
-        scratch.stem_range[n].1 = end + 1;
+        arena.stem_entries.push((lane, stuck));
+        arena.stem_range[n].1 = end + 1;
     }
-    scratch.branch_entries.clear();
-    for i in 0..scratch.branch_tmp.len() {
-        let (gate, pin, lane, stuck) = scratch.branch_tmp[i];
+    arena.branch_entries.clear();
+    for i in 0..arena.branch_tmp.len() {
+        let (gate, pin, lane, stuck) = arena.branch_tmp[i];
         let g = gate.index();
-        let end = scratch.branch_entries.len() as u32;
-        if scratch.branch_stamp[g] != stamp {
-            scratch.branch_stamp[g] = stamp;
-            scratch.branch_range[g].0 = end;
+        let end = arena.branch_entries.len() as u32;
+        if arena.branch_stamp[g] != stamp {
+            arena.branch_stamp[g] = stamp;
+            arena.branch_range[g].0 = end;
         }
-        scratch.branch_entries.push((pin, lane, stuck));
-        scratch.branch_range[g].1 = end + 1;
+        arena.branch_entries.push((pin, lane, stuck));
+        arena.branch_range[g].1 = end + 1;
     }
-    (scratch.stem_tmp.len() * std::mem::size_of::<(NetId, u32, Logic)>()
-        + scratch.branch_tmp.len() * std::mem::size_of::<(NetId, u16, u32, Logic)>()) as u64
+    (arena.stem_tmp.len() * std::mem::size_of::<(NetId, u32, Logic)>()
+        + arena.branch_tmp.len() * std::mem::size_of::<(NetId, u16, u32, Logic)>()) as u64
 }
 
-/// Propagates one group through one good-machine frame: seeds faulty-FF
-/// divergence from `seeds`, injects the (already published) stem and branch
+/// Seeds every lane's carried faulty flip-flop state from the shared
+/// copy-on-write table (the first frame of a step or window).
+fn seed_from_table<P: PackedValue>(
+    ctx: &GroupCtx<'_>,
+    group: &[FaultId],
+    values: &[Logic],
+    arena: &mut Arena,
+) {
+    let dffs = ctx.circuit.dffs();
+    for (lane, &fid) in group.iter().enumerate() {
+        for &(dff_idx, v) in ctx.faulty_ff[fid.index()].iter() {
+            arena.seed::<P>(values, dffs[dff_idx as usize], lane, v);
+        }
+    }
+}
+
+/// Seeds a window frame from the previous frame's flip-flop effects, for
+/// the lanes still `live`. The sweep that follows overwrites the buffer
+/// with this frame's effects.
+fn seed_from_effects<P: PackedValue>(
+    circuit: &Circuit,
+    values: &[Logic],
+    live: P::Mask,
+    arena: &mut Arena,
+) {
+    let effects = std::mem::take(&mut arena.effects);
+    for &(dff_idx, lane, v) in &effects {
+        let lane = usize::from(lane);
+        if live.test(lane) {
+            arena.seed::<P>(values, circuit.dffs()[dff_idx as usize], lane, v);
+        }
+    }
+    arena.effects = effects;
+}
+
+/// Propagates one group through one good-machine frame whose carried
+/// faulty flip-flop state is already seeded: schedules the seeded
+/// flip-flops' fanout, injects the (already published) stem and branch
 /// forces, sweeps the touched level band event-driven, detects at primary
-/// outputs, and collects per-lane faulty-FF effects into
-/// `scratch.new_state`.
+/// outputs, and collects the frame's flip-flop effects into
+/// `arena.effects`.
 ///
 /// `live` masks the lanes still being simulated: events, detections, and
 /// flip-flop effects of dead lanes are suppressed, mirroring the serial
@@ -355,66 +516,51 @@ fn publish_forcing<P: PackedValue>(
 /// independent, so letting a dead lane keep propagating cannot perturb any
 /// live lane.) The single-frame path passes all group lanes live, which
 /// reproduces the ungated behaviour bit for bit.
-#[allow(clippy::too_many_arguments)]
-fn run_frame<'a, P: PackedValue>(
+fn run_frame<P: GroupWidth>(
     circuit: &Circuit,
     lev: &Levelization,
     frame: GoodFrame<'_>,
-    seeds: impl Fn(usize) -> &'a [(u32, Logic)],
-    group_len: usize,
     live: P::Mask,
-    scratch: &mut Scratch<P>,
+    arena: &mut Arena,
     out: &mut GroupOutcome<P>,
 ) {
     let values = frame.values;
     let mut reused = 0u64;
 
-    // Seed faulty flip-flop state differences carried over from the
-    // previous frame.
-    for lane in 0..group_len {
-        for &(dff_idx, v) in seeds(lane) {
-            let ff = circuit.dffs()[dff_idx as usize];
-            let word = scratch.effective(values, ff);
-            let mut w = word;
-            w.set_lane(lane, v);
-            if w != word {
-                scratch.record(ff, w);
-                scratch.schedule_fanout(lev, ff);
-            }
-        }
-    }
+    // Carried flip-flop divergence: one fanout walk per diverged flip-flop.
+    arena.schedule_seeded::<P>(lev, values);
 
     // Seed stem-fault injections (including faults on PIs and FF outputs,
     // which are never re-evaluated by the combinational sweep). `stem_tmp`
     // is sorted by net, so each run of equal nets is one injection site.
     let mut i = 0;
-    while i < scratch.stem_tmp.len() {
-        let net = scratch.stem_tmp[i].0;
-        let word = scratch.effective(values, net);
+    while i < arena.stem_tmp.len() {
+        let net = arena.stem_tmp[i].0;
+        let word: P = arena.effective(values, net);
         let mut w = word;
-        while i < scratch.stem_tmp.len() && scratch.stem_tmp[i].0 == net {
-            let (_, lane, stuck) = scratch.stem_tmp[i];
+        while i < arena.stem_tmp.len() && arena.stem_tmp[i].0 == net {
+            let (_, lane, stuck) = arena.stem_tmp[i];
             w.set_lane(lane as usize, stuck);
             i += 1;
         }
         // Record the forced word even when it equals the good value this
         // frame, so later reads see the forcing; schedule only on change.
-        scratch.record(net, w);
+        arena.record(net, w);
         if w != word {
-            scratch.schedule_fanout(lev, net);
+            arena.schedule_fanout(lev, net);
         }
     }
 
     // Seed gates with branch faults: their effective input differs even
     // though no net changed.
     let mut i = 0;
-    while i < scratch.branch_tmp.len() {
-        let gate = scratch.branch_tmp[i].0;
-        while i < scratch.branch_tmp.len() && scratch.branch_tmp[i].0 == gate {
+    while i < arena.branch_tmp.len() {
+        let gate = arena.branch_tmp[i].0;
+        while i < arena.branch_tmp.len() && arena.branch_tmp[i].0 == gate {
             i += 1;
         }
         if circuit.kind(gate).is_combinational() {
-            scratch.schedule(gate, lev.level(gate));
+            arena.schedule(gate, lev.level(gate));
         }
     }
 
@@ -422,28 +568,28 @@ fn run_frame<'a, P: PackedValue>(
     // buffer is taken out of the arena for the duration of the sweep so the
     // borrow checker can see it is disjoint from the stamped tables; gate
     // kinds and fan-in slices come from the schedule-ordered CSR.
-    let mut fanin = std::mem::take(&mut scratch.fanin);
-    let mut level = scratch.sched_lo as usize;
-    while level <= scratch.sched_hi as usize {
-        let mut gates = std::mem::take(&mut scratch.buckets[level]);
+    let mut fanin = std::mem::take(P::fanin(arena));
+    let mut level = arena.sched_lo as usize;
+    while level <= arena.sched_hi as usize {
+        let mut gates = std::mem::take(&mut arena.buckets[level]);
         for &gate in &gates {
-            scratch.queued[gate.index()] = 0;
+            arena.queued[gate.index()] = 0;
             out.gate_evals += 1;
             let kind = lev.comb_kind(gate);
             debug_assert!(kind.is_combinational());
             fanin.clear();
             for &src in lev.comb_fanin(gate) {
-                fanin.push(scratch.effective(values, src));
+                fanin.push(arena.effective(values, src));
             }
             reused += (fanin.len() * std::mem::size_of::<P>()) as u64;
-            for &(pin, lane, stuck) in scratch.branch_forces(gate) {
+            for &(pin, lane, stuck) in arena.branch_forces(gate) {
                 fanin[pin as usize].set_lane(lane as usize, stuck);
             }
             let mut word = eval_packed(kind, &fanin);
-            for &(lane, stuck) in scratch.stem_forces(gate) {
+            for &(lane, stuck) in arena.stem_forces(gate) {
                 word.set_lane(lane as usize, stuck);
             }
-            let old = scratch.effective(values, gate);
+            let old: P = arena.effective(values, gate);
             if word != old {
                 let diff_lanes = u64::from(word.any_diff(old).and(live).count());
                 out.faulty_events += diff_lanes;
@@ -451,82 +597,101 @@ fn run_frame<'a, P: PackedValue>(
                 // evaluation: that is the scheduling work the shared
                 // per-group queue amortized away.
                 out.events_amortized += diff_lanes.saturating_sub(1);
-                scratch.record(gate, word);
-                scratch.schedule_fanout(lev, gate);
+                arena.record(gate, word);
+                arena.schedule_fanout(lev, gate);
             }
         }
         // Fanout is strictly higher-level, so nothing was appended to this
         // bucket while we iterated; put it back empty with its capacity.
         gates.clear();
-        scratch.buckets[level] = gates;
+        arena.buckets[level] = gates;
         level += 1;
     }
-    scratch.fanin = fanin;
+    *P::fanin(arena) = fanin;
 
     // Detection at primary outputs: strict binary difference. The
     // per-output masks double as the diagnosis syndrome.
     for (po_idx, &po) in circuit.outputs().iter().enumerate() {
         let goodw = P::broadcast(values[po.index()]);
-        let faultyw = scratch.effective(values, po);
+        let faultyw: P = arena.effective(values, po);
         let mask = faultyw.binary_diff(goodw).and(live);
         out.detected_mask = out.detected_mask.or(mask);
         mask.for_each(|lane| out.po_detections.push((lane as u32, po_idx as u16)));
     }
 
     // Fault effects at flip-flops: compare faulty D values against the
-    // good next state, and record the new sparse faulty state.
-    for state in scratch.new_state[..group_len].iter_mut() {
-        state.clear();
-    }
-    reused += (group_len * std::mem::size_of::<Vec<(u32, Logic)>>()) as u64;
+    // good next state and append each diverged lane's faulty value to the
+    // flip-flop-effect buffer, in flip-flop order.
+    arena.effects.clear();
+    let mut effect_lanes = P::Mask::EMPTY;
     for (dff_idx, &ff) in circuit.dffs().iter().enumerate() {
         let d = circuit.fanin(ff)[0];
-        let mut faultyw = scratch.effective(values, d);
-        for &(pin, lane, stuck) in scratch.branch_forces(ff) {
+        let mut faultyw: P = arena.effective(values, d);
+        for &(pin, lane, stuck) in arena.branch_forces(ff) {
             debug_assert_eq!(pin, 0);
             faultyw.set_lane(lane as usize, stuck);
         }
         let goodw = P::broadcast(frame.next_state[dff_idx]);
         let diff = faultyw.any_diff(goodw).and(live);
-        diff.for_each(|lane| {
-            scratch.new_state[lane].push((dff_idx as u32, faultyw.get_lane(lane)));
-        });
+        effect_lanes = effect_lanes.or(diff);
+        let effects = &mut arena.effects;
+        diff.for_each(|lane| effects.push((dff_idx as u32, lane as u16, faultyw.get_lane(lane))));
     }
-    for state in scratch.new_state[..group_len].iter() {
-        let effects = state.len() as u64;
-        if effects > 0 {
-            out.ff_effect_pairs += effects;
-            out.ff_effect_faults += 1;
-        }
-    }
+    out.ff_effect_pairs += arena.effects.len() as u64;
+    out.ff_effect_faults += u64::from(effect_lanes.count());
+    reused += (arena.effects.len() * std::mem::size_of::<FfEffect>()) as u64;
     out.scratch_bytes += reused;
 }
 
-/// Materializes `scratch.new_state` into per-lane replacement faulty-FF
-/// state, comparing against the pre-step shared table to skip no-op writes.
+/// Materializes the last frame's flip-flop effects into per-lane
+/// replacement faulty-FF state, comparing against the pre-step shared
+/// table to skip no-op writes.
+///
+/// A stable counting sort regroups the flip-flop-ordered effects by lane,
+/// so each lane's entries stay in flip-flop order as the sparse state
+/// requires.
 fn materialize_new_ff<P: PackedValue>(
     ctx: &GroupCtx<'_>,
     group: &[FaultId],
     keep: P::Mask,
-    scratch: &Scratch<P>,
+    arena: &mut Arena,
     out: &mut GroupOutcome<P>,
 ) {
+    let starts = &mut arena.lane_start[..=group.len()];
+    starts.fill(0);
+    for &(_, lane, _) in &arena.effects {
+        starts[usize::from(lane) + 1] += 1;
+    }
+    for lane in 1..starts.len() {
+        starts[lane] += starts[lane - 1];
+    }
+    // `starts[lane]` is now the lane's first slot; placing an entry bumps
+    // it, so afterwards it is the lane's end (and the next lane's start).
+    arena.by_lane.clear();
+    arena.by_lane.resize(arena.effects.len(), (0, Logic::X));
+    for &(dff_idx, lane, v) in &arena.effects {
+        let slot = &mut starts[usize::from(lane)];
+        arena.by_lane[*slot as usize] = (dff_idx, v);
+        *slot += 1;
+    }
+
     let mut reused = 0u64;
+    let mut start = 0usize;
     for (lane, &fid) in group.iter().enumerate() {
+        let end = starts[lane] as usize;
+        let state = &arena.by_lane[start..end];
+        start = end;
         if !keep.test(lane) {
             // Dropped mid-window: the caller's drop logic clears the state.
             out.new_ff.push(None);
-            continue;
-        }
-        let state = &scratch.new_state[lane];
-        if state.is_empty() && ctx.faulty_ff[fid.index()].is_empty() {
+        } else if state.is_empty() && ctx.faulty_ff[fid.index()].is_empty() {
             // Keep sharing the empty slice: no write, no unshare.
             out.new_ff.push(None);
         } else if state.is_empty() {
             out.new_ff.push(Some(Arc::clone(ctx.empty_ff)));
         } else {
-            reused += (state.len() * std::mem::size_of::<(u32, Logic)>()) as u64;
-            out.new_ff.push(Some(Arc::from(state.as_slice())));
+            reused += std::mem::size_of_val(state) as u64;
+            out.new_ff.push(Some(Arc::from(state)));
         }
     }
     out.scratch_bytes += reused;
@@ -537,33 +702,33 @@ fn materialize_new_ff<P: PackedValue>(
 ///
 /// Groups are order-independent: a group reads only the previous frame's
 /// faulty-FF state for its own faults and the (frozen) good machine, so
-/// calling this from concurrent workers with private `scratch`/`out` gives
+/// calling this from concurrent workers with private `arena`/`out` gives
 /// the same outcomes as a serial loop.
-pub(crate) fn simulate_group<P: PackedValue>(
+pub(crate) fn simulate_group<P: GroupWidth>(
     ctx: &GroupCtx<'_>,
     group: &[FaultId],
-    scratch: &mut Scratch<P>,
+    arena: &mut Arena,
     out: &mut GroupOutcome<P>,
 ) {
     debug_assert!(group.len() <= P::LANES);
     out.reset();
-    scratch.begin_frame();
-    out.scratch_bytes += publish_forcing(ctx.faults, group, scratch);
+    arena.begin_frame::<P>();
+    out.scratch_bytes += publish_forcing(ctx.faults, group, arena);
+    let frame = GoodFrame {
+        values: ctx.good.values(),
+        next_state: ctx.good.next_states(),
+    };
+    seed_from_table::<P>(ctx, group, frame.values, arena);
     let live = P::Mask::low(group.len());
     run_frame(
         ctx.circuit,
         ctx.good.levelization(),
-        GoodFrame {
-            values: ctx.good.values(),
-            next_state: ctx.good.next_states(),
-        },
-        |lane| &ctx.faulty_ff[group[lane].index()][..],
-        group.len(),
+        frame,
         live,
-        scratch,
+        arena,
         out,
     );
-    materialize_new_ff(ctx, group, live, scratch, out);
+    materialize_new_ff(ctx, group, live, arena, out);
 }
 
 /// Simulates one group across a *window* of already-committed good-machine
@@ -571,7 +736,7 @@ pub(crate) fn simulate_group<P: PackedValue>(
 ///
 /// Frame `0` seeds from the shared faulty-FF table exactly like
 /// [`simulate_group`]; each later frame seeds from the previous frame's
-/// per-lane state carried inside the arena, so the window never touches the
+/// flip-flop effects still in the arena, so the window never touches the
 /// copy-on-write table in between. Lanes detected at frame `f` are masked
 /// out of frames `f+1..` (events, detections, and FF effects), mirroring
 /// the serial drop-after-step semantics; because lane values are
@@ -581,59 +746,30 @@ pub(crate) fn simulate_group<P: PackedValue>(
 /// Every per-frame outcome is bit-identical to what `simulate_group` would
 /// have produced step by step — except `gate_evals`/`scratch_bytes`, which
 /// (as with lane widths) depend on how the work was batched.
-pub(crate) fn simulate_group_window<P: PackedValue>(
+pub(crate) fn simulate_group_window<P: GroupWidth>(
     ctx: &GroupCtx<'_>,
     frames: &[GoodFrame<'_>],
     group: &[FaultId],
-    scratch: &mut Scratch<P>,
+    arena: &mut Arena,
     outs: &mut [GroupOutcome<P>],
 ) {
     debug_assert!(group.len() <= P::LANES);
     debug_assert_eq!(frames.len(), outs.len());
     let lev = ctx.good.levelization();
     let mut live = P::Mask::low(group.len());
-    let mut carry = std::mem::take(&mut scratch.carry_state);
     for (f, (frame, out)) in frames.iter().zip(outs.iter_mut()).enumerate() {
         out.reset();
-        scratch.begin_frame();
-        out.scratch_bytes += publish_forcing(ctx.faults, group, scratch);
+        arena.begin_frame::<P>();
+        out.scratch_bytes += publish_forcing(ctx.faults, group, arena);
         if f == 0 {
-            run_frame(
-                ctx.circuit,
-                lev,
-                *frame,
-                |lane| &ctx.faulty_ff[group[lane].index()][..],
-                group.len(),
-                live,
-                scratch,
-                out,
-            );
+            seed_from_table::<P>(ctx, group, frame.values, arena);
         } else {
-            // Previous frame's per-lane states move to the carry side so
-            // this frame can read them while writing `new_state`.
-            std::mem::swap(&mut scratch.new_state, &mut carry);
-            let carry_ref = &carry;
-            run_frame(
-                ctx.circuit,
-                lev,
-                *frame,
-                |lane| {
-                    if live.test(lane) {
-                        carry_ref[lane].as_slice()
-                    } else {
-                        &[]
-                    }
-                },
-                group.len(),
-                live,
-                scratch,
-                out,
-            );
+            seed_from_effects::<P>(ctx.circuit, frame.values, live, arena);
         }
+        run_frame(ctx.circuit, lev, *frame, live, arena, out);
         live = live.and(out.detected_mask.invert());
     }
     if let Some(last) = outs.last_mut() {
-        materialize_new_ff(ctx, group, live, scratch, last);
+        materialize_new_ff(ctx, group, live, arena, last);
     }
-    scratch.carry_state = carry;
 }

@@ -4,8 +4,10 @@
 //! groups (at most [`PackedValue::LANES`] faults each) against a frozen good
 //! machine (see [`crate::group`]). This pool runs those groups on
 //! `threads - 1` persistent worker threads plus the calling thread, with
-//! each participant owning a private [`Scratch`] arena, so a step's group
-//! fan-out costs no allocation and no thread spawn.
+//! each participant owning a private [`Arena`], so a step's group
+//! fan-out costs no allocation and no thread spawn. One pool serves both
+//! widths: a job carries the width-specific routine that runs it, and the
+//! workers' arenas are width-independent.
 //!
 //! # Protocol
 //!
@@ -28,8 +30,10 @@
 //!
 //! # Safety
 //!
-//! The published pointer erases the borrow lifetimes of the caller's
-//! circuit, good machine, fault tables, and outcome slots. This is sound
+//! The published pointer erases the borrow lifetimes (and the width) of the
+//! caller's circuit, good machine, fault tables, and outcome slots; the
+//! routine published next to it is the one instantiated for that width, so
+//! it casts the data back to the type it was erased from. This is sound
 //! because `run` does not return until `remaining == 0`, i.e. until no
 //! woken worker can still hold the pointer: a worker reads it only after
 //! observing its own epoch bump (an `Acquire` load that synchronizes with
@@ -52,8 +56,7 @@ use gatest_netlist::Circuit;
 
 use crate::fault::{FaultId, FaultList};
 use crate::good_sim::GoodSim;
-use crate::group::{simulate_group, FaultyFfState, GroupCtx, GroupOutcome, Scratch};
-use crate::value::PackedValue;
+use crate::group::{simulate_group, Arena, FaultyFfState, GroupCtx, GroupOutcome, GroupWidth};
 
 /// Iterations the caller spins on `remaining` before parking. Stragglers
 /// usually finish within a group's simulation time, so a short spin avoids
@@ -62,7 +65,7 @@ use crate::value::PackedValue;
 const CALLER_SPIN: usize = 256;
 
 /// Everything one parallel step's workers need, published by address.
-struct JobData<'a, P: PackedValue> {
+struct JobData<'a, P: GroupWidth> {
     circuit: &'a Circuit,
     good: &'a GoodSim,
     faults: &'a FaultList,
@@ -79,9 +82,16 @@ struct JobData<'a, P: PackedValue> {
     published: Instant,
 }
 
+/// A published job: its width-typed [`JobData`] behind an erased pointer,
+/// and the routine instantiated for that width.
+struct Job {
+    data: *const (),
+    run: unsafe fn(*const (), &mut Arena),
+}
+
 /// The lock-free coordination block shared with every worker.
 struct Shared {
-    /// The in-flight job (type-erased `*const JobData<P>`), null between
+    /// The in-flight job (type-erased `*const Job`), null between
     /// jobs. `Release`-published before worker epochs are bumped.
     job: AtomicPtr<()>,
     /// One epoch per worker; a bump (with the job already published) is
@@ -114,16 +124,15 @@ impl Drop for DoneGuard<'_> {
     }
 }
 
-/// A persistent set of fault-group simulation workers over backend `P`.
-pub(crate) struct GroupPool<P: PackedValue> {
+/// A persistent set of fault-group simulation workers, for every width.
+pub(crate) struct GroupPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
     /// Unpark handles, indexed like `shared.epochs`.
     threads: Vec<Thread>,
-    _backend: std::marker::PhantomData<fn() -> P>,
 }
 
-impl<P: PackedValue> fmt::Debug for GroupPool<P> {
+impl fmt::Debug for GroupPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GroupPool")
             .field("workers", &self.handles.len())
@@ -131,9 +140,9 @@ impl<P: PackedValue> fmt::Debug for GroupPool<P> {
     }
 }
 
-impl<P: PackedValue> GroupPool<P> {
+impl GroupPool {
     /// Spawns `threads - 1` workers (the caller is the remaining thread),
-    /// each owning a scratch arena sized for `circuit`.
+    /// each owning an arena sized for `circuit`.
     ///
     /// # Panics
     ///
@@ -151,10 +160,10 @@ impl<P: PackedValue> GroupPool<P> {
         let handles: Vec<JoinHandle<()>> = (0..threads - 1)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let mut scratch = Scratch::<P>::new(circuit, max_level);
+                let mut arena = Arena::new(circuit, max_level);
                 std::thread::Builder::new()
                     .name(format!("gatest-sim-{i}"))
-                    .spawn(move || worker_loop::<P>(&shared, i, &mut scratch))
+                    .spawn(move || worker_loop(&shared, i, &mut arena))
                     .expect("spawn sim worker")
             })
             .collect();
@@ -163,13 +172,12 @@ impl<P: PackedValue> GroupPool<P> {
             shared,
             handles,
             threads,
-            _backend: std::marker::PhantomData,
         }
     }
 
     /// Simulates every `P::LANES`-fault chunk of `targets` into `outcomes`
     /// (one slot per chunk), fanning out across the pool with the caller
-    /// participating via `caller_scratch`.
+    /// participating via `caller_arena`.
     ///
     /// Returns `(groups_run, steal_ns, wait_ns)` for telemetry: `wait_ns`
     /// is the time the caller spent waiting (spinning, then parked) after
@@ -179,12 +187,12 @@ impl<P: PackedValue> GroupPool<P> {
     /// # Panics
     ///
     /// Panics if a worker panicked during this or any earlier dispatch.
-    pub(crate) fn run(
+    pub(crate) fn run<P: GroupWidth>(
         &self,
         ctx: &GroupCtx<'_>,
         targets: &[FaultId],
         outcomes: &mut [GroupOutcome<P>],
-        caller_scratch: &mut Scratch<P>,
+        caller_arena: &mut Arena,
     ) -> (u64, u64, u64) {
         debug_assert_eq!(outcomes.len(), targets.len().div_ceil(P::LANES));
         assert!(
@@ -204,6 +212,10 @@ impl<P: PackedValue> GroupPool<P> {
             steal_ns: AtomicU64::new(0),
             published: Instant::now(),
         };
+        let job = Job {
+            data: &data as *const JobData<'_, P> as *const (),
+            run: run_job::<P>,
+        };
         // The caller simulates too, so a job with G groups can use at most
         // G - 1 workers; waking more would be pure overhead.
         let woken = self.handles.len().min(data.ngroups.saturating_sub(1));
@@ -212,7 +224,7 @@ impl<P: PackedValue> GroupPool<P> {
             self.shared.remaining.store(woken, Ordering::Release);
             self.shared
                 .job
-                .store(&data as *const JobData<'_, P> as *mut (), Ordering::Release);
+                .store(&job as *const Job as *mut (), Ordering::Release);
             for i in 0..woken {
                 // The Release bump synchronizes with the worker's Acquire
                 // epoch load, making the job publication visible to it.
@@ -220,7 +232,7 @@ impl<P: PackedValue> GroupPool<P> {
                 self.threads[i].unpark();
             }
         }
-        run_groups(&data, caller_scratch);
+        run_groups(&data, caller_arena);
         let mut wait_ns = 0u64;
         if woken > 0 {
             let wait_start = Instant::now();
@@ -253,7 +265,7 @@ impl<P: PackedValue> GroupPool<P> {
     }
 }
 
-impl<P: PackedValue> Drop for GroupPool<P> {
+impl Drop for GroupPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         for t in &self.threads {
@@ -267,7 +279,7 @@ impl<P: PackedValue> Drop for GroupPool<P> {
     }
 }
 
-fn worker_loop<P: PackedValue>(shared: &Shared, index: usize, scratch: &mut Scratch<P>) {
+fn worker_loop(shared: &Shared, index: usize, arena: &mut Arena) {
     let mut seen_epoch = 0u64;
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
@@ -286,20 +298,34 @@ fn worker_loop<P: PackedValue>(shared: &Shared, index: usize, scratch: &mut Scra
         let job = shared.job.load(Ordering::Acquire);
         if !job.is_null() {
             // SAFETY: published jobs stay alive until this worker's guard
-            // decrement is observed by `run` (see module safety notes).
-            let data = unsafe { &*(job as *const JobData<'_, P>) };
-            data.steal_ns.fetch_add(
-                data.published.elapsed().as_nanos() as u64,
-                Ordering::Relaxed,
-            );
-            run_groups(data, scratch);
+            // decrement is observed by `run` (see module safety notes), and
+            // `job.run` was instantiated for the width `job.data` erased.
+            unsafe {
+                let job = &*(job as *const Job);
+                (job.run)(job.data, arena);
+            }
         }
         drop(guard);
     }
 }
 
+/// Runs a published job on a worker: records its wake latency, then claims
+/// groups like the caller does.
+///
+/// # Safety
+///
+/// `data` must point to a live `JobData<'_, P>`.
+unsafe fn run_job<P: GroupWidth>(data: *const (), arena: &mut Arena) {
+    let data = &*(data as *const JobData<'_, P>);
+    data.steal_ns.fetch_add(
+        data.published.elapsed().as_nanos() as u64,
+        Ordering::Relaxed,
+    );
+    run_groups(data, arena);
+}
+
 /// Claims and simulates groups until the job's cursor runs out.
-fn run_groups<P: PackedValue>(data: &JobData<'_, P>, scratch: &mut Scratch<P>) {
+fn run_groups<P: GroupWidth>(data: &JobData<'_, P>, arena: &mut Arena) {
     let ctx = GroupCtx {
         circuit: data.circuit,
         good: data.good,
@@ -317,23 +343,22 @@ fn run_groups<P: PackedValue>(data: &JobData<'_, P>, scratch: &mut Scratch<P>) {
         // SAFETY: index `i` is claimed exactly once across all threads, so
         // this is the only live reference to slot `i`.
         let out = unsafe { &mut *data.outcomes.add(i) };
-        simulate_group(&ctx, &data.targets[start..end], scratch, out);
+        simulate_group(&ctx, &data.targets[start..end], arena, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{Pv256, Pv64};
     use std::sync::Arc as StdArc;
 
     #[test]
     fn pool_debug_reports_worker_count() {
         let circuit = StdArc::new(crate::tests_circuit());
         let max_level = gatest_netlist::levelize::Levelization::new(&circuit).max_level() as usize;
-        let pool = GroupPool::<Pv64>::new(&circuit, max_level, 3);
+        let pool = GroupPool::new(&circuit, max_level, 3);
         assert_eq!(format!("{pool:?}"), "GroupPool { workers: 2 }");
-        let wide = GroupPool::<Pv256>::new(&circuit, max_level, 2);
-        assert_eq!(format!("{wide:?}"), "GroupPool { workers: 1 }");
+        let pair = GroupPool::new(&circuit, max_level, 2);
+        assert_eq!(format!("{pair:?}"), "GroupPool { workers: 1 }");
     }
 }

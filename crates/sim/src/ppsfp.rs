@@ -147,11 +147,12 @@ impl Ppsfp {
         self.grade_with::<Pv64>(patterns)
     }
 
-    /// Like [`grade`](Ppsfp::grade), but packing `backend.lanes()` patterns
-    /// per block. Results are bit-identical to `grade` for any backend —
-    /// only throughput changes.
+    /// Like [`grade`](Ppsfp::grade), but packing 64 or 256 patterns per
+    /// block, at the width [`SimBackend::for_lanes`] picks for
+    /// `patterns.len()`. Results are bit-identical to `grade` for any
+    /// backend — only throughput changes.
     pub fn grade_backend(&self, patterns: &[Vec<Logic>], backend: SimBackend) -> PpsfpResult {
-        match backend.resolved() {
+        match backend.for_lanes(patterns.len()) {
             SimBackend::Scalar64 => self.grade_with::<Pv64>(patterns),
             _ => self.grade_with::<Pv256>(patterns),
         }

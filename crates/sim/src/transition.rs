@@ -33,6 +33,7 @@ use gatest_netlist::{Circuit, NetId};
 use crate::eval::eval_packed;
 use crate::fault::FaultId;
 use crate::good_sim::{GoodSim, GoodSimState};
+use crate::group::advance_stamp;
 use crate::value::{Logic, Pv64};
 
 /// The slow transition direction.
@@ -294,7 +295,7 @@ impl TransitionFaultSim {
         detected: &mut Vec<FaultId>,
     ) {
         let circuit = Arc::clone(&self.circuit);
-        self.stamp = self.stamp.wrapping_add(2);
+        advance_stamp(&mut self.stamp, [&mut self.fstamp, &mut self.queued]);
         let stamp = self.stamp;
 
         // Conditional injection: a fault forces its net only in frames
@@ -541,6 +542,30 @@ mod tests {
             "transition coverage {cov:.2} unexpectedly low on s27"
         );
         assert!(cov < 1.0, "some transition faults need directed tests");
+    }
+
+    #[test]
+    fn stamp_wrap_around_matches_a_fresh_simulator() {
+        // Initialize two simulators under zero-hold, then place one's stamp
+        // just below the u32 wrap-around, so the groups of its next step
+        // cross it: every step must still match the other simulator.
+        let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
+        let mut fresh = TransitionFaultSim::new(Arc::clone(&circuit));
+        let zeros = vec![Logic::Zero; circuit.num_inputs()];
+        for _ in 0..gatest_netlist::depth::sequential_depth(&circuit) + 2 {
+            fresh.step(&zeros);
+        }
+        let mut wrapped = fresh.clone();
+        wrapped.stamp = u32::MAX - 7;
+        let mut rng = gatest_ga_stub::Rng::new(11);
+        for step in 0..12 {
+            let v: Vec<Logic> = (0..circuit.num_inputs())
+                .map(|_| Logic::from_bool(rng.coin()))
+                .collect();
+            assert_eq!(fresh.step(&v), wrapped.step(&v), "step {step}");
+        }
+        assert_eq!(fresh.faulty_ff, wrapped.faulty_ff);
+        assert!(wrapped.stamp < u32::MAX - 7, "the stamp wrapped");
     }
 
     use super::tests_support as gatest_ga_stub;

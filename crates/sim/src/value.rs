@@ -25,7 +25,7 @@
 use std::fmt;
 use std::ops::Not;
 
-use gatest_netlist::GateKind;
+use gatest_netlist::{Circuit, GateKind};
 
 /// A scalar three-valued logic value.
 ///
@@ -876,18 +876,50 @@ mod avx2 {
 /// A pure execution detail, like thread counts: every backend produces
 /// bit-identical results, so the width is excluded from the checkpoint
 /// configuration digest and is free to differ between a run and its resumed
-/// leg. `Auto` resolves to [`Pv256`], whose gate evaluation additionally
-/// uses AVX2 when the host supports it.
+/// leg. The default, `Auto`, picks the width of each packed pass from the
+/// lanes of work it carries ([`SimBackend::for_lanes`]) and, for a
+/// fault-simulation step, from the circuit's shape as well
+/// ([`SimBackend::for_step`]); `Scalar64` and `Wide256` pin one width for
+/// every pass. [`Pv256`]'s gate evaluation additionally uses AVX2 when the
+/// host supports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimBackend {
     /// One 64-bit word per plane ([`Pv64`]) — 64 faults per group.
-    #[default]
     Scalar64,
     /// Four words per plane ([`Pv256`]) — 256 faults per group.
     Wide256,
-    /// Pick for the host: resolves to [`SimBackend::Wide256`].
+    /// Pick per pass: [`SimBackend::Wide256`] for passes that carry more
+    /// than [`AUTO_NARROW_MAX_LANES`] lanes of work (and, for fault
+    /// simulation, run on a circuit with at most
+    /// [`AUTO_WIDE_MAX_GATES_PER_SWEEP`] gates per flip-flop or output),
+    /// [`SimBackend::Scalar64`] otherwise.
+    #[default]
     Auto,
 }
+
+/// The most lanes of work — faults in a fault-simulation step, candidates
+/// in a good-machine batch, patterns in a grading run — a pass may carry
+/// and still run on 64 lanes under [`SimBackend::Auto`]: two words. A fault
+/// group costs in proportion to the faults it carries plus a fixed sweep
+/// over the flip-flops and outputs, so a 256-lane group pays off once it
+/// replaces three or more 64-lane groups. Measured on s298, s344, s1423 and
+/// s5378 (sampled steps from one checkpoint, one pinned vCPU), a 256-lane
+/// step took 1.25–1.42× the 64-lane time at 48–64 faults, 0.89–1.33× at
+/// 96, 0.77–1.07× at 128, and 0.45–0.81× from 160 faults up.
+pub const AUTO_NARROW_MAX_LANES: usize = 2 * Pv64::LANES;
+
+/// The most gates ([`Circuit::num_gates`]) per flip-flop or primary output
+/// a circuit may have for [`SimBackend::Auto`] to run its fault-simulation
+/// steps on 256-lane groups. A wide group saves the per-group sweep over
+/// the flip-flops and outputs; on circuits where that sweep is a small share
+/// of the gates, the wider event propagation costs as much as it saves.
+/// Interleaved full-list steps on one pinned vCPU, 256-lane over 64-lane
+/// time: 0.69–0.97 on circuits with 11–21 gates per flip-flop or output
+/// (s298 … s5378, s35932, and synthetic 1.5k/10k-gate circuits with many
+/// flip-flops), 0.96–1.02 at 26, and 0.96–1.20 from 34 up (s1488, s1494,
+/// the synthetic 10k–100k-gate scale circuits). DESIGN.md §18 has the
+/// table.
+pub const AUTO_WIDE_MAX_GATES_PER_SWEEP: usize = 32;
 
 impl SimBackend {
     /// Parses a backend name as accepted by `--sim-width`.
@@ -909,20 +941,44 @@ impl SimBackend {
         }
     }
 
-    /// Resolves `Auto` to a concrete backend.
-    ///
-    /// `Auto` picks [`SimBackend::Wide256`]: one AVX2 register per plane
-    /// operation on x86-64, and group-count amortization over [`Pv64`] at
-    /// every size. AVX2-vs-portable is decided separately, per gate
-    /// evaluation, inside [`Pv256`].
-    pub fn resolved(self) -> SimBackend {
+    /// The width a packed pass over `lanes` lanes of work runs at: a pinned
+    /// width itself, and for `Auto` [`SimBackend::Wide256`] when the work
+    /// fills more than two 64-lane words (see [`AUTO_NARROW_MAX_LANES`]),
+    /// [`SimBackend::Scalar64`] otherwise. AVX2-vs-portable is decided
+    /// separately, per gate evaluation, inside [`Pv256`].
+    pub fn for_lanes(self, lanes: usize) -> SimBackend {
+        match self {
+            SimBackend::Auto if lanes > AUTO_NARROW_MAX_LANES => SimBackend::Wide256,
+            SimBackend::Auto => SimBackend::Scalar64,
+            pinned => pinned,
+        }
+    }
+
+    /// The width a fault-simulation step over `faults` faults of `circuit`
+    /// runs at: [`SimBackend::for_lanes`], except that `Auto` stays on
+    /// 64-lane groups on a circuit with more than
+    /// [`AUTO_WIDE_MAX_GATES_PER_SWEEP`] gates per flip-flop or output.
+    pub fn for_step(self, faults: usize, circuit: &Circuit) -> SimBackend {
+        let sweep = circuit.num_dffs() + circuit.num_outputs();
+        match self {
+            SimBackend::Auto if circuit.num_gates() > AUTO_WIDE_MAX_GATES_PER_SWEEP * sweep => {
+                SimBackend::Scalar64
+            }
+            _ => self.for_lanes(faults),
+        }
+    }
+
+    /// `Auto` as the widest backend it may pick, for the `lanes` and `name`
+    /// reports.
+    pub(crate) fn resolved(self) -> SimBackend {
         match self {
             SimBackend::Auto => SimBackend::Wide256,
             concrete => concrete,
         }
     }
 
-    /// Lanes per fault group of the resolved backend.
+    /// Lanes per fault group of the resolved backend (for `Auto`, the most
+    /// a group may carry).
     pub fn lanes(self) -> usize {
         match self.resolved() {
             SimBackend::Scalar64 => Pv64::LANES,
@@ -1101,6 +1157,31 @@ mod tests {
         assert_eq!(SimBackend::Scalar64.to_string(), "scalar64");
         assert!("bogus".parse::<SimBackend>().is_err());
         assert_eq!("256".parse::<SimBackend>(), Ok(SimBackend::Wide256));
+    }
+
+    #[test]
+    fn auto_width_follows_the_work_and_the_circuit_shape() {
+        use gatest_netlist::benchmarks::iscas89;
+        let auto = SimBackend::Auto;
+        assert_eq!(auto.for_lanes(AUTO_NARROW_MAX_LANES), SimBackend::Scalar64);
+        assert_eq!(
+            auto.for_lanes(AUTO_NARROW_MAX_LANES + 1),
+            SimBackend::Wide256
+        );
+        // s298: 218 gates over 14 flip-flops and 6 outputs.
+        let dense = iscas89("s298").unwrap();
+        assert_eq!(auto.for_step(128, &dense), SimBackend::Scalar64);
+        assert_eq!(auto.for_step(129, &dense), SimBackend::Wide256);
+        // s1488: 903 gates over 6 flip-flops and 19 outputs.
+        let sparse = iscas89("s1488").unwrap();
+        assert!(sparse.num_gates() > AUTO_WIDE_MAX_GATES_PER_SWEEP * 25);
+        assert_eq!(auto.for_step(10_000, &sparse), SimBackend::Scalar64);
+        // A pinned width holds for every pass.
+        for pinned in [SimBackend::Scalar64, SimBackend::Wide256] {
+            assert_eq!(pinned.for_lanes(1), pinned);
+            assert_eq!(pinned.for_step(10_000, &dense), pinned);
+            assert_eq!(pinned.for_step(1, &sparse), pinned);
+        }
     }
 
     /// A deterministic per-lane value pattern: three-valued, cycling with a

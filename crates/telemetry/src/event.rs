@@ -17,7 +17,9 @@ pub enum RunEvent {
         total_faults: usize,
         /// Master random seed.
         seed: u64,
-        /// Resolved packed-simulation backend name (`scalar64`/`wide256`).
+        /// Packed-simulation backend (`scalar64`/`wide256`) a step over
+        /// every undetected fault starts the run at. Under `auto` later
+        /// steps follow their own fault counts.
         backend: String,
         /// Packed lanes per fault group for that backend (64/256).
         lanes: usize,

@@ -10,9 +10,10 @@
 #                               BENCH_TOLERANCE (default 0.15 = 15%) below
 #                               the committed baseline
 #
-# Both modes gate the instrumentation overhead recorded in the committed
-# full-mode BENCH_eval.json at BENCH_OVERHEAD_TOLERANCE (default 0.05 =
-# 5%). Typical readings are 0-1%; the ceiling sits above that because
+# Both modes gate the `auto` width rows of the committed BENCH_sim.json
+# (see auto_gate below), and the instrumentation overhead recorded in the
+# committed full-mode BENCH_eval.json at BENCH_OVERHEAD_TOLERANCE (default
+# 0.05 = 5%). Typical readings are 0-1%; the ceiling sits above that because
 # per-process memory-layout jitter (allocator/ASLR placement) biases any
 # single bench_eval run by a couple percent either way, and a real
 # regression (say, making span collection eager on the sim hot path)
@@ -98,14 +99,41 @@ overhead_gate() {
     }'
 }
 
+# auto_gate LABEL FILE -> fails when, on either width circuit of the
+# BENCH_sim document FILE, the `auto` rate falls more than TOLERANCE below
+# the faster of the pinned scalar64 and wide256 rates. The rows come from
+# one run, with the widths replaying the stream in interleaved chunks, so
+# the gate holds on any machine shape.
+auto_gate() {
+    for circuit in s298 s1423; do
+        awk -v label="$1 auto width $circuit" \
+            -v auto="$(wrate "$2" "$circuit" auto vectors_per_sec)" \
+            -v scalar="$(wrate "$2" "$circuit" scalar64 vectors_per_sec)" \
+            -v wide="$(wrate "$2" "$circuit" wide256 vectors_per_sec)" \
+            -v tol="$TOLERANCE" 'BEGIN {
+            best = scalar > wide ? scalar : wide
+            floor = best * (1 - tol)
+            if (auto < floor) {
+                printf "FAIL %s: %.0f/sec is %.1f%% below the faster pinned width (%.0f/sec, floor %.0f at %.0f%% tolerance)\n",
+                    label, auto, 100 * (1 - auto / best), best, floor, 100 * tol
+                exit 1
+            }
+            printf "ok   %s: %.0f/sec vs the faster pinned width %.0f/sec (floor %.0f)\n",
+                label, auto, best, floor
+        }'
+    done
+}
+
 if [ "$mode" = "--validate" ]; then
     validate_committed
+    auto_gate committed BENCH_sim.json
     overhead_gate committed BENCH_eval.json "$OVERHEAD_TOLERANCE"
     exit 0
 fi
 
 # --smoke: fresh runs, schema checks, then the regression gate.
 validate_committed
+auto_gate committed BENCH_sim.json
 overhead_gate committed BENCH_eval.json "$OVERHEAD_TOLERANCE"
 
 tmpdir="$(mktemp -d)"
@@ -161,6 +189,7 @@ for circuit in s298 s1423; do
             label, cur, base, floor
     }'
 done
+auto_gate smoke "$tmpdir/sim.json"
 
 # srate FILE CIRCUIT BACKEND THREADS -> vectors_per_sec from BENCH_scale's
 # row for that size, backend, and thread count.
