@@ -1,13 +1,12 @@
-//! Simulator-level bench: fault-simulation step throughput on s1423 at
-//! sim-thread counts 1, 2, 4, and 8. Each iteration restores a warmed
-//! mid-run checkpoint and applies the same 16-vector stream, so every
-//! thread count simulates an identical fault population and the timings
-//! are directly comparable. `bench_sim` (the companion binary) measures
-//! the same workload and records it in `BENCH_sim.json`.
+//! Simulator-level bench: fault-simulation step throughput on s1423. Each
+//! iteration restores a warmed mid-run checkpoint and applies the same
+//! 16-vector stream, so every iteration simulates an identical fault
+//! population. `bench_sim` (the companion binary) measures the same
+//! workload and records it in `BENCH_sim.json`.
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 
 use gatest_ga::Rng;
 use gatest_netlist::benchmarks;
@@ -34,21 +33,17 @@ fn bench_step_throughput(c: &mut Criterion) {
         .map(|_| (0..pis).map(|_| Logic::from_bool(vec_rng.coin())).collect())
         .collect();
 
-    for threads in [1usize, 2, 4, 8] {
-        let mut sim = base.clone();
-        sim.set_sim_threads(threads);
-        let cp = sim.checkpoint();
-        group.bench_function(BenchmarkId::new("sim_threads", threads), |b| {
-            b.iter(|| {
-                sim.restore(&cp);
-                let mut events = 0u64;
-                for v in &vectors {
-                    events += sim.step(v).faulty_events;
-                }
-                events
-            })
-        });
-    }
+    let cp = base.checkpoint();
+    group.bench_function("step", |b| {
+        b.iter(|| {
+            base.restore(&cp);
+            let mut events = 0u64;
+            for v in &vectors {
+                events += base.step(v).faulty_events;
+            }
+            events
+        })
+    });
     group.finish();
 }
 

@@ -6,17 +6,12 @@
 //! circuit size, not lane width. It drives the deterministic
 //! [`SyntheticGenerator`] at 1.5k, 10k, 50k, 100k, 250k, and 500k
 //! combinational gates and measures sequential fault-simulation throughput
-//! per packed backend and one multi-threaded layout at each size, asserting
-//! a per-size identity checksum — detection order plus per-step
-//! faulty-event and flip-flop-effect counts — is bit-identical across every
-//! row. Each size
-//! also records `peak_rss_kb`, the process resident-set high-water mark
-//! (`VmHWM`) observed once that size's rows finish; sizes run ascending, so
-//! the largest size's value bounds the whole sweep's memory.
-//!
-//! Rows whose `sim_threads` exceed the host's CPU count are skipped with a
-//! `"skipped_reason"` marker instead of recording a noise measurement — a
-//! single-CPU host cannot produce a meaningful 2-thread rate.
+//! per packed backend at each size, asserting a per-size identity checksum
+//! — detection order plus per-step faulty-event and flip-flop-effect counts
+//! — is bit-identical across every row. Each size also records
+//! `peak_rss_kb`, the process resident-set high-water mark (`VmHWM`)
+//! observed once that size's rows finish; sizes run ascending, so the
+//! largest size's value bounds the whole sweep's memory.
 //!
 //! Prints a JSON document to stdout; `scripts/bench_eval.sh` redirects it to
 //! `BENCH_scale.json` so the scaling trajectory is tracked across PRs.
@@ -88,21 +83,16 @@ const SIZES: [SizePoint; 6] = [
     },
 ];
 
-/// Rows measured at every size: `(backend, sim_threads)` — both packed
-/// widths serially, and a two-thread scalar64 layout so group scheduling
-/// is covered.
-const ROWS: [(SimBackend, usize); 3] = [
-    (SimBackend::Scalar64, 1),
-    (SimBackend::Wide256, 1),
-    (SimBackend::Scalar64, 2),
-];
+/// Backends measured at every size: both packed widths.
+const ROWS: [SimBackend; 2] = [SimBackend::Scalar64, SimBackend::Wide256];
 
 const GENERATOR_SEED: u64 = 94;
 /// Bumped whenever the document shape changes; `--validate` requires it.
 /// 2 added a per-row shard count, `peak_rss_kb` per size, the 250k/500k
 /// points, and the skipped-row shape for thread counts the host lacks; 3
-/// dropped the shard-count column and the 512-lane and sharded rows.
-const SCHEMA_VERSION: u64 = 3;
+/// dropped the shard-count column and the 512-lane and sharded rows; 4
+/// dropped the thread-count column and the two-thread row.
+const SCHEMA_VERSION: u64 = 4;
 
 /// `--NAME VALUE` from the args, else the `env` variable, else `"unknown"`.
 fn provenance(args: &[String], name: &str, env: &str) -> String {
@@ -159,7 +149,7 @@ fn main() {
         if i > 0 {
             blocks.push_str(",\n");
         }
-        blocks.push_str(&measure_size(point, host_cpus));
+        blocks.push_str(&measure_size(point));
     }
 
     println!(
@@ -168,11 +158,9 @@ fn main() {
     );
 }
 
-/// Measures every backend/thread row at one size, asserting the
-/// identity checksum agrees across all of them, and returns the size's
-/// JSON block. Rows needing more threads than the host has are emitted as
-/// `skipped_reason` markers rather than noise measurements.
-fn measure_size(point: &SizePoint, host_cpus: usize) -> String {
+/// Measures every backend row at one size, asserting the identity
+/// checksum agrees across all of them, and returns the size's JSON block.
+fn measure_size(point: &SizePoint) -> String {
     let name = format!("scale_{}", point.gates);
     let profile = CircuitProfile {
         name: name.clone(),
@@ -208,37 +196,25 @@ fn measure_size(point: &SizePoint, host_cpus: usize) -> String {
 
     let mut rows = String::new();
     let mut reference: Option<u64> = None;
-    for (backend, threads) in ROWS {
+    for backend in ROWS {
         if !rows.is_empty() {
             rows.push_str(",\n");
-        }
-        if threads > host_cpus {
-            rows.push_str(&format!(
-                "        {{\"backend\": \"{}\", \"sim_threads\": {threads}, \"skipped_reason\": \"sim_threads {threads} exceeds host_cpus {host_cpus}\"}}",
-                backend.name(),
-            ));
-            eprintln!(
-                "{name} {} t{threads}: skipped (sim_threads {threads} exceeds host_cpus {host_cpus})",
-                backend.name(),
-            );
-            continue;
         }
         let mut sim = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
         sim.import_state(&warm);
         sim.set_backend(backend);
-        sim.set_sim_threads(threads);
         let (secs, sum, events) = run_stream(&mut sim, &stream);
         match reference {
             None => reference = Some(sum),
             Some(c) => assert_eq!(
                 c,
                 sum,
-                "{name}: {} sim_threads={threads} diverged from the reference results",
+                "{name}: {} diverged from the reference results",
                 backend.name()
             ),
         }
         rows.push_str(&format!(
-            "        {{\"backend\": \"{}\", \"sim_threads\": {threads}, \"lanes\": {}, \"vectors\": {}, \"secs\": {secs:.4}, \"vectors_per_sec\": {:.0}, \"fault_events_per_sec\": {:.0}, \"identity_checksum\": {sum}}}",
+            "        {{\"backend\": \"{}\", \"lanes\": {}, \"vectors\": {}, \"secs\": {secs:.4}, \"vectors_per_sec\": {:.0}, \"fault_events_per_sec\": {:.0}, \"identity_checksum\": {sum}}}",
             backend.name(),
             backend.lanes(),
             point.vectors,
@@ -246,7 +222,7 @@ fn measure_size(point: &SizePoint, host_cpus: usize) -> String {
             events as f64 / secs,
         ));
         eprintln!(
-            "{name} {} t{threads}: {} vectors in {secs:.2}s = {:.0} vectors/sec ({:.0} fault events/sec)",
+            "{name} {}: {} vectors in {secs:.2}s = {:.0} vectors/sec ({:.0} fault events/sec)",
             backend.name(),
             point.vectors,
             point.vectors as f64 / secs,
@@ -266,7 +242,7 @@ fn measure_size(point: &SizePoint, host_cpus: usize) -> String {
 
 /// Replays `stream` through `sim`, returning elapsed seconds, the identity
 /// checksum (detection order plus per-step faulty-event and flip-flop-effect
-/// counts — all width-, thread-, and batching-invariant), and the total
+/// counts — all width- and batching-invariant), and the total
 /// faulty-event count.
 fn run_stream(sim: &mut FaultSim, stream: &[Vec<Logic>]) -> (f64, u64, u64) {
     let mut events = 0u64;
@@ -323,7 +299,6 @@ fn validate(path: &str) -> Result<String, String> {
             sizes.len()
         ));
     }
-    let mut skipped = 0usize;
     for (i, size) in sizes.iter().enumerate() {
         size.get("circuit")
             .and_then(|v| v.as_str())
@@ -355,25 +330,10 @@ fn validate(path: &str) -> Result<String, String> {
                 ROWS.len()
             ));
         }
-        let mut measured = 0usize;
         for (j, row) in rows.iter().enumerate() {
             row.get("backend")
                 .and_then(|v| v.as_str())
                 .ok_or_else(|| format!("sizes[{i}].rows[{j}] missing string `backend`"))?;
-            row.get("sim_threads")
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("sizes[{i}].rows[{j}] missing numeric `sim_threads`"))?;
-            // A row is either a skipped marker (reason, no measurements)
-            // or a full measurement; both shapes are valid baselines so
-            // single-CPU hosts never commit noise rows.
-            if let Some(reason) = row.get("skipped_reason") {
-                reason.as_str().ok_or_else(|| {
-                    format!("sizes[{i}].rows[{j}] `skipped_reason` is not a string")
-                })?;
-                skipped += 1;
-                continue;
-            }
-            measured += 1;
             for key in [
                 "lanes",
                 "vectors",
@@ -385,8 +345,8 @@ fn validate(path: &str) -> Result<String, String> {
                     .and_then(|v| v.as_f64())
                     .ok_or_else(|| format!("sizes[{i}].rows[{j}] missing numeric `{key}`"))?;
             }
-            // The baseline itself is proof the widths and layouts agreed
-            // when it was recorded.
+            // The baseline itself is proof the widths agreed when it was
+            // recorded.
             let row_sum = row
                 .get("identity_checksum")
                 .and_then(|v| v.as_f64())
@@ -397,12 +357,9 @@ fn validate(path: &str) -> Result<String, String> {
                 ));
             }
         }
-        if measured == 0 {
-            return Err(format!("sizes[{i}] has no measured rows, only skipped"));
-        }
     }
     Ok(format!(
-        "{path} ok: {} sizes, {} rows each ({skipped} skipped), host_cpus {cpus}",
+        "{path} ok: {} sizes, {} rows each, host_cpus {cpus}",
         sizes.len(),
         ROWS.len()
     ))

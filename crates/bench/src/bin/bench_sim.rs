@@ -1,18 +1,16 @@
 //! Fault-simulation step-throughput microbenchmark.
 //!
-//! Measures the number the fault-group pool exists to improve: sequential
-//! fault-simulation vectors per second on s1423, at sim-thread counts 1, 2,
-//! 4, and 8. Every thread count replays the same random vector stream from
-//! the same warmed simulator state, and the run asserts that an identity
-//! checksum — step index × fault id over every newly detected fault, plus
-//! every step's faulty-event and flip-flop-effect counts — is bit-identical
-//! across all of them.
+//! Measures sequential fault-simulation vectors per second on s1423: one
+//! `results` row replays a random vector stream from a warmed simulator
+//! state, pinned to `scalar64`, and records an identity checksum — step
+//! index × fault id over every newly detected fault, plus every step's
+//! faulty-event and flip-flop-effect counts.
 //!
-//! The thread sweep runs pinned to `scalar64`. A second `width` section
-//! compares the packed-value backends — pinned Pv64 and Pv256, and `auto`,
-//! which picks each step's width ([`SimBackend::for_step`]) — at serial
-//! thread count on s298 and s1423, asserting the same identity checksum
-//! across widths — the backend must change throughput only, never results.
+//! A second `width` section compares the packed-value backends — pinned
+//! Pv64 and Pv256, and `auto`, which picks each step's width
+//! ([`SimBackend::for_step`]) — on s298 and s1423, asserting the same
+//! identity checksum across widths — the backend must change throughput
+//! only, never results.
 //! The widths replay the stream in interleaved chunks, so a slow spell of
 //! the host lands on every width alike instead of on one row. Smoke mode
 //! additionally replays a short stream through one synthetic
@@ -35,7 +33,6 @@ use gatest_sim::{FaultSim, Logic, SimBackend};
 use gatest_telemetry::json::parse_json;
 
 const CIRCUIT: &str = "s1423";
-const SIM_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// Circuits the packed-backend width comparison runs on: one mid-size and
 /// one tier-1-largest, so lane utilization at both group counts is covered.
 const WIDTH_CIRCUITS: [&str; 2] = ["s298", "s1423"];
@@ -46,8 +43,9 @@ const WIDTH_CHUNK: usize = 50;
 /// Bumped whenever the document shape changes; `--validate` requires it.
 /// 2 added provenance (`git_revision`, `timestamp`); 3 added the `width`
 /// packed-backend comparison section; 4 added the skipped-row shape for
-/// thread counts the host cannot measure meaningfully.
-const SCHEMA_VERSION: u64 = 4;
+/// thread counts the host cannot measure meaningfully; 5 dropped the
+/// sim-thread sweep, leaving one serial `scalar64` row in `results`.
+const SCHEMA_VERSION: u64 = 5;
 
 /// `--NAME VALUE` from the args, else the `env` variable, else `"unknown"`.
 /// Benchmarks never read the clock or the repo themselves — provenance is
@@ -81,9 +79,9 @@ fn main() {
     }
     let git_revision = provenance(&args, "--git-rev", "GATEST_GIT_REV");
     let timestamp = provenance(&args, "--timestamp", "GATEST_BENCH_TIMESTAMP");
-    // Full mode applies enough vectors per thread count for a stable
-    // baseline; smoke mode still runs long enough (~0.15 s serial) that the
-    // regression gate in scripts/check_bench.sh can compare rates.
+    // Full mode applies enough vectors for a stable baseline; smoke mode
+    // still runs long enough (~0.15 s) that the regression gate in
+    // scripts/check_bench.sh can compare rates.
     let vectors = if smoke { 400 } else { 1500 };
 
     let circuit = Arc::new(benchmarks::iscas89(CIRCUIT).expect("bundled circuit"));
@@ -106,56 +104,30 @@ fn main() {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
 
-    let mut rows = String::new();
-    let mut checksum: Option<u64> = None;
-    for (i, &threads) in SIM_THREADS.iter().enumerate() {
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        // A thread count past the host's CPUs measures scheduler noise,
-        // not throughput; record a skipped marker instead of a noise row.
-        if threads > host_cpus {
-            rows.push_str(&format!(
-                "    {{\"sim_threads\": {threads}, \"skipped_reason\": \"sim_threads {threads} exceeds host_cpus {host_cpus}\"}}"
-            ));
-            eprintln!("sim_threads {threads}: skipped (exceeds host_cpus {host_cpus})");
-            continue;
-        }
-        let mut sim = base.clone();
-        sim.set_backend(SimBackend::Scalar64);
-        sim.set_sim_threads(threads);
-        let (secs, sum, events) = run_stream(&mut sim, &stream, 0);
-        match checksum {
-            None => checksum = Some(sum),
-            Some(c) => assert_eq!(
-                c, sum,
-                "sim_threads {threads} diverged from the serial detection order"
-            ),
-        }
-        rows.push_str(&format!(
-            "    {{\"sim_threads\": {threads}, \"vectors\": {vectors}, \"secs\": {secs:.4}, \"vectors_per_sec\": {:.0}, \"fault_events_per_sec\": {:.0}}}",
-            vectors as f64 / secs,
-            events as f64 / secs
-        ));
-        eprintln!(
-            "sim_threads {threads}: {vectors} vectors in {secs:.2}s = {:.0} vectors/sec ({:.0} fault events/sec)",
-            vectors as f64 / secs,
-            events as f64 / secs
-        );
-    }
+    base.set_backend(SimBackend::Scalar64);
+    let (secs, checksum, events) = run_stream(&mut base, &stream, 0);
+    let row = format!(
+        "    {{\"backend\": \"scalar64\", \"vectors\": {vectors}, \"secs\": {secs:.4}, \"vectors_per_sec\": {:.0}, \"fault_events_per_sec\": {:.0}}}",
+        vectors as f64 / secs,
+        events as f64 / secs
+    );
+    eprintln!(
+        "{CIRCUIT} scalar64: {vectors} vectors in {secs:.2}s = {:.0} vectors/sec ({:.0} fault events/sec)",
+        vectors as f64 / secs,
+        events as f64 / secs
+    );
 
     println!(
-        "{{\n  \"bench\": \"step_throughput\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"git_revision\": \"{git_revision}\",\n  \"timestamp\": \"{timestamp}\",\n  \"circuit\": \"{CIRCUIT}\",\n  \"mode\": \"{}\",\n  \"host_cpus\": {host_cpus},\n  \"identity_checksum\": {},\n  \"results\": [\n{rows}\n  ],\n  \"width\": [\n{}\n  ]\n}}",
+        "{{\n  \"bench\": \"step_throughput\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"git_revision\": \"{git_revision}\",\n  \"timestamp\": \"{timestamp}\",\n  \"circuit\": \"{CIRCUIT}\",\n  \"mode\": \"{}\",\n  \"host_cpus\": {host_cpus},\n  \"identity_checksum\": {checksum},\n  \"results\": [\n{row}\n  ],\n  \"width\": [\n{}\n  ]\n}}",
         if smoke { "smoke" } else { "full" },
-        checksum.unwrap_or(0),
         width_rows(smoke)
     );
 }
 
 /// Replays `stream` through `sim`, returning elapsed seconds, the identity
 /// checksum (step index × fault id over every newly detected fault plus
-/// per-step faulty-event and flip-flop-effect counts — all width- and
-/// thread-invariant), and the total faulty-event count. `first` is the
+/// per-step faulty-event and flip-flop-effect counts — all
+/// width-invariant), and the total faulty-event count. `first` is the
 /// stream index of `stream[0]`, so the checksums of consecutive chunks add
 /// up to the whole stream's.
 fn run_stream(sim: &mut FaultSim, stream: &[Vec<Logic>], first: usize) -> (f64, u64, u64) {
@@ -334,32 +306,16 @@ fn validate(path: &str) -> Result<String, String> {
     let results = field("results")?
         .as_array()
         .ok_or("`results` is not an array")?;
-    if results.is_empty() {
-        return Err("`results` is empty".into());
-    }
-    let mut measured = 0usize;
-    for (i, row) in results.iter().enumerate() {
-        row.get("sim_threads")
+    let [row] = results else {
+        return Err(format!("`results` has {} rows, expected 1", results.len()));
+    };
+    row.get("backend")
+        .and_then(|v| v.as_str())
+        .ok_or("results[0] missing string `backend`")?;
+    for key in ["vectors", "secs", "vectors_per_sec", "fault_events_per_sec"] {
+        row.get(key)
             .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("results[{i}] missing numeric `sim_threads`"))?;
-        // A row is either a skipped marker (reason, no measurements) or a
-        // full measurement; both shapes are valid baselines so single-CPU
-        // hosts never commit noise rows for thread counts they lack.
-        if let Some(reason) = row.get("skipped_reason") {
-            reason
-                .as_str()
-                .ok_or_else(|| format!("results[{i}] `skipped_reason` is not a string"))?;
-            continue;
-        }
-        measured += 1;
-        for key in ["vectors", "secs", "vectors_per_sec", "fault_events_per_sec"] {
-            row.get(key)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("results[{i}] missing numeric `{key}`"))?;
-        }
-    }
-    if measured == 0 {
-        return Err("`results` has no measured rows, only skipped".into());
+            .ok_or_else(|| format!("results[0] missing numeric `{key}`"))?;
     }
     let width = field("width")?
         .as_array()
@@ -403,8 +359,7 @@ fn validate(path: &str) -> Result<String, String> {
         }
     }
     Ok(format!(
-        "{path} ok: {} thread counts, {} width rows, host_cpus {cpus}",
-        results.len(),
+        "{path} ok: 1 serial row, {} width rows, host_cpus {cpus}",
         width.len()
     ))
 }

@@ -71,22 +71,6 @@ fn worker_count(opts: &Opts) -> Result<usize, Box<dyn Error>> {
     })
 }
 
-/// Parses `--sim-threads`: a positive integer, or `0` / `auto` meaning all
-/// available cores. Defaults to 1 (serial fault-group simulation).
-fn sim_thread_count(opts: &Opts) -> Result<usize, Box<dyn Error>> {
-    let Some(value) = opts.get("sim-threads") else {
-        return Ok(1);
-    };
-    if value == "auto" {
-        return Ok(0);
-    }
-    value.parse().map_err(|_| {
-        UsageError::boxed(format!(
-            "--sim-threads expects a non-negative integer or `auto`, got `{value}`"
-        ))
-    })
-}
-
 /// Parses `--sim-width`: `auto` (the default: each step's width follows its
 /// fault count and the circuit's shape), or `scalar64`/`64` and
 /// `wide256`/`256` to pin one width.
@@ -208,7 +192,6 @@ pub fn atpg(opts: &Opts) -> Result<ExitCode, Box<dyn Error>> {
     let circuit = load_circuit(&spec)?;
     let mut config = GatestConfig::for_circuit(&circuit)
         .with_workers(worker_count(opts)?)
-        .with_sim_threads(sim_thread_count(opts)?)
         .with_sim_width(sim_width_backend(opts)?)
         .with_dedup(!opts.has("no-dedup"));
     if let Some(entries) = eval_cache_override(opts)? {

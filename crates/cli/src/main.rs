@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! gatest atpg     <circuit> [--seed N] [--sample N] [--workers N|auto]
-//!                 [--sim-threads N|auto] [--sim-width auto|scalar64|wide256]
-//!                 [--out tests.txt]
+//!                 [--sim-width auto|scalar64|wide256] [--out tests.txt]
 //!                 [--eval-cache N|off] [--no-dedup] [--paranoid-cache]
 //!                 [--trace-out trace.jsonl] [--progress] [-v|--verbose] [-q|--quiet]
 //!                 [--metrics-addr 127.0.0.1:9184]
@@ -11,18 +10,17 @@
 //!                 [--max-wall-secs S] [--max-evals N] [--result-json FILE]
 //!                 [--fault-report FILE]
 //!
-//! `--workers` (alias `--threads`) sets the fitness-evaluation pool size;
-//! `--sim-threads` sets the fault-group parallelism inside each simulator
-//! (total simulation threads = workers × sim-threads). Both take a positive
-//! integer, or `0`/`auto` for all available cores. Results are bit-identical
-//! at every combination.
+//! `--workers` (alias `--threads`) sets the fitness-evaluation pool size: a
+//! positive integer, or `0`/`auto` for all available cores. It is the only
+//! parallel layer; each worker's simulator steps its fault groups serially.
+//! Results are bit-identical at every worker count.
 //!
 //! `--sim-width` picks the packed-simulation backend: `auto` (default:
 //! each step runs 256 fault machines per word when it simulates more than
 //! 128 faults on a circuit with at most 32 gates per flip-flop or output,
 //! 64 otherwise), or a pinned `scalar64` (64 lanes) or
 //! `wide256` (256 lanes, autovectorized with an AVX2 path when the host has
-//! it). Like the thread knobs it is an execution detail: results are
+//! it). Like the worker count it is an execution detail: results are
 //! bit-identical at every width, and a checkpoint taken at one width
 //! resumes at another.
 //!
@@ -141,13 +139,12 @@ fn usage() -> String {
     s.push_str("trace phases prints a traced run's span-time breakdown and\n");
     s.push_str("trace diff <a> <b> [--threshold PCT] [--no-timing] gates regressions\n");
     s.push_str("\nparallelism (atpg): --workers N (alias --threads) sizes the\n");
-    s.push_str("fitness-evaluation pool; --sim-threads N sizes the fault-group\n");
-    s.push_str("pool inside each simulator; 0 or `auto` uses all available\n");
-    s.push_str("cores; --sim-width auto|scalar64|wide256 picks the packed backend\n");
+    s.push_str("fitness-evaluation pool; 0 or `auto` uses all available cores;\n");
+    s.push_str("--sim-width auto|scalar64|wide256 picks the packed backend\n");
     s.push_str("(default auto: 256 fault machines per word for steps over 128\n");
     s.push_str("faults unless the circuit has over 32 gates per flip-flop or\n");
     s.push_str("output, 64 otherwise; scalar64/wide256 pin one width); results\n");
-    s.push_str("are bit-identical at every workers/sim-threads/sim-width combination\n");
+    s.push_str("are bit-identical at every workers/sim-width combination\n");
     s.push_str("\nmemoization (atpg): --eval-cache N bounds the fitness cache\n");
     s.push_str("(default 4096; `off` disables cache, dedup, and prefix sharing);\n");
     s.push_str("--no-dedup keeps duplicate chromosomes' evaluations; --paranoid-cache\n");
@@ -184,7 +181,6 @@ const COMMAND_FLAGS: [(&str, &[&str]); 10] = [
             "sample",
             "workers",
             "threads",
-            "sim-threads",
             "sim-width",
             "out",
             "eval-cache",

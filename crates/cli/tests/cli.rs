@@ -138,6 +138,7 @@ fn flags_a_command_does_not_take_exit_with_code_2() {
             &["atpg", "s27", "--fault-shards", "2"][..],
             "--fault-shards",
         ),
+        (&["atpg", "s27", "--sim-threads", "2"][..], "--sim-threads"),
         (&["stats", "s27", "--seed", "1"][..], "--seed"),
     ] {
         let out = gatest(args);

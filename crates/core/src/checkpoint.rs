@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! magic   8 bytes   b"GATESTCP"
-//! version u32       format version (currently 5)
+//! version u32       format version (currently 6)
 //! payload ...       length-prefixed fields in a fixed order
 //! crc     u64       FNV-1a 64 over magic + version + payload
 //! ```
@@ -50,12 +50,13 @@ pub const MAGIC: [u8; 8] = *b"GATESTCP";
 /// version 3 added the wide-backend counters (`wide_groups`,
 /// `lanes_per_group`); version 4 stored the simulator state as a vector of
 /// per-shard [`SimState`]s; version 5 stores exactly one [`SimState`] and
-/// drops the two shard counters. Older files are rejected with
-/// [`CheckpointError::VersionMismatch`]. Note that the simulation backend
-/// is not stored: like thread counts, it is an execution detail that cannot
-/// change results, so a run may resume under a different `--sim-width`
-/// than it was checkpointed with.
-pub const VERSION: u32 = 5;
+/// drops the two shard counters; version 6 drops the two fault-group pool
+/// counters (`group_tasks`, `group_steal_ns`), leaving 23. Older files are
+/// rejected with [`CheckpointError::VersionMismatch`]. Note that the
+/// simulation backend is not stored: like the worker count, it is an
+/// execution detail that cannot change results, so a run may resume under
+/// a different `--sim-width` than it was checkpointed with.
+pub const VERSION: u32 = 6;
 
 /// A complete, serializable snapshot of an in-progress (or finished)
 /// generator run. Produced by the generator's checkpoint cadence or its
@@ -229,7 +230,7 @@ pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Digest of every configuration field that influences the search path
 /// (everything except the seed — stored separately — and the runtime-only
-/// knobs `parallel_workers`, `sim_threads`, `sim_width`, the two budget
+/// knobs `parallel_workers`, `sim_width`, the two budget
 /// limits, and the memoization knobs `eval_cache_entries` /
 /// `dedup` / `paranoid_cache`, which are all bit-identity-neutral). Resume
 /// compares this digest so a checkpoint is never silently continued under
@@ -545,8 +546,6 @@ impl RunSnapshot {
             c.packed_phase1_frames,
             c.pool_tasks,
             c.pool_idle_ns,
-            c.group_tasks,
-            c.group_steal_ns,
             c.scratch_bytes_reused,
             c.checkpoint_writes,
             c.checkpoint_bytes,
@@ -691,7 +690,7 @@ impl RunSnapshot {
             faulty_ff,
             vectors_applied: d.u32("sim.vectors_applied")?,
         };
-        let mut counter_fields = [0u64; 25];
+        let mut counter_fields = [0u64; 23];
         for v in &mut counter_fields {
             *v = d.u64("counters")?;
         }
@@ -706,21 +705,19 @@ impl RunSnapshot {
             packed_phase1_frames: counter_fields[7],
             pool_tasks: counter_fields[8],
             pool_idle_ns: counter_fields[9],
-            group_tasks: counter_fields[10],
-            group_steal_ns: counter_fields[11],
-            scratch_bytes_reused: counter_fields[12],
-            checkpoint_writes: counter_fields[13],
-            checkpoint_bytes: counter_fields[14],
-            cache_hits: counter_fields[15],
-            cache_misses: counter_fields[16],
-            dedup_skips: counter_fields[17],
-            prefix_frames_avoided: counter_fields[18],
-            wide_groups: counter_fields[19],
-            lanes_per_group: counter_fields[20],
-            events_amortized: counter_fields[21],
-            commit_batch_frames: counter_fields[22],
-            csr_bytes: counter_fields[23],
-            report_records_streamed: counter_fields[24],
+            scratch_bytes_reused: counter_fields[10],
+            checkpoint_writes: counter_fields[11],
+            checkpoint_bytes: counter_fields[12],
+            cache_hits: counter_fields[13],
+            cache_misses: counter_fields[14],
+            dedup_skips: counter_fields[15],
+            prefix_frames_avoided: counter_fields[16],
+            wide_groups: counter_fields[17],
+            lanes_per_group: counter_fields[18],
+            events_amortized: counter_fields[19],
+            commit_batch_frames: counter_fields[20],
+            csr_bytes: counter_fields[21],
+            report_records_streamed: counter_fields[22],
         };
         if d.pos != d.buf.len() {
             return Err(CheckpointError::Corrupt(format!(
@@ -902,10 +899,11 @@ mod tests {
     fn old_versions_are_rejected_with_the_found_version() {
         // Version 2 added the eval epoch and memoization counters; version 3
         // added the wide-backend counters; version 4 stored per-shard sim
-        // states and two shard counters, which version 5 drops. Older files
-        // differ in layout, so decoding must refuse them up front rather
-        // than misinterpret the stream.
-        for old in [1u32, 2, 3, 4] {
+        // states and two shard counters, which version 5 drops; version 5
+        // stored the two fault-group pool counters, which version 6 drops.
+        // Older files differ in layout, so decoding must refuse them up
+        // front rather than misinterpret the stream.
+        for old in [1u32, 2, 3, 4, 5] {
             let mut bytes = sample_snapshot().encode();
             bytes[8..12].copy_from_slice(&old.to_le_bytes());
             match RunSnapshot::decode(&bytes) {
@@ -958,7 +956,6 @@ mod tests {
         let a = GatestConfig::default();
         let mut b = a.clone();
         b.parallel_workers = 8;
-        b.sim_threads = 4;
         b.max_evals = Some(100);
         b.max_wall_secs = Some(1.0);
         b.seed = 999;

@@ -97,23 +97,16 @@ pub struct GatestConfig {
     /// `0` means auto-detect: use [`std::thread::available_parallelism`]
     /// (see [`GatestConfig::resolved_workers`]). Results are bit-identical
     /// for any worker count (the paper's conclusion points at exactly this
-    /// parallelism).
+    /// parallelism). This pool is the only parallel layer: each simulator
+    /// steps its fault groups serially on the thread that owns it.
     pub parallel_workers: usize,
-    /// Fault-group simulation threads inside each fault simulator. `1`
-    /// propagates the ≤64-fault Pv64 groups serially; larger values fan
-    /// each step's groups out across a persistent in-simulator pool (see
-    /// `gatest-sim`). `0` means auto-detect like `parallel_workers`.
-    /// Composes with `parallel_workers` — total simulation threads are
-    /// `workers × sim_threads` — and results stay bit-identical at any
-    /// combination (see [`GatestConfig::resolved_sim_threads`]).
-    pub sim_threads: usize,
     /// Packed-simulation backend width: `auto` (the default: each step
     /// runs on 256-lane groups when it simulates more than 128 faults on a
     /// circuit with at most 32 gates per flip-flop or output, and on
     /// 64-lane groups otherwise; see [`SimBackend::for_step`]), or a pinned
     /// `scalar64` (one 64-lane `u64` word per plane) or `wide256` (four
-    /// words, autovectorized with a runtime AVX2 fast path). Like the thread
-    /// counts this is an execution detail: results are bit-identical at any
+    /// words, autovectorized with a runtime AVX2 fast path). Like the worker
+    /// count this is an execution detail: results are bit-identical at any
     /// width, so it is excluded from the checkpoint config digest and a run
     /// may resume under a different width.
     pub sim_width: SimBackend,
@@ -167,7 +160,6 @@ impl Default for GatestConfig {
             max_sequence_failures: 4,
             max_vectors: 10_000,
             parallel_workers: 1,
-            sim_threads: 1,
             sim_width: SimBackend::Auto,
             eval_cache_entries: 4096,
             dedup: true,
@@ -209,14 +201,6 @@ impl GatestConfig {
     /// at run time, see [`GatestConfig::resolved_workers`]).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.parallel_workers = workers;
-        self
-    }
-
-    /// A new configuration with a different fault-group simulation thread
-    /// count (`0` = auto-detect at run time, see
-    /// [`GatestConfig::resolved_sim_threads`]).
-    pub fn with_sim_threads(mut self, sim_threads: usize) -> Self {
-        self.sim_threads = sim_threads;
         self
     }
 
@@ -263,19 +247,6 @@ impl GatestConfig {
                 .unwrap_or(1)
         } else {
             self.parallel_workers
-        }
-    }
-
-    /// The effective fault-group simulation thread count: `sim_threads`,
-    /// or the machine's [`std::thread::available_parallelism`] when it is
-    /// `0` (falling back to 1 if the parallelism cannot be determined).
-    pub fn resolved_sim_threads(&self) -> usize {
-        if self.sim_threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.sim_threads
         }
     }
 
@@ -358,24 +329,6 @@ mod tests {
             GatestConfig::default().with_workers(6).resolved_workers(),
             6
         );
-    }
-
-    #[test]
-    fn sim_threads_resolve_like_workers() {
-        let cfg = GatestConfig::default();
-        assert_eq!(cfg.sim_threads, 1, "serial by default");
-        assert_eq!(cfg.resolved_sim_threads(), 1);
-        assert_eq!(
-            GatestConfig::default()
-                .with_sim_threads(4)
-                .resolved_sim_threads(),
-            4
-        );
-        let auto = GatestConfig::default().with_sim_threads(0);
-        assert!(auto.resolved_sim_threads() >= 1);
-        if let Ok(n) = std::thread::available_parallelism() {
-            assert_eq!(auto.resolved_sim_threads(), n.get());
-        }
     }
 
     #[test]

@@ -324,7 +324,6 @@ impl TestGenerator {
         let seq_depth = sequential_depth(&circuit);
         let counters = Arc::new(SimCounters::new());
         sim.set_counters(Some(Arc::clone(&counters)));
-        sim.set_sim_threads(config.resolved_sim_threads());
         sim.set_backend(config.sim_width);
         TestGenerator {
             circuit,

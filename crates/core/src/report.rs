@@ -114,13 +114,6 @@ pub fn telemetry_table(result: &TestGenResult) -> String {
         "pool idle",
         t.counters.pool_idle_ns as f64 / 1e9
     );
-    let _ = writeln!(out, "{:<22} {:>10}", "group tasks", t.counters.group_tasks);
-    let _ = writeln!(
-        out,
-        "{:<22} {:>9.2}s",
-        "group steal",
-        t.counters.group_steal_ns as f64 / 1e9
-    );
     // Wide-backend counters are zero for scalar64 runs and absent entirely
     // in traces from before the width-generic backend; print them only when
     // a wide backend actually ran, so old and narrow outputs are unchanged.
@@ -516,8 +509,6 @@ mod tests {
                     packed_phase1_frames: 40,
                     pool_tasks: 12,
                     pool_idle_ns: 80_000_000,
-                    group_tasks: 340,
-                    group_steal_ns: 6_000_000,
                     scratch_bytes_reused: 3_400_000,
                     checkpoint_writes: 3,
                     checkpoint_bytes: 18_000,
@@ -616,8 +607,6 @@ mod tests {
             "packed p1 frames",
             "pool tasks",
             "pool idle",
-            "group tasks",
-            "group steal",
             "wide groups",
             "lanes/group",
             "events amortized",

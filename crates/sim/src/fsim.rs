@@ -28,16 +28,16 @@
 
 use std::sync::Arc;
 
+use gatest_netlist::levelize::Levelization;
 use gatest_netlist::Circuit;
 use gatest_telemetry::{Instruments, SimCounters, SpanHandle, SpanKind};
 
 use crate::fault::{FaultId, FaultList, FaultStatus};
 use crate::good_sim::{GoodSim, GoodSimState, GoodStepReport};
 use crate::group::{
-    simulate_group, simulate_group_window, Arena, FaultyFfState, GoodFrame, GroupCtx, GroupOutcome,
-    GroupWidth, OutcomeSlots,
+    simulate_group, Arena, FaultyFfState, GoodFrame, GroupCtx, GroupOutcome, GroupWidth,
+    OutcomeSlots,
 };
-use crate::grouppool::GroupPool;
 use crate::value::{LaneMask, Logic, Pv256, Pv64, SimBackend};
 
 /// Statistics from simulating one vector over the active fault list.
@@ -196,31 +196,23 @@ pub struct FaultSim {
     comb_gates: u64,
     /// The requested packed-value backend (possibly `Auto`).
     backend: SimBackend,
-    /// Execution scratch: arena, outcome slots, and worker pool.
+    /// Execution scratch: arena and outcome slots.
     engine: Engine,
-    /// Requested fault-group parallelism: 1 = serial (default), 0 = one
-    /// thread per available core, N = exactly N threads.
-    sim_threads: usize,
 }
 
 /// The simulator's execution scratch: the propagation arena (built by the
-/// first step), per-width outcome slots, and the worker pool (built by the
-/// first step that can fan out). Nothing here outlives a step's meaning, so
-/// a clone starts empty and builds its own on demand.
+/// first step) and per-width outcome slots. Nothing here outlives a step's
+/// meaning, so a clone starts empty and builds its own on demand.
 #[derive(Debug, Default)]
 struct Engine {
     /// The simulator's own propagation arena, shared by both widths.
     arena: Option<Arena>,
-    /// Per-group outcome slots, reused across steps.
+    /// Per-frame outcome slots, reused across steps.
     slots: OutcomeSlots,
-    /// The persistent fault-group worker pool, created lazily on the first
-    /// step that can actually use it (so serial simulators, clones, and
-    /// short runs never spawn threads). One pool serves both widths.
-    pool: Option<GroupPool>,
 }
 
 impl Clone for Engine {
-    /// A fresh, empty engine: arenas, slots, and pools are never copied.
+    /// A fresh, empty engine: arenas and slots are never copied.
     fn clone(&self) -> Self {
         Engine::default()
     }
@@ -228,8 +220,7 @@ impl Clone for Engine {
 
 impl Clone for FaultSim {
     /// Clones the simulator state but **not** its execution scratch: the
-    /// clone keeps its backend and `sim_threads` settings and lazily builds
-    /// its own arena (and pool, if a parallel step ever runs on it).
+    /// clone keeps its backend setting and lazily builds its own arena.
     fn clone(&self) -> Self {
         FaultSim {
             circuit: Arc::clone(&self.circuit),
@@ -247,7 +238,6 @@ impl Clone for FaultSim {
             comb_gates: self.comb_gates,
             backend: self.backend,
             engine: self.engine.clone(),
-            sim_threads: self.sim_threads,
         }
     }
 }
@@ -284,7 +274,6 @@ impl FaultSim {
             faults,
             backend: SimBackend::default(),
             engine: Engine::default(),
-            sim_threads: 1,
         }
     }
 
@@ -348,10 +337,10 @@ impl FaultSim {
     }
 
     /// Attaches (or detaches, with `None`) the shared instrumentation
-    /// bundle: step timings flow into its span tree and the group-merge
-    /// wait histogram. Like [`FaultSim::set_counters`], clones keep
-    /// reporting into the same shared bundle. Instrumentation is
-    /// observational only — results are bit-identical with or without it.
+    /// bundle: step and merge timings flow into its span tree. Like
+    /// [`FaultSim::set_counters`], clones keep reporting into the same
+    /// shared bundle. Instrumentation is observational only — results are
+    /// bit-identical with or without it.
     pub fn set_instruments(&mut self, instruments: Option<Arc<Instruments>>) {
         self.instruments = instruments;
         self.probe = None;
@@ -373,28 +362,12 @@ impl FaultSim {
         self.probe.clone()
     }
 
-    /// Sets the fault-group parallelism for [`FaultSim::step`]: `1` runs
-    /// serially (the default), `0` uses one thread per available core, and
-    /// `N` uses exactly `N` threads (`N - 1` persistent workers plus the
-    /// calling thread).
-    ///
-    /// Results are bit-identical at every setting; the pool is created
-    /// lazily on the first step with more than one fault group, and torn
-    /// down when the setting changes.
-    pub fn set_sim_threads(&mut self, threads: usize) {
-        if threads != self.sim_threads {
-            self.sim_threads = threads;
-            self.engine.pool = None;
-        }
-    }
-
-    /// Sets the packed-value backend for [`FaultSim::step`] (see
-    /// [`SimBackend`]). Like thread counts, the backend is a pure execution
-    /// detail: results are bit-identical at every width, so it is safe to
-    /// change between runs (or mid-run). The default, `Auto`, picks each
-    /// step's width from the number of faults it simulates and the
-    /// circuit's shape ([`SimBackend::for_step`]); the arena is shared by
-    /// both widths, so
+    /// Sets the packed-value backend for every step (see [`SimBackend`]).
+    /// The backend is a pure execution detail: results are bit-identical
+    /// at every width, so it is safe to change between runs (or mid-run).
+    /// The default, `Auto`, picks each step's width from the number of
+    /// faults it simulates and the circuit's shape
+    /// ([`SimBackend::for_step`]); the arena is shared by both widths, so
     /// switching costs nothing beyond growing its planes once.
     pub fn set_backend(&mut self, backend: SimBackend) {
         self.backend = backend;
@@ -406,26 +379,9 @@ impl FaultSim {
         self.backend
     }
 
-    /// The configured fault-group parallelism (see
-    /// [`FaultSim::set_sim_threads`]).
-    pub fn sim_threads(&self) -> usize {
-        self.sim_threads
-    }
-
-    /// `sim_threads` with `0` resolved to the available core count.
-    fn resolved_sim_threads(&self) -> usize {
-        if self.sim_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.sim_threads
-        }
-    }
-
     /// The sparse faulty flip-flop state of fault `id`: `(dff index,
     /// faulty value)` wherever its machine differs from the good machine.
-    /// Exposed so tests can assert parallel/serial state identity.
+    /// Exposed so tests can assert state identity across paths and widths.
     pub fn faulty_ff_state(&self, id: FaultId) -> &[(u32, Logic)] {
         &self.faulty_ff[id.index()]
     }
@@ -437,10 +393,9 @@ impl FaultSim {
     ///
     /// Panics if `vector.len() != circuit.num_inputs()`.
     pub fn step(&mut self, vector: &[Logic]) -> StepReport {
-        // Cheap pointer clone: `step_with` mutates `self.active` through
-        // `Arc::make_mut`, which copies on write, so `targets` stays stable.
-        let targets = Arc::clone(&self.active);
-        self.step_with(vector, &targets, true)
+        self.window(&[vector], None)
+            .pop()
+            .expect("one report per vector")
     }
 
     /// Applies one vector simulating only `sample` (a subset of the active
@@ -450,7 +405,9 @@ impl FaultSim {
     /// evaluation happens between a checkpoint/restore pair and the winning
     /// test is re-simulated with the full list when committed.
     pub fn step_sampled(&mut self, vector: &[Logic], sample: &[FaultId]) -> StepReport {
-        self.step_with(vector, sample, true)
+        self.window(&[vector], Some(sample))
+            .pop()
+            .expect("one report per vector")
     }
 
     /// Applies one vector to the good machine only (no fault propagation).
@@ -470,13 +427,12 @@ impl FaultSim {
     /// Applies a window of vectors in one batched commit, returning one
     /// report per vector.
     ///
-    /// The good machine advances over all frames first (snapshotting each),
-    /// then every fault group replays the whole window against those
-    /// snapshots, carrying its faulty flip-flop divergence frame to frame
-    /// inside the propagation arena instead of round-tripping it through
-    /// the shared copy-on-write table after every vector. Lanes detected at
-    /// a frame are masked out of later frames, exactly like fault dropping
-    /// between serial steps.
+    /// Every group of faults replays the whole window in one pass, carrying
+    /// its faulty flip-flop divergence frame to frame inside the
+    /// propagation arena instead of round-tripping it through the shared
+    /// copy-on-write table after every vector. Lanes detected at a frame
+    /// are masked out of later frames, exactly like fault dropping between
+    /// steps.
     ///
     /// Detection, dropping, final faulty-FF state, and every report field
     /// are bit-identical to calling [`FaultSim::step`] once per vector,
@@ -488,195 +444,119 @@ impl FaultSim {
     ///
     /// Panics if any vector's length differs from `circuit.num_inputs()`.
     pub fn step_window(&mut self, vectors: &[Vec<Logic>]) -> Vec<StepReport> {
+        let reports = self.window(vectors, None);
+        if let Some(counters) = &self.counters {
+            counters.record_commit_batch(vectors.len() as u64);
+        }
+        reports
+    }
+
+    /// The one stepping routine behind [`FaultSim::step`],
+    /// [`FaultSim::step_sampled`] and [`FaultSim::step_window`]: applies
+    /// `vectors` as one window over `sample`, or over every undetected
+    /// fault when `sample` is `None`, and drops what it detects.
+    ///
+    /// The good machine advances over every frame first. Earlier frames
+    /// replay against snapshots of it; the last frame reads the live good
+    /// machine, so a one-vector step takes no snapshot. Each detected fault
+    /// is stamped with the 0-based index of the vector that caught it.
+    fn window<V: AsRef<[Logic]>>(
+        &mut self,
+        vectors: &[V],
+        sample: Option<&[FaultId]>,
+    ) -> Vec<StepReport> {
         if vectors.is_empty() {
             return Vec::new();
         }
         let probe = self.probe();
         let _step_span = probe.as_ref().map(|p| p.enter(SpanKind::SimStep));
-        let targets = Arc::clone(&self.active);
         let base_vector = self.vectors_applied;
-
-        // Phase A: advance the good machine over every frame, snapshotting
-        // each frame's net values and latched next state.
         let mut reports: Vec<StepReport> = Vec::with_capacity(vectors.len());
-        let mut snapshots: Vec<GoodSimState> = Vec::with_capacity(vectors.len());
-        for vector in vectors {
-            let good_report = self.good.apply(vector);
-            self.vectors_applied += 1;
+        let mut snapshots: Vec<GoodSimState> = Vec::with_capacity(vectors.len() - 1);
+        for (f, vector) in vectors.iter().enumerate() {
+            if f > 0 {
+                snapshots.push(self.good.snapshot());
+            }
+            let good_report = self.good.apply(vector.as_ref());
             reports.push(StepReport {
                 good_events: good_report.events,
                 gate_evals: self.comb_gates,
                 good: good_report,
                 ..StepReport::default()
             });
-            snapshots.push(self.good.snapshot());
         }
+        self.vectors_applied += vectors.len() as u32;
         let frames: Vec<GoodFrame<'_>> = snapshots
             .iter()
             .map(|s| GoodFrame {
                 values: s.values(),
                 next_state: s.next_state(),
             })
+            .chain([GoodFrame {
+                values: self.good.values(),
+                next_state: self.good.next_states(),
+            }])
             .collect();
 
-        // Phase B: replay every fault group across the whole window. Each
-        // group merges its per-frame outcomes in frame order, and groups
-        // run in group order, so every frame's accumulators see groups in
-        // the same order as a serial step's merge.
-        let mut detected: Vec<Vec<FaultId>> = vec![Vec::new(); vectors.len()];
+        // The width match is the per-step backend dispatch; everything
+        // inside `run_groups` is monomorphized over the packed type.
+        let targets = sample.unwrap_or(&self.active);
         let width = self.backend.for_step(targets.len(), &self.circuit);
-        let (ngroups, scratch_bytes, events_amortized) = match width {
-            SimBackend::Scalar64 => run_engine_window::<Pv64>(
-                &self.circuit,
-                &self.good,
-                &self.faults,
-                &mut self.faulty_ff,
-                &mut self.ff_entries,
-                &self.empty_ff,
-                &targets,
-                &frames,
-                &mut self.engine,
-                &mut reports,
-                &mut detected,
-            ),
-            _ => run_engine_window::<Pv256>(
-                &self.circuit,
-                &self.good,
-                &self.faults,
-                &mut self.faulty_ff,
-                &mut self.ff_entries,
-                &self.empty_ff,
-                &targets,
-                &frames,
-                &mut self.engine,
-                &mut reports,
-                &mut detected,
-            ),
+        let lanes = width.lanes();
+        let ngroups = targets.len().div_ceil(lanes) as u64;
+        let run_groups = match width {
+            SimBackend::Scalar64 => run_groups::<Pv64>,
+            _ => run_groups::<Pv256>,
         };
+        let (scratch_bytes, events_amortized) = run_groups(
+            &self.circuit,
+            self.good.levelization(),
+            &self.faults,
+            &mut self.faulty_ff,
+            &mut self.ff_entries,
+            &self.empty_ff,
+            targets,
+            &frames,
+            &mut self.engine,
+            probe.as_ref(),
+            &mut reports,
+        );
         if let Some(counters) = &self.counters {
             for report in &reports {
                 counters.record_step(report.gate_evals, report.good_events, report.faulty_events);
             }
             counters.record_scratch_reuse(scratch_bytes);
             counters.record_events_amortized(events_amortized);
-            counters.record_commit_batch(vectors.len() as u64);
-            let lanes = width.lanes();
             if lanes > 64 {
                 counters.record_backend_groups(lanes as u64, ngroups * vectors.len() as u64);
             }
         }
 
-        // Drop detected faults frame by frame, stamping each with the
-        // 0-based index of the vector that caught it (as the serial path's
-        // `vectors_applied - 1` does).
-        for (f, (report, mut newly)) in reports.iter_mut().zip(detected).enumerate() {
-            if !newly.is_empty() {
-                newly.sort_unstable();
-                newly.dedup();
-                let status = Arc::make_mut(&mut self.status);
-                let faulty_ff = Arc::make_mut(&mut self.faulty_ff);
-                for &fault in &newly {
-                    status[fault.index()] = FaultStatus::Detected {
-                        vector: base_vector + f as u32,
-                    };
-                    self.ff_entries -= faulty_ff[fault.index()].len();
-                    faulty_ff[fault.index()] = Arc::clone(&self.empty_ff);
-                }
+        let mut any_detected = false;
+        for (f, report) in reports.iter_mut().enumerate() {
+            let newly = &mut report.newly_detected;
+            if newly.is_empty() {
+                continue;
             }
-            report.newly_detected = newly;
-        }
-        let status = &self.status;
-        Arc::make_mut(&mut self.active)
-            .retain(|f| matches!(status[f.index()], FaultStatus::Undetected));
-        reports
-    }
-
-    fn step_with(&mut self, vector: &[Logic], targets: &[FaultId], drop: bool) -> StepReport {
-        let probe = self.probe();
-        let _step_span = probe.as_ref().map(|p| p.enter(SpanKind::SimStep));
-        let good_report = self.good.apply(vector);
-        self.vectors_applied += 1;
-
-        let mut report = StepReport {
-            good_events: good_report.events,
-            gate_evals: self.comb_gates,
-            good: good_report,
-            ..StepReport::default()
-        };
-
-        // Simulate every fault group (at most `P::LANES` faults each)
-        // against the advanced good machine, writing per-group outcomes
-        // into reusable slots — serially with the simulator's own arena, or
-        // fanned out across the group pool — then merge them back. The
-        // width match is the per-step backend dispatch; everything inside
-        // `run_engine` is monomorphized over the packed type.
-        let threads = self.resolved_sim_threads();
-        let width = self.backend.for_step(targets.len(), &self.circuit);
-        let mut detected: Vec<FaultId> = Vec::new();
-        let (ngroups, scratch_bytes, events_amortized, group_dispatch) = match width {
-            SimBackend::Scalar64 => run_engine::<Pv64>(
-                &self.circuit,
-                &self.good,
-                &self.faults,
-                &mut self.faulty_ff,
-                &mut self.ff_entries,
-                &self.empty_ff,
-                targets,
-                threads,
-                probe.as_ref(),
-                &mut self.engine,
-                &mut report,
-                &mut detected,
-            ),
-            _ => run_engine::<Pv256>(
-                &self.circuit,
-                &self.good,
-                &self.faults,
-                &mut self.faulty_ff,
-                &mut self.ff_entries,
-                &self.empty_ff,
-                targets,
-                threads,
-                probe.as_ref(),
-                &mut self.engine,
-                &mut report,
-                &mut detected,
-            ),
-        };
-        if let Some(counters) = &self.counters {
-            counters.record_step(report.gate_evals, report.good_events, report.faulty_events);
-            counters.record_scratch_reuse(scratch_bytes);
-            counters.record_events_amortized(events_amortized);
-            if let Some((tasks, steal_ns, _)) = group_dispatch {
-                counters.record_group_dispatch(tasks, steal_ns);
-            }
-            let lanes = width.lanes();
-            if lanes > 64 {
-                counters.record_backend_groups(lanes as u64, ngroups);
-            }
-        }
-        if let (Some(instruments), Some((_, _, wait_ns))) = (&self.instruments, group_dispatch) {
-            instruments.metrics.merge_wait_ns.observe(wait_ns);
-        }
-
-        if drop && !detected.is_empty() {
-            detected.sort_unstable();
-            detected.dedup();
+            any_detected = true;
+            newly.sort_unstable();
+            newly.dedup();
             let status = Arc::make_mut(&mut self.status);
             let faulty_ff = Arc::make_mut(&mut self.faulty_ff);
-            for &f in &detected {
-                status[f.index()] = FaultStatus::Detected {
-                    vector: self.vectors_applied - 1,
+            for &fault in newly.iter() {
+                status[fault.index()] = FaultStatus::Detected {
+                    vector: base_vector + f as u32,
                 };
-                self.ff_entries -= faulty_ff[f.index()].len();
-                faulty_ff[f.index()] = Arc::clone(&self.empty_ff);
+                self.ff_entries -= faulty_ff[fault.index()].len();
+                faulty_ff[fault.index()] = Arc::clone(&self.empty_ff);
             }
+        }
+        if any_detected {
             let status = &self.status;
             Arc::make_mut(&mut self.active)
                 .retain(|f| matches!(status[f.index()], FaultStatus::Undetected));
         }
-        report.newly_detected = detected;
-        report
+        reports
     }
 
     /// Saves the complete simulator state (good machine, faulty machines,
@@ -848,111 +728,23 @@ impl FaultSim {
     }
 }
 
-/// Runs one step's group fan-out and merge at width `P`.
+/// Replays every `P::LANES`-fault group of `targets` across `frames` and
+/// merges each group's per-frame outcomes into `reports` before simulating
+/// the next group.
 ///
-/// Returns `(ngroups, scratch_bytes, events_amortized, dispatch)` where
-/// `dispatch` is the pool's `(tasks, steal_ns, wait_ns)` when the step
-/// actually fanned out.
-///
-/// The merge walks outcomes **in group order**, and lane order within a
-/// group is fault order, so `detected` and every report field except
-/// `gate_evals` come out identical at every lane width and thread count;
-/// `po_detections` is additionally sorted into `(fault, po)` order because
-/// its emission order (output-major within each group) genuinely depends on
-/// how faults were grouped.
+/// Returns `(scratch_bytes, events_amortized)`. The merge walks
+/// groups **in group order**, and lane order within a group is fault
+/// order, so `newly_detected` and every report field except `gate_evals`
+/// come out identical at every lane width; `po_detections` is additionally
+/// sorted per frame into `(fault, po)` order because its emission order
+/// (output-major within each group) genuinely depends on how faults were
+/// grouped. Groups are independent — each reads and writes only its own
+/// faults' state — so a group is merged as soon as it is simulated, and
+/// the outcome slots hold one group's frames at a time.
 #[allow(clippy::too_many_arguments)]
-fn run_engine<P: GroupWidth>(
-    circuit: &Arc<Circuit>,
-    good: &GoodSim,
-    faults: &FaultList,
-    faulty_ff: &mut Arc<Vec<FaultyFfState>>,
-    ff_entries: &mut usize,
-    empty_ff: &FaultyFfState,
-    targets: &[FaultId],
-    threads: usize,
-    probe: Option<&SpanHandle>,
-    engine: &mut Engine,
-    report: &mut StepReport,
-    detected: &mut Vec<FaultId>,
-) -> (u64, u64, u64, Option<(u64, u64, u64)>) {
-    let ngroups = targets.len().div_ceil(P::LANES);
-    let max_level = good.levelization().max_level() as usize;
-    let arena = engine
-        .arena
-        .get_or_insert_with(|| Arena::new(circuit, max_level));
-    let outcomes = P::outcomes(&mut engine.slots);
-    if outcomes.len() < ngroups {
-        outcomes.resize_with(ngroups, GroupOutcome::default);
-    }
-    let mut dispatch: Option<(u64, u64, u64)> = None;
-    if threads > 1 && ngroups > 1 && engine.pool.is_none() {
-        engine.pool = Some(GroupPool::new(circuit, max_level, threads));
-    }
-    {
-        let ctx = GroupCtx {
-            circuit,
-            good,
-            faults,
-            faulty_ff: faulty_ff.as_slice(),
-            empty_ff,
-        };
-        match &engine.pool {
-            Some(pool) if threads > 1 && ngroups > 1 => {
-                dispatch = Some(pool.run(&ctx, targets, &mut outcomes[..ngroups], arena));
-            }
-            _ => {
-                for (group, out) in targets.chunks(P::LANES).zip(outcomes.iter_mut()) {
-                    simulate_group(&ctx, group, arena, out);
-                }
-            }
-        }
-    }
-
-    // Merge outcomes back **in group order**. The merge is the only place
-    // simulator state is written, so the result is identical no matter how
-    // (on how many threads, at what width) the groups were simulated.
-    let merge_span = probe.map(|p| p.enter(SpanKind::Merge));
-    let mut scratch_bytes = 0u64;
-    let mut events_amortized = 0u64;
-    for (gi, group) in targets.chunks(P::LANES).enumerate() {
-        let out = &mut outcomes[gi];
-        report.gate_evals += out.gate_evals;
-        report.faulty_events += out.faulty_events;
-        report.ff_effect_pairs += out.ff_effect_pairs;
-        report.ff_effect_faults += out.ff_effect_faults;
-        scratch_bytes += out.scratch_bytes;
-        events_amortized += out.events_amortized;
-        for &(lane, po) in &out.po_detections {
-            report.po_detections.push((group[lane as usize], po));
-        }
-        out.detected_mask
-            .for_each(|lane| detected.push(group[lane]));
-        for (lane, &fid) in group.iter().enumerate() {
-            if let Some(entry) = out.new_ff[lane].take() {
-                let idx = fid.index();
-                let old_len = faulty_ff[idx].len();
-                *ff_entries = *ff_entries + entry.len() - old_len;
-                Arc::make_mut(faulty_ff)[idx] = entry;
-            }
-        }
-    }
-    report.po_detections.sort_unstable();
-    drop(merge_span);
-    (ngroups as u64, scratch_bytes, events_amortized, dispatch)
-}
-
-/// Runs a whole commit window's group replay and per-frame merge at width
-/// `P`. Always serial: committed vectors are rare next to
-/// candidate evaluations, and the win here is the frame-to-frame faulty-FF
-/// carry inside the arena, not fan-out.
-///
-/// Returns `(ngroups, scratch_bytes, events_amortized)`. The merge is the
-/// same walk as [`run_engine`]'s, once per frame: groups in group order,
-/// lanes in fault order, `po_detections` sorted per frame.
-#[allow(clippy::too_many_arguments)]
-fn run_engine_window<P: GroupWidth>(
-    circuit: &Arc<Circuit>,
-    good: &GoodSim,
+fn run_groups<P: GroupWidth>(
+    circuit: &Circuit,
+    lev: &Levelization,
     faults: &FaultList,
     faulty_ff: &mut Arc<Vec<FaultyFfState>>,
     ff_entries: &mut usize,
@@ -960,35 +752,30 @@ fn run_engine_window<P: GroupWidth>(
     targets: &[FaultId],
     frames: &[GoodFrame<'_>],
     engine: &mut Engine,
+    probe: Option<&SpanHandle>,
     reports: &mut [StepReport],
-    detected: &mut [Vec<FaultId>],
-) -> (u64, u64, u64) {
-    let ngroups = targets.len().div_ceil(P::LANES);
-    let max_level = good.levelization().max_level() as usize;
+) -> (u64, u64) {
     let arena = engine
         .arena
-        .get_or_insert_with(|| Arena::new(circuit, max_level));
+        .get_or_insert_with(|| Arena::new(circuit, lev.max_level() as usize));
     let outcomes = P::outcomes(&mut engine.slots);
     if outcomes.len() < frames.len() {
         outcomes.resize_with(frames.len(), GroupOutcome::default);
     }
+    let outcomes = &mut outcomes[..frames.len()];
     let mut scratch_bytes = 0u64;
     let mut events_amortized = 0u64;
     for group in targets.chunks(P::LANES) {
-        {
-            // Rebuilt per group: the faulty-FF table is borrowed shared
-            // during simulation and mutated by the merge just below.
-            let ctx = GroupCtx {
-                circuit,
-                good,
-                faults,
-                faulty_ff: faulty_ff.as_slice(),
-                empty_ff,
-            };
-            simulate_group_window(&ctx, frames, group, arena, &mut outcomes[..frames.len()]);
-        }
-        for (f, out) in outcomes[..frames.len()].iter_mut().enumerate() {
-            let report = &mut reports[f];
+        let ctx = GroupCtx {
+            circuit,
+            lev,
+            faults,
+            faulty_ff: faulty_ff.as_slice(),
+            empty_ff,
+        };
+        simulate_group(&ctx, frames, group, arena, outcomes);
+        let _merge_span = probe.map(|p| p.enter(SpanKind::Merge));
+        for (report, out) in reports.iter_mut().zip(outcomes.iter_mut()) {
             report.gate_evals += out.gate_evals;
             report.faulty_events += out.faulty_events;
             report.ff_effect_pairs += out.ff_effect_pairs;
@@ -999,10 +786,10 @@ fn run_engine_window<P: GroupWidth>(
                 report.po_detections.push((group[lane as usize], po));
             }
             out.detected_mask
-                .for_each(|lane| detected[f].push(group[lane]));
+                .for_each(|lane| report.newly_detected.push(group[lane]));
             // Only the window's last frame carries new faulty-FF state
             // (earlier frames leave `new_ff` empty, so the zip skips them;
-            // lanes detected mid-window carry none at all).
+            // lanes detected in the window carry none at all).
             for (slot, &fid) in out.new_ff.iter_mut().zip(group) {
                 if let Some(entry) = slot.take() {
                     let idx = fid.index();
@@ -1016,7 +803,7 @@ fn run_engine_window<P: GroupWidth>(
     for report in reports.iter_mut() {
         report.po_detections.sort_unstable();
     }
-    (ngroups as u64, scratch_bytes, events_amortized)
+    (scratch_bytes, events_amortized)
 }
 
 #[cfg(test)]
@@ -1430,28 +1217,6 @@ mod tests {
         assert_eq!(sim.remaining(), sim.fault_list().len());
     }
 
-    #[test]
-    fn parallel_step_matches_serial_exactly() {
-        // Full fault list on s298 → multiple Pv64 groups, so the pool
-        // genuinely fans out; every report and the sparse faulty-FF state
-        // must be bit-identical to the serial path.
-        let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
-        let faults = FaultList::full(&circuit);
-        let mut serial = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
-        let mut parallel = FaultSim::with_faults(Arc::clone(&circuit), faults);
-        serial.set_backend(SimBackend::Scalar64);
-        parallel.set_backend(SimBackend::Scalar64);
-        parallel.set_sim_threads(3);
-        assert_eq!(parallel.sim_threads(), 3);
-        for v in prng_sequence(circuit.num_inputs(), 48, 41) {
-            assert_eq!(serial.step(&v), parallel.step(&v));
-        }
-        assert_eq!(serial.detected_count(), parallel.detected_count());
-        for &f in serial.active_faults() {
-            assert_eq!(serial.faulty_ff_state(f), parallel.faulty_ff_state(f));
-        }
-    }
-
     /// Normalizes the one legitimately width-dependent report field so
     /// cross-backend assertions compare everything else bit-for-bit.
     fn without_gate_evals(mut r: StepReport) -> StepReport {
@@ -1520,28 +1285,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_parallel_step_matches_serial_exactly() {
-        // Width × thread composition: the wide backend under the group pool
-        // must match the serial scalar path bit-for-bit.
-        let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
-        let faults = FaultList::full(&circuit);
-        let mut serial = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
-        let mut parallel = FaultSim::with_faults(Arc::clone(&circuit), faults);
-        serial.set_backend(SimBackend::Scalar64);
-        parallel.set_backend(SimBackend::Wide256);
-        parallel.set_sim_threads(3);
-        for v in prng_sequence(circuit.num_inputs(), 32, 51) {
-            let a = serial.step(&v);
-            let b = parallel.step(&v);
-            assert_eq!(without_gate_evals(a), without_gate_evals(b));
-        }
-        assert_eq!(serial.detected_count(), parallel.detected_count());
-        for &f in serial.active_faults() {
-            assert_eq!(serial.faulty_ff_state(f), parallel.faulty_ff_state(f));
-        }
-    }
-
-    #[test]
     fn step_window_matches_serial_steps_bit_for_bit() {
         // The batched commit path must reproduce serial stepping exactly —
         // same per-vector reports (minus gate_evals), same detection
@@ -1585,16 +1328,14 @@ mod tests {
     fn auto_width_switches_match_scalar64_bit_for_bit() {
         // Under the default `Auto`, full-list steps (more than 128 faults)
         // run on 256-lane groups, 100-fault sampled evaluations on 64-lane
-        // groups, and windowed commits on whatever the active list needs;
-        // with three sim threads one group pool runs both widths. Every
-        // report but gate_evals, and the final state, must match a serial
+        // groups, and windowed commits on whatever the active list needs.
+        // Every report but gate_evals, and the final state, must match a
         // twin pinned to scalar64.
         use crate::value::AUTO_NARROW_MAX_LANES;
         let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
         let mut auto = FaultSim::new(Arc::clone(&circuit));
         let mut pinned = FaultSim::new(Arc::clone(&circuit));
         assert_eq!(auto.backend(), SimBackend::Auto);
-        auto.set_sim_threads(3);
         pinned.set_backend(SimBackend::Scalar64);
         let counters = Arc::new(SimCounters::new());
         auto.set_counters(Some(Arc::clone(&counters)));
@@ -1642,7 +1383,6 @@ mod tests {
         }
         let snapshot = counters.snapshot();
         assert!(snapshot.wide_groups > 0, "auto ran 256-lane groups");
-        assert!(snapshot.group_tasks > 0, "the group pool ran");
         assert_eq!(auto.export_state(), pinned.export_state());
     }
 
@@ -1676,6 +1416,40 @@ mod tests {
             }
             assert_eq!(fresh.export_state(), wrapped.export_state(), "{backend}");
         }
+    }
+
+    #[test]
+    fn step_counters_tell_single_steps_from_windowed_commits() {
+        // The end-to-end benchmark reads these counters and spans: one-
+        // vector steps count as steps but not as batched frames, a window
+        // of n vectors adds n to both, and a windowed commit's merge is
+        // timed as a `merge` span under its `sim_step`.
+        let circuit = s27();
+        let mut sim = FaultSim::new(circuit);
+        let counters = Arc::new(SimCounters::new());
+        sim.set_counters(Some(Arc::clone(&counters)));
+        let seq = prng_sequence(4, 7, 91);
+        sim.step(&seq[0]);
+        let sample: Vec<FaultId> = sim.active_faults().iter().copied().step_by(2).collect();
+        let cp = sim.checkpoint();
+        sim.step_sampled(&seq[1], &sample);
+        sim.restore(&cp);
+        let s = counters.snapshot();
+        assert_eq!((s.step_calls, s.commit_batch_frames), (2, 0));
+
+        let instruments = Instruments::new();
+        sim.set_instruments(Some(Arc::clone(&instruments)));
+        assert!(
+            sim.remaining() > 0 && sim.remaining() <= 64,
+            "one fault group"
+        );
+        assert_eq!(sim.step_window(&seq[2..]).len(), 5);
+        let s = counters.snapshot();
+        assert_eq!((s.step_calls, s.commit_batch_frames), (7, 5));
+        let spans = instruments.spans.snapshot();
+        let count = |kind, parent| spans.get(kind, parent).map(|n| n.count);
+        assert_eq!(count("sim_step", None), Some(1), "{spans:?}");
+        assert_eq!(count("merge", Some("sim_step")), Some(1), "{spans:?}");
     }
 
     #[test]

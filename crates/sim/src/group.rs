@@ -1,21 +1,21 @@
 //! Per-group fault propagation over a reusable scratch arena.
 //!
-//! [`FaultSim::step`](crate::FaultSim::step) partitions the simulated fault
-//! list into groups of at most [`PackedValue::LANES`] faults. Given the
-//! already-advanced good machine, every group is independent: it reads the
-//! shared circuit, good values, and per-fault sparse flip-flop state, and
-//! writes only its own lanes. This module factors the per-group propagation
-//! out of `FaultSim` into a free function over borrowed shared state
-//! ([`GroupCtx`]) plus a private arena ([`Arena`]), so the serial step and
-//! the fault-group worker pool run the exact same code — serially with the
-//! simulator's own arena, or concurrently with one arena per worker.
+//! Every [`FaultSim`](crate::FaultSim) step is a window of one or more
+//! vectors: the simulator advances the good machine over the window, then
+//! partitions the simulated fault list into groups of at most
+//! [`PackedValue::LANES`] faults and replays each group across the whole
+//! window ([`simulate_group`]). Every group is independent: it reads the
+//! shared circuit, the good frames, and its own faults' sparse flip-flop
+//! state ([`GroupCtx`]), and writes only its own lanes, through the
+//! simulator's one [`Arena`].
 //!
-//! Results land in a [`GroupOutcome`] instead of being applied in place;
-//! the caller merges outcomes back **in group order**, which makes every
-//! thread count — and every lane width — bit-identical to serial `Pv64`
-//! execution: lane order within a group is fault order, and group order is
-//! ascending fault order, so the concatenated per-lane results are the same
-//! sequence no matter how many lanes one group carries.
+//! Results land in one [`GroupOutcome`] per frame instead of being applied
+//! in place; the caller merges each group's outcomes before simulating the
+//! next group, **in group order**, which makes every lane width
+//! bit-identical to `Pv64` execution: lane order within a group is fault
+//! order, and group order is ascending fault order, so the concatenated
+//! per-lane results are the same sequence no matter how many lanes one
+//! group carries.
 //!
 //! The arena also removes the per-group/per-gate allocations the original
 //! inline implementation paid: `HashMap` forcing tables are replaced with
@@ -53,7 +53,6 @@ use gatest_netlist::{Circuit, NetId};
 
 use crate::eval::eval_packed;
 use crate::fault::{FaultId, FaultList, FaultSite};
-use crate::good_sim::GoodSim;
 use crate::value::{LaneMask, Logic, PackedValue, Pv256, Pv64};
 
 /// Sparse faulty flip-flop state for one fault: `(dff index, faulty value)`
@@ -61,28 +60,26 @@ use crate::value::{LaneMask, Logic, PackedValue, Pv256, Pv64};
 /// copy-on-write between the simulator and its checkpoints.
 pub(crate) type FaultyFfState = Arc<[(u32, Logic)]>;
 
-/// The shared state one group simulation reads (and never writes).
-///
-/// Borrowing these as one struct keeps [`simulate_group`]'s signature
-/// stable across the serial and pooled call sites, and proves by
-/// construction that workers cannot mutate simulator state: everything a
-/// group writes goes through its own [`Scratch`] and [`GroupOutcome`].
+/// The shared state one group simulation reads (and never writes):
+/// everything a group writes goes through the [`Arena`] and its
+/// [`GroupOutcome`]s.
 pub(crate) struct GroupCtx<'a> {
     /// The circuit under simulation.
     pub circuit: &'a Circuit,
-    /// The good machine, already advanced past the vector being simulated.
-    pub good: &'a GoodSim,
+    /// The circuit's levelized CSR adjacency.
+    pub lev: &'a Levelization,
     /// The fault universe (sites and stuck values).
     pub faults: &'a FaultList,
-    /// Sparse faulty flip-flop state per fault, from the *previous* frame.
+    /// Sparse faulty flip-flop state per fault, from before the window.
     pub faulty_ff: &'a [FaultyFfState],
     /// The shared empty slice, so clearing a fault's state allocates nothing.
     pub empty_ff: &'a FaultyFfState,
 }
 
-/// One committed good-machine frame the windowed path replays against: net
-/// values after the combinational settle plus the latched next state, as
-/// slices so both a live [`GoodSim`] and stored snapshots can back it.
+/// One good-machine frame a group replays against: net values after the
+/// combinational settle plus the latched next state, as slices so both the
+/// live [`GoodSim`](crate::GoodSim) (a window's last frame) and stored
+/// snapshots (its earlier frames) can back it.
 #[derive(Clone, Copy)]
 pub(crate) struct GoodFrame<'a> {
     /// Net values after the frame, one per net.
@@ -93,10 +90,10 @@ pub(crate) struct GoodFrame<'a> {
 
 /// What one group simulation produced, in lane-relative terms.
 ///
-/// Lanes are indices into the group (`0..group.len()`); the merge loop in
-/// `FaultSim::step_with` translates them back to [`FaultId`]s. Outcomes are
-/// reused across steps: [`GroupOutcome::reset`] clears the vectors without
-/// releasing their capacity.
+/// Lanes are indices into the group (`0..group.len()`); the simulator's
+/// merge translates them back to [`FaultId`]s. Outcomes are reused across
+/// steps: [`GroupOutcome::reset`] clears the vectors without releasing
+/// their capacity.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct GroupOutcome<P: PackedValue> {
     /// Lanes detected at any primary output this frame.
@@ -117,11 +114,11 @@ pub(crate) struct GroupOutcome<P: PackedValue> {
     pub gate_evals: u64,
     /// Estimated bytes served from reused scratch this group (telemetry).
     pub scratch_bytes: u64,
-    /// Replacement sparse faulty-FF state per lane. `None` means "keep the
-    /// old state" — emitted only when old and new are both empty, so the
-    /// merge can skip the copy-on-write table entirely. (The windowed path
-    /// also emits `None` for lanes detected mid-window: the caller's drop
-    /// logic clears their state exactly as the serial path does.)
+    /// Replacement sparse faulty-FF state per lane, filled on a window's
+    /// last frame only. `None` means "keep the old state" — emitted when
+    /// old and new are both empty, so the merge can skip the copy-on-write
+    /// table entirely, and for lanes detected in the window, whose state
+    /// the caller's drop logic clears.
     pub new_ff: Vec<Option<FaultyFfState>>,
 }
 
@@ -171,7 +168,7 @@ impl GroupWidth for Pv256 {
     }
 }
 
-/// Reusable per-group outcome slots, one vector per width, kept across
+/// Reusable per-frame outcome slots, one vector per width, kept across
 /// steps so merging a step allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct OutcomeSlots {
@@ -193,9 +190,8 @@ pub(crate) fn advance_stamp<const N: usize>(stamp: &mut u32, tables: [&mut [u32]
     }
 }
 
-/// The per-owner simulation arena: every buffer one group propagation
-/// needs, allocated once and reused for the life of the owner (a
-/// `FaultSim`, or one fault-group pool worker).
+/// The simulator's scratch arena: every buffer one group propagation
+/// needs, allocated once and reused for the life of its `FaultSim`.
 ///
 /// One arena serves every width. The faulty-value planes hold `P::WORDS`
 /// words per net for the group running, so they grow to the widest width
@@ -469,7 +465,7 @@ fn publish_forcing(faults: &FaultList, group: &[FaultId], arena: &mut Arena) -> 
 }
 
 /// Seeds every lane's carried faulty flip-flop state from the shared
-/// copy-on-write table (the first frame of a step or window).
+/// copy-on-write table (a window's first frame).
 fn seed_from_table<P: PackedValue>(
     ctx: &GroupCtx<'_>,
     group: &[FaultId],
@@ -511,11 +507,10 @@ fn seed_from_effects<P: PackedValue>(
 /// `arena.effects`.
 ///
 /// `live` masks the lanes still being simulated: events, detections, and
-/// flip-flop effects of dead lanes are suppressed, mirroring the serial
-/// semantics where a dropped fault leaves the group. (Lane values are
+/// flip-flop effects of dead lanes are suppressed, mirroring one-vector
+/// steps, where a dropped fault leaves the group. (Lane values are
 /// independent, so letting a dead lane keep propagating cannot perturb any
-/// live lane.) The single-frame path passes all group lanes live, which
-/// reproduces the ungated behaviour bit for bit.
+/// live lane.) A window's first frame runs every group lane live.
 fn run_frame<P: GroupWidth>(
     circuit: &Circuit,
     lev: &Levelization,
@@ -644,8 +639,9 @@ fn run_frame<P: GroupWidth>(
 }
 
 /// Materializes the last frame's flip-flop effects into per-lane
-/// replacement faulty-FF state, comparing against the pre-step shared
-/// table to skip no-op writes.
+/// replacement faulty-FF state for the lanes in `keep` (those not detected
+/// in the window), comparing against the pre-window shared table to skip
+/// no-op writes.
 ///
 /// A stable counting sort regroups the flip-flop-ordered effects by lane,
 /// so each lane's entries stay in flip-flop order as the sparse state
@@ -682,7 +678,7 @@ fn materialize_new_ff<P: PackedValue>(
         let state = &arena.by_lane[start..end];
         start = end;
         if !keep.test(lane) {
-            // Dropped mid-window: the caller's drop logic clears the state.
+            // Detected in the window: the caller's drop logic clears it.
             out.new_ff.push(None);
         } else if state.is_empty() && ctx.faulty_ff[fid.index()].is_empty() {
             // Keep sharing the empty slice: no write, no unshare.
@@ -697,56 +693,23 @@ fn materialize_new_ff<P: PackedValue>(
     out.scratch_bytes += reused;
 }
 
-/// Simulates one group of at most `P::LANES` faults against the
-/// already-advanced good machine, writing everything it learns into `out`.
+/// Simulates one group of at most `P::LANES` faults across a window of
+/// good-machine frames in a single pass, producing one [`GroupOutcome`] per
+/// frame.
 ///
-/// Groups are order-independent: a group reads only the previous frame's
-/// faulty-FF state for its own faults and the (frozen) good machine, so
-/// calling this from concurrent workers with private `arena`/`out` gives
-/// the same outcomes as a serial loop.
-pub(crate) fn simulate_group<P: GroupWidth>(
-    ctx: &GroupCtx<'_>,
-    group: &[FaultId],
-    arena: &mut Arena,
-    out: &mut GroupOutcome<P>,
-) {
-    debug_assert!(group.len() <= P::LANES);
-    out.reset();
-    arena.begin_frame::<P>();
-    out.scratch_bytes += publish_forcing(ctx.faults, group, arena);
-    let frame = GoodFrame {
-        values: ctx.good.values(),
-        next_state: ctx.good.next_states(),
-    };
-    seed_from_table::<P>(ctx, group, frame.values, arena);
-    let live = P::Mask::low(group.len());
-    run_frame(
-        ctx.circuit,
-        ctx.good.levelization(),
-        frame,
-        live,
-        arena,
-        out,
-    );
-    materialize_new_ff(ctx, group, live, arena, out);
-}
-
-/// Simulates one group across a *window* of already-committed good-machine
-/// frames in a single pass, producing one [`GroupOutcome`] per frame.
+/// Frame `0` seeds from the shared faulty-FF table; each later frame seeds
+/// from the previous frame's flip-flop effects still in the arena, so the
+/// window never touches the copy-on-write table in between. Lanes detected
+/// at frame `f` are masked out of frames `f+1..` (events, detections, and
+/// FF effects), mirroring the drop-after-step semantics of stepping one
+/// vector at a time; because lane values are independent, their continued
+/// propagation cannot perturb live lanes. Only the *last* frame's outcome
+/// carries `new_ff` entries.
 ///
-/// Frame `0` seeds from the shared faulty-FF table exactly like
-/// [`simulate_group`]; each later frame seeds from the previous frame's
-/// flip-flop effects still in the arena, so the window never touches the
-/// copy-on-write table in between. Lanes detected at frame `f` are masked
-/// out of frames `f+1..` (events, detections, and FF effects), mirroring
-/// the serial drop-after-step semantics; because lane values are
-/// independent, their continued propagation cannot perturb live lanes.
-/// Only the *last* frame's outcome carries `new_ff` entries.
-///
-/// Every per-frame outcome is bit-identical to what `simulate_group` would
-/// have produced step by step — except `gate_evals`/`scratch_bytes`, which
+/// Every per-frame outcome is bit-identical to what a one-frame window per
+/// vector would have produced — except `gate_evals`/`scratch_bytes`, which
 /// (as with lane widths) depend on how the work was batched.
-pub(crate) fn simulate_group_window<P: GroupWidth>(
+pub(crate) fn simulate_group<P: GroupWidth>(
     ctx: &GroupCtx<'_>,
     frames: &[GoodFrame<'_>],
     group: &[FaultId],
@@ -755,7 +718,6 @@ pub(crate) fn simulate_group_window<P: GroupWidth>(
 ) {
     debug_assert!(group.len() <= P::LANES);
     debug_assert_eq!(frames.len(), outs.len());
-    let lev = ctx.good.levelization();
     let mut live = P::Mask::low(group.len());
     for (f, (frame, out)) in frames.iter().zip(outs.iter_mut()).enumerate() {
         out.reset();
@@ -766,7 +728,7 @@ pub(crate) fn simulate_group_window<P: GroupWidth>(
         } else {
             seed_from_effects::<P>(ctx.circuit, frame.values, live, arena);
         }
-        run_frame(ctx.circuit, lev, *frame, live, arena, out);
+        run_frame(ctx.circuit, ctx.lev, *frame, live, arena, out);
         live = live.and(out.detected_mask.invert());
     }
     if let Some(last) = outs.last_mut() {

@@ -61,7 +61,6 @@ pub mod fault_report;
 pub mod fsim;
 pub mod good_sim;
 pub(crate) mod group;
-pub(crate) mod grouppool;
 pub mod packed_good;
 pub mod ppsfp;
 pub mod state_space;

@@ -35,13 +35,6 @@ pub struct SimCounters {
     /// Nanoseconds pool workers spent waiting for work (summed over
     /// workers; compare against wall-clock × workers for utilization).
     pub pool_idle_ns: AtomicU64,
-    /// Pv64 fault groups dispatched to the fault-group-parallel sim pool
-    /// (serial steps dispatch none).
-    pub group_tasks: AtomicU64,
-    /// Nanoseconds fault-group workers spent between job publication and
-    /// claiming their first group of each parallel step (wake/steal
-    /// latency, summed over workers).
-    pub group_steal_ns: AtomicU64,
     /// Bytes served from reusable simulator scratch buffers (gate fanin
     /// words, forcing-table entries, faulty-FF state builders) that the
     /// pre-arena simulator allocated fresh on every use.
@@ -130,14 +123,6 @@ impl SimCounters {
     #[inline]
     pub fn record_pool_idle(&self, nanos: u64) {
         self.pool_idle_ns.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Records one parallel step's fault-group dispatch: groups run by the
-    /// sim pool and the summed worker wake/steal latency.
-    #[inline]
-    pub fn record_group_dispatch(&self, groups: u64, steal_ns: u64) {
-        self.group_tasks.fetch_add(groups, Ordering::Relaxed);
-        self.group_steal_ns.fetch_add(steal_ns, Ordering::Relaxed);
     }
 
     /// Records bytes served from reusable simulator scratch buffers.
@@ -233,10 +218,6 @@ impl SimCounters {
             .store(snapshot.pool_tasks, Ordering::Relaxed);
         self.pool_idle_ns
             .store(snapshot.pool_idle_ns, Ordering::Relaxed);
-        self.group_tasks
-            .store(snapshot.group_tasks, Ordering::Relaxed);
-        self.group_steal_ns
-            .store(snapshot.group_steal_ns, Ordering::Relaxed);
         self.scratch_bytes_reused
             .store(snapshot.scratch_bytes_reused, Ordering::Relaxed);
         self.checkpoint_writes
@@ -277,8 +258,6 @@ impl SimCounters {
             packed_phase1_frames: self.packed_phase1_frames.load(Ordering::Relaxed),
             pool_tasks: self.pool_tasks.load(Ordering::Relaxed),
             pool_idle_ns: self.pool_idle_ns.load(Ordering::Relaxed),
-            group_tasks: self.group_tasks.load(Ordering::Relaxed),
-            group_steal_ns: self.group_steal_ns.load(Ordering::Relaxed),
             scratch_bytes_reused: self.scratch_bytes_reused.load(Ordering::Relaxed),
             checkpoint_writes: self.checkpoint_writes.load(Ordering::Relaxed),
             checkpoint_bytes: self.checkpoint_bytes.load(Ordering::Relaxed),
@@ -309,8 +288,6 @@ impl SimCounters {
         self.packed_phase1_frames.store(0, Ordering::Relaxed);
         self.pool_tasks.store(0, Ordering::Relaxed);
         self.pool_idle_ns.store(0, Ordering::Relaxed);
-        self.group_tasks.store(0, Ordering::Relaxed);
-        self.group_steal_ns.store(0, Ordering::Relaxed);
         self.scratch_bytes_reused.store(0, Ordering::Relaxed);
         self.checkpoint_writes.store(0, Ordering::Relaxed);
         self.checkpoint_bytes.store(0, Ordering::Relaxed);
@@ -349,10 +326,6 @@ pub struct CounterSnapshot {
     pub pool_tasks: u64,
     /// Nanoseconds pool workers spent waiting for work.
     pub pool_idle_ns: u64,
-    /// Pv64 fault groups dispatched to the fault-group-parallel sim pool.
-    pub group_tasks: u64,
-    /// Nanoseconds fault-group workers spent waking/claiming first groups.
-    pub group_steal_ns: u64,
     /// Bytes served from reusable simulator scratch buffers.
     pub scratch_bytes_reused: u64,
     /// Run-state checkpoint files written.
@@ -391,7 +364,7 @@ impl CounterSnapshot {
     /// order. The single source of field names for the JSON serializer and
     /// the Prometheus renderer, so adding a counter cannot silently skip a
     /// consumer.
-    pub fn fields(&self) -> [(&'static str, u64); 25] {
+    pub fn fields(&self) -> [(&'static str, u64); 23] {
         [
             ("step_calls", self.step_calls),
             ("good_only_calls", self.good_only_calls),
@@ -403,8 +376,6 @@ impl CounterSnapshot {
             ("packed_phase1_frames", self.packed_phase1_frames),
             ("pool_tasks", self.pool_tasks),
             ("pool_idle_ns", self.pool_idle_ns),
-            ("group_tasks", self.group_tasks),
-            ("group_steal_ns", self.group_steal_ns),
             ("scratch_bytes_reused", self.scratch_bytes_reused),
             ("checkpoint_writes", self.checkpoint_writes),
             ("checkpoint_bytes", self.checkpoint_bytes),
@@ -454,16 +425,12 @@ mod tests {
         c.record_pool_tasks(8);
         c.record_pool_idle(1_500);
         c.record_pool_idle(500);
-        c.record_group_dispatch(24, 3_000);
-        c.record_group_dispatch(8, 1_000);
         c.record_scratch_reuse(4_096);
         c.record_scratch_reuse(1_024);
         let s = c.snapshot();
         assert_eq!(s.packed_phase1_frames, 4);
         assert_eq!(s.pool_tasks, 8);
         assert_eq!(s.pool_idle_ns, 2_000);
-        assert_eq!(s.group_tasks, 32);
-        assert_eq!(s.group_steal_ns, 4_000);
         assert_eq!(s.scratch_bytes_reused, 5_120);
         c.reset();
         assert_eq!(c.snapshot(), CounterSnapshot::default());

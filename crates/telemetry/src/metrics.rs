@@ -355,8 +355,6 @@ pub struct RunMetrics {
     pub generation_wall_ns: Arc<Histogram>,
     /// Memoization bookkeeping time per batch, nanoseconds.
     pub cache_lookup_ns: Arc<Histogram>,
-    /// Caller wait for fault-group workers at merge time, nanoseconds.
-    pub merge_wait_ns: Arc<Histogram>,
     /// GA generations evaluated (initial populations included).
     pub ga_generations: Arc<Counter>,
     /// Fitness evaluations performed.
@@ -398,10 +396,6 @@ impl RunMetrics {
             cache_lookup_ns: registry.histogram(
                 "gatest_cache_lookup_ns",
                 "Memoization bookkeeping time per evaluation batch",
-            ),
-            merge_wait_ns: registry.histogram(
-                "gatest_group_merge_wait_ns",
-                "Caller wait for fault-group workers at merge time",
             ),
             ga_generations: registry
                 .counter("gatest_ga_generations_total", "GA generations evaluated"),

@@ -41,7 +41,7 @@ pub enum SpanKind {
     SimStep = 3,
     /// Memoization bookkeeping: cache probes, dedup, prefix sort.
     CacheLookup = 4,
-    /// Fault-group outcome merge (including the wait for stragglers).
+    /// Fault-group outcome merge into a step's reports and fault state.
     Merge = 5,
     /// GA selection + crossover + mutation, excluding evaluation.
     Breed = 6,

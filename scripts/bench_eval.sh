@@ -1,10 +1,10 @@
 #!/bin/sh
 # Measure candidate-evaluation throughput (the evaluation engine's headline
-# number), fault-simulation step throughput (the fault-group pool's
-# headline number), and the synthetic scaling sweep, recording them in
-# BENCH_eval.json, BENCH_sim.json, and BENCH_scale.json so the performance
-# trajectory is tracked across PRs. Pass --smoke for a fast
-# CI-sized run. Validation and the regression gate live in check_bench.sh —
+# number), fault-simulation step throughput per packed width, the
+# synthetic scaling sweep, and the serve load test, recording them in
+# BENCH_eval.json, BENCH_sim.json, BENCH_scale.json, and BENCH_serve.json
+# so the performance trajectory is tracked across PRs. Pass --smoke for a
+# fast CI-sized run. Validation and the regression gate live in check_bench.sh —
 # this script only refreshes the committed baselines.
 set -eu
 

@@ -5,7 +5,7 @@
 #                               BENCH_sim.json, and BENCH_scale.json baselines
 #   check_bench.sh --smoke      run both microbenchmarks in smoke mode,
 #                               schema-validate their output, and fail when
-#                               the serial (workers=1 / sim_threads=1)
+#                               the serial (workers=1 / s1423 scalar64)
 #                               throughput regresses more than
 #                               BENCH_TOLERANCE (default 0.15 = 15%) below
 #                               the committed baseline
@@ -65,6 +65,11 @@ json_num() {
 # rate FILE ROWKEY ROWVAL RATEKEY -> RATEKEY from the row where ROWKEY=ROWVAL
 rate() {
     grep "\"$2\": *$3[,}]" "$1" | sed -n "s/.*\"$4\": *\\([0-9][0-9.]*\\).*/\\1/p" | head -n 1
+}
+
+# sim_rate FILE -> vectors_per_sec of the one row in BENCH_sim's `results`
+sim_rate() {
+    sed -n '/"results"/,/]/s/.*"vectors_per_sec": *\([0-9][0-9.]*\).*/\1/p' "$1" | head -n 1
 }
 
 # wrate FILE CIRCUIT BACKEND KEY -> KEY from the width row for CIRCUIT+BACKEND
@@ -191,13 +196,12 @@ for circuit in s298 s1423; do
 done
 auto_gate smoke "$tmpdir/sim.json"
 
-# srate FILE CIRCUIT BACKEND THREADS -> vectors_per_sec from BENCH_scale's
-# row for that size, backend, and thread count.
+# srate FILE CIRCUIT BACKEND -> vectors_per_sec from BENCH_scale's row for
+# that size and backend.
 srate() {
-    awk -v circuit="$2" -v backend="$3" -v threads="$4" '
+    awk -v circuit="$2" -v backend="$3" '
         /"circuit":/ { inside = index($0, "\"" circuit "\"") > 0 }
-        inside && index($0, "\"backend\": \"" backend "\"") > 0 \
-               && index($0, "\"sim_threads\": " threads ",") > 0 {
+        inside && index($0, "\"backend\": \"" backend "\"") > 0 {
             if (match($0, /"vectors_per_sec": [0-9.]+/)) {
                 print substr($0, RSTART + 19, RLENGTH - 19)
                 exit
@@ -206,7 +210,7 @@ srate() {
 }
 
 # max_erate FILE CIRCUIT -> the best fault_events_per_sec across CIRCUIT's
-# measured rows (skipped rows carry no rate and drop out naturally).
+# rows.
 max_erate() {
     awk -v circuit="$2" '
         /"circuit":/ { inside = index($0, "\"" circuit "\"") > 0 }
@@ -227,15 +231,15 @@ fi
 compare "eval workers=1" \
     "$(rate BENCH_eval.json workers 1 evals_per_sec)" \
     "$(rate "$tmpdir/eval.json" workers 1 evals_per_sec)"
-compare "sim sim_threads=1" \
-    "$(rate BENCH_sim.json sim_threads 1 vectors_per_sec)" \
-    "$(rate "$tmpdir/sim.json" sim_threads 1 vectors_per_sec)"
+compare "sim s1423 scalar64" \
+    "$(sim_rate BENCH_sim.json)" \
+    "$(sim_rate "$tmpdir/sim.json")"
 # The scaling sweep's regression gate runs on the largest size the smoke
 # run covers (its per-size stream and warmup match the committed full-mode
 # baseline's, so the absolute rates are comparable on the same shape).
 compare "scale 10k scalar64" \
-    "$(srate BENCH_scale.json scale_10000 scalar64 1)" \
-    "$(srate "$tmpdir/scale.json" scale_10000 scalar64 1)"
+    "$(srate BENCH_scale.json scale_10000 scalar64)" \
+    "$(srate "$tmpdir/scale.json" scale_10000 scalar64)"
 
 # The scaling gate: the committed full-mode baseline's fault-events/s
 # decay from 1.5k to 500k gates must stay under a fixed ceiling so the big

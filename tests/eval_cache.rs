@@ -19,14 +19,13 @@ fn temp_path(tag: &str) -> PathBuf {
     ))
 }
 
-/// One complete run with the given thread shape and memoization knobs,
+/// One complete run with the given worker count and memoization knobs,
 /// reduced to its deterministic fingerprint.
 fn run_fingerprint(
     name: &str,
     seed: u64,
     sample: FaultSample,
     workers: usize,
-    sim_threads: usize,
     cache: usize,
     dedup: bool,
 ) -> (String, u64) {
@@ -34,7 +33,6 @@ fn run_fingerprint(
     let mut config = GatestConfig::for_circuit(&circuit)
         .with_seed(seed)
         .with_workers(workers)
-        .with_sim_threads(sim_threads)
         .with_eval_cache(cache)
         .with_dedup(dedup);
     config.fault_sample = sample;
@@ -45,32 +43,22 @@ fn run_fingerprint(
 
 /// The tentpole guarantee on s27: with memoization fully off as the
 /// reference, every combination of cache capacity (default, tiny-evicting,
-/// off), dedup switch, worker count, and sim-thread count produces the
-/// byte-identical result JSON and score checksum.
+/// off), dedup switch, and worker count produces the byte-identical result
+/// JSON and score checksum.
 #[test]
 fn s27_memoization_is_bit_identical_across_thread_shapes() {
-    let (base_json, base_sum) = run_fingerprint("s27", 3, FaultSample::Full, 1, 1, 0, false);
+    let (base_json, base_sum) = run_fingerprint("s27", 3, FaultSample::Full, 1, 0, false);
     for workers in [1usize, 0] {
-        for sim_threads in [1usize, 0] {
-            for (cache, dedup) in [(4096usize, true), (4096, false), (0, true), (8, true)] {
-                let (json, sum) = run_fingerprint(
-                    "s27",
-                    3,
-                    FaultSample::Full,
-                    workers,
-                    sim_threads,
-                    cache,
-                    dedup,
-                );
-                assert_eq!(
-                    sum, base_sum,
-                    "score checksum at workers={workers} sim_threads={sim_threads} cache={cache} dedup={dedup}"
-                );
-                assert_eq!(
-                    json, base_json,
-                    "result JSON at workers={workers} sim_threads={sim_threads} cache={cache} dedup={dedup}"
-                );
-            }
+        for (cache, dedup) in [(4096usize, true), (4096, false), (0, true), (8, true)] {
+            let (json, sum) = run_fingerprint("s27", 3, FaultSample::Full, workers, cache, dedup);
+            assert_eq!(
+                sum, base_sum,
+                "score checksum at workers={workers} cache={cache} dedup={dedup}"
+            );
+            assert_eq!(
+                json, base_json,
+                "result JSON at workers={workers} cache={cache} dedup={dedup}"
+            );
         }
     }
 }
@@ -80,17 +68,14 @@ fn s27_memoization_is_bit_identical_across_thread_shapes() {
 #[test]
 fn s298_sampled_cache_on_equals_cache_off() {
     let sample = FaultSample::Count(60);
-    let (base_json, base_sum) = run_fingerprint("s298", 21, sample, 1, 1, 0, false);
-    for (workers, sim_threads) in [(1usize, 0usize), (0, 1), (0, 0)] {
-        let (json, sum) = run_fingerprint("s298", 21, sample, workers, sim_threads, 4096, true);
-        assert_eq!(sum, base_sum, "workers={workers} sim_threads={sim_threads}");
-        assert_eq!(
-            json, base_json,
-            "workers={workers} sim_threads={sim_threads}"
-        );
+    let (base_json, base_sum) = run_fingerprint("s298", 21, sample, 1, 0, false);
+    for workers in [2usize, 0] {
+        let (json, sum) = run_fingerprint("s298", 21, sample, workers, 4096, true);
+        assert_eq!(sum, base_sum, "workers={workers}");
+        assert_eq!(json, base_json, "workers={workers}");
     }
     // Serial cache-on as well, the shape the determinism CI job diffs.
-    let (json, _) = run_fingerprint("s298", 21, sample, 1, 1, 4096, true);
+    let (json, _) = run_fingerprint("s298", 21, sample, 1, 4096, true);
     assert_eq!(json, base_json, "serial cache-on");
 }
 
@@ -99,8 +84,8 @@ fn s298_sampled_cache_on_equals_cache_off() {
 #[test]
 fn s27_seed_sweep_cached_equals_uncached() {
     for seed in 1..=6u64 {
-        let (off, _) = run_fingerprint("s27", seed, FaultSample::Full, 1, 1, 0, false);
-        let (on, _) = run_fingerprint("s27", seed, FaultSample::Full, 1, 1, 4096, true);
+        let (off, _) = run_fingerprint("s27", seed, FaultSample::Full, 1, 0, false);
+        let (on, _) = run_fingerprint("s27", seed, FaultSample::Full, 1, 4096, true);
         assert_eq!(on, off, "seed {seed}");
     }
 }
@@ -111,7 +96,7 @@ fn s27_seed_sweep_cached_equals_uncached() {
 /// pool, and packed-phase-1 paths at once.
 #[test]
 fn paranoid_mode_survives_a_full_run() {
-    let (base_json, _) = run_fingerprint("s27", 5, FaultSample::Full, 1, 1, 0, false);
+    let (base_json, _) = run_fingerprint("s27", 5, FaultSample::Full, 1, 0, false);
     let circuit = Arc::new(iscas89("s27").unwrap());
     let mut config = GatestConfig::for_circuit(&circuit)
         .with_seed(5)

@@ -1,15 +1,18 @@
 //! Cross-validation of the packed, event-driven fault simulator against an
 //! independent, brute-force scalar implementation, over several circuits of
-//! the bundled suite.
+//! the bundled suite and over random synthetic circuits.
 
 use std::sync::Arc;
 
+use proptest::prelude::*;
+
 use gatest_core::{FaultSample, GatestConfig, TestGenerator};
 use gatest_netlist::benchmarks;
+use gatest_netlist::generate::{CircuitProfile, SyntheticGenerator};
 use gatest_netlist::levelize::Levelization;
 use gatest_netlist::Circuit;
 use gatest_sim::eval::eval_scalar;
-use gatest_sim::{Fault, FaultList, FaultSim, FaultSite, FaultStatus, Logic};
+use gatest_sim::{Fault, FaultId, FaultList, FaultSim, FaultSite, FaultStatus, Logic, SimBackend};
 
 /// Simulates the good and single-fault machines independently, gate by
 /// gate, frame by frame — no packing, no events, no sharing. Slow and
@@ -164,6 +167,101 @@ fn sampled_stepping_detects_subset_of_full() {
     }
 }
 
+/// The index of the vector `sim` claims first detected `id`, in the form
+/// [`reference_detects`] returns.
+fn claimed_vector(sim: &FaultSim, id: FaultId) -> Option<u32> {
+    match sim.status(id) {
+        FaultStatus::Detected { vector } => Some(vector),
+        FaultStatus::Undetected => None,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Every stepping entry point agrees with the reference on random
+    /// synthetic circuits, at every width. Commits alternate one-vector
+    /// `step`s with 2–3-vector `step_window`s; before each commit a
+    /// two-frame `step_sampled` candidate over every other active fault
+    /// runs between `checkpoint` and `restore`, as fitness evaluation
+    /// does. Each sample fault's first detection in the candidate, and each
+    /// fault's final detecting vector, must match a reference replay.
+    #[test]
+    fn stepping_matches_reference_on_random_circuits(
+        seed in any::<u64>(),
+        inputs in 2usize..=8,
+        dffs in 1usize..=12,
+        gates in 10usize..=60,
+        rounds in 2usize..=6,
+    ) {
+        let profile = CircuitProfile {
+            name: format!("rand_{seed:016x}"),
+            inputs,
+            outputs: 2,
+            dffs,
+            gates,
+            seq_depth: (dffs as u32).min(3),
+        };
+        let circuit = Arc::new(SyntheticGenerator::new(seed).generate(&profile));
+        let faults = FaultList::collapsed(&circuit);
+        // Each round: a two-vector candidate, then a commit of one vector
+        // (even rounds) or two to three (odd rounds).
+        let mut rng = gatest_ga::Rng::new(seed ^ 0x5eed);
+        let schedule: Vec<_> = (0..rounds)
+            .map(|round| {
+                let len = if round % 2 == 0 { 1 } else { 2 + usize::from(rng.coin()) };
+                let mut vectors = random_sequence(circuit.num_inputs(), 2 + len, rng.next_u64());
+                let commit = vectors.split_off(2);
+                (vectors, commit)
+            })
+            .collect();
+        let committed: Vec<Vec<Logic>> =
+            schedule.iter().flat_map(|(_, commit)| commit.clone()).collect();
+
+        for backend in [SimBackend::Scalar64, SimBackend::Wide256, SimBackend::Auto] {
+            let mut sim = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
+            sim.set_backend(backend);
+            let mut applied = 0;
+            for (candidate, commit) in &schedule {
+                let sample: Vec<FaultId> =
+                    sim.active_faults().iter().copied().step_by(2).collect();
+                let cp = sim.checkpoint();
+                let mut first = vec![None; faults.len()];
+                for (frame, v) in candidate.iter().enumerate() {
+                    for f in sim.step_sampled(v, &sample).newly_detected {
+                        first[f.index()].get_or_insert((applied + frame) as u32);
+                    }
+                }
+                sim.restore(&cp);
+                let replay: Vec<Vec<Logic>> =
+                    committed[..applied].iter().chain(candidate).cloned().collect();
+                for &id in &sample {
+                    prop_assert_eq!(
+                        first[id.index()],
+                        reference_detects(&circuit, faults.get(id), &replay),
+                        "{backend}: sample fault {} at vector {applied}",
+                        faults.get(id).display(&circuit)
+                    );
+                }
+                if let [vector] = commit.as_slice() {
+                    sim.step(vector);
+                } else {
+                    sim.step_window(commit);
+                }
+                applied += commit.len();
+            }
+            for (id, fault) in faults.iter() {
+                prop_assert_eq!(
+                    claimed_vector(&sim, id),
+                    reference_detects(&circuit, fault, &committed),
+                    "{backend}: fault {}",
+                    fault.display(&circuit)
+                );
+            }
+        }
+    }
+}
+
 /// Runs the generator and checks every fault's claimed status — detected or
 /// not, and for a detection the index of the vector that caught it —
 /// against a reference replay of the generated test set. Returns the
@@ -179,10 +277,7 @@ fn generated_claims_match_replay(
     let faults = generator.sim().fault_list();
     let mut detected = 0;
     for (id, fault) in faults.iter() {
-        let claimed = match generator.sim().status(id) {
-            FaultStatus::Detected { vector } => Some(vector),
-            FaultStatus::Undetected => None,
-        };
+        let claimed = claimed_vector(generator.sim(), id);
         let replayed = reference_detects(&circuit, fault, &result.test_set);
         assert_eq!(
             claimed,
