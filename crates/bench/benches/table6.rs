@@ -42,7 +42,7 @@ fn bench_sampled_steps(c: &mut Criterion) {
             |b, sample| {
                 b.iter(|| {
                     sim.restore(&cp);
-                    sim.step_sampled(&vector, sample)
+                    sim.step_sampled(&[&vector], sample)
                 })
             },
         );

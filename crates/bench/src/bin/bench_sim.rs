@@ -17,6 +17,12 @@
 //! 10k-gate circuit at every width, so CI exercises the CSR adjacency and
 //! group scheduling at a size where the ISCAS89 suite cannot.
 //!
+//! A third `sequence` section times phase-4 candidate scoring: from a
+//! warmed s298 full-list checkpoint it scores a fixed set of random
+//! 16-frame candidates over the active list, once as one-vector
+//! `step_sampled` calls and once as sampled windows, alternating the two
+//! forms chunk by chunk, and asserts both forms report the same checksum.
+//!
 //! Prints a JSON document to stdout; `scripts/bench_eval.sh` redirects it to
 //! `BENCH_sim.json` so the performance trajectory is tracked across PRs.
 //! Pass `--smoke` for a fast CI-sized run (same shape, fewer vectors).
@@ -29,7 +35,7 @@ use std::time::Instant;
 use gatest_ga::Rng;
 use gatest_netlist::benchmarks;
 use gatest_netlist::generate::{CircuitProfile, SyntheticGenerator};
-use gatest_sim::{FaultSim, Logic, SimBackend};
+use gatest_sim::{FaultSim, Logic, SimBackend, StepReport};
 use gatest_telemetry::json::parse_json;
 
 const CIRCUIT: &str = "s1423";
@@ -40,12 +46,21 @@ const WIDTH_BACKENDS: [SimBackend; 3] =
     [SimBackend::Scalar64, SimBackend::Wide256, SimBackend::Auto];
 /// Vectors each width replays in turn in the `width` section.
 const WIDTH_CHUNK: usize = 50;
+/// The circuit the `sequence` section scores candidates on.
+const SEQUENCE_CIRCUIT: &str = "s298";
+/// Frames per candidate in the `sequence` section.
+const SEQUENCE_FRAMES: usize = 16;
+/// Candidates each form scores in turn in the `sequence` section.
+const SEQUENCE_CHUNK: usize = 8;
+/// The two forms the `sequence` section scores candidates in.
+const SEQUENCE_FORMS: [&str; 2] = ["serial", "window"];
 /// Bumped whenever the document shape changes; `--validate` requires it.
 /// 2 added provenance (`git_revision`, `timestamp`); 3 added the `width`
 /// packed-backend comparison section; 4 added the skipped-row shape for
 /// thread counts the host cannot measure meaningfully; 5 dropped the
-/// sim-thread sweep, leaving one serial `scalar64` row in `results`.
-const SCHEMA_VERSION: u64 = 5;
+/// sim-thread sweep, leaving one serial `scalar64` row in `results`; 6
+/// added the `sequence` section.
+const SCHEMA_VERSION: u64 = 6;
 
 /// `--NAME VALUE` from the args, else the `env` variable, else `"unknown"`.
 /// Benchmarks never read the clock or the repo themselves — provenance is
@@ -118,9 +133,10 @@ fn main() {
     );
 
     println!(
-        "{{\n  \"bench\": \"step_throughput\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"git_revision\": \"{git_revision}\",\n  \"timestamp\": \"{timestamp}\",\n  \"circuit\": \"{CIRCUIT}\",\n  \"mode\": \"{}\",\n  \"host_cpus\": {host_cpus},\n  \"identity_checksum\": {checksum},\n  \"results\": [\n{row}\n  ],\n  \"width\": [\n{}\n  ]\n}}",
+        "{{\n  \"bench\": \"step_throughput\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"git_revision\": \"{git_revision}\",\n  \"timestamp\": \"{timestamp}\",\n  \"circuit\": \"{CIRCUIT}\",\n  \"mode\": \"{}\",\n  \"host_cpus\": {host_cpus},\n  \"identity_checksum\": {checksum},\n  \"results\": [\n{row}\n  ],\n  \"width\": [\n{}\n  ],\n  \"sequence\": [\n{}\n  ]\n}}",
         if smoke { "smoke" } else { "full" },
-        width_rows(smoke)
+        width_rows(smoke),
+        sequence_rows(smoke)
     );
 }
 
@@ -137,14 +153,20 @@ fn run_stream(sim: &mut FaultSim, stream: &[Vec<Logic>], first: usize) -> (f64, 
     for (n, v) in (first..).zip(stream) {
         let report = sim.step(v);
         events += report.faulty_events;
-        sum = sum
-            .wrapping_add(report.faulty_events.wrapping_mul(n as u64 + 1))
-            .wrapping_add(report.ff_effect_pairs);
-        for f in &report.newly_detected {
-            sum = sum.wrapping_add((n as u64 + 1).wrapping_mul(f.index() as u64 + 1));
-        }
+        sum = add_report(sum, n, &report);
     }
     (start.elapsed().as_secs_f64(), sum, events)
+}
+
+/// Adds the report of stream index `n` to the identity checksum `sum`.
+fn add_report(sum: u64, n: usize, report: &StepReport) -> u64 {
+    let mut sum = sum
+        .wrapping_add(report.faulty_events.wrapping_mul(n as u64 + 1))
+        .wrapping_add(report.ff_effect_pairs);
+    for f in &report.newly_detected {
+        sum = sum.wrapping_add((n as u64 + 1).wrapping_mul(f.index() as u64 + 1));
+    }
+    sum
 }
 
 /// Smoke-only shakeout on a circuit an order of magnitude past tier 1: a
@@ -269,6 +291,93 @@ fn width_rows(smoke: bool) -> String {
     rows
 }
 
+/// The phase-4 scoring comparison: random 16-frame candidates scored over
+/// the active list of a warmed s298 checkpoint, each restored from the
+/// checkpoint first as fitness evaluation does, once as one-vector
+/// `step_sampled` calls (`serial`) and once as one sampled window
+/// (`window`). The forms alternate chunk by chunk, each going first in
+/// every other chunk, and must report the same identity checksum
+/// ([`add_report`] over every frame's report); the `window` row carries
+/// `speedup_vs_serial`.
+fn sequence_rows(smoke: bool) -> String {
+    let circuit = Arc::new(benchmarks::iscas89(SEQUENCE_CIRCUIT).expect("bundled circuit"));
+    let pis = circuit.num_inputs();
+    let mut base = FaultSim::new(Arc::clone(&circuit));
+    let mut rng = Rng::new(1);
+    for _ in 0..20 {
+        let v: Vec<Logic> = (0..pis).map(|_| Logic::from_bool(rng.coin())).collect();
+        base.step(&v);
+    }
+    let sample = base.active_faults().to_vec();
+    let lanes = SimBackend::Auto.for_step(sample.len(), &circuit).lanes();
+    let cp = base.checkpoint();
+    let count = if smoke { 48 } else { 400 };
+    let mut cand_rng = Rng::new(9);
+    let candidates: Vec<Vec<Vec<Logic>>> = (0..count)
+        .map(|_| {
+            (0..SEQUENCE_FRAMES)
+                .map(|_| {
+                    (0..pis)
+                        .map(|_| Logic::from_bool(cand_rng.coin()))
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+    // Per form: simulator, seconds, identity checksum.
+    let mut runs: Vec<(FaultSim, f64, u64)> = SEQUENCE_FORMS
+        .iter()
+        .map(|_| (base.clone(), 0.0, 0))
+        .collect();
+    for (c, chunk) in candidates.chunks(SEQUENCE_CHUNK).enumerate() {
+        for turn in 0..SEQUENCE_FORMS.len() {
+            let form = (turn + c) % SEQUENCE_FORMS.len();
+            let (sim, secs, sum) = &mut runs[form];
+            let start = Instant::now();
+            for (k, candidate) in (c * SEQUENCE_CHUNK..).zip(chunk) {
+                sim.restore(&cp);
+                let reports: Vec<StepReport> = if SEQUENCE_FORMS[form] == "window" {
+                    sim.step_sampled(candidate, &sample)
+                } else {
+                    candidate
+                        .iter()
+                        .flat_map(|v| sim.step_sampled(&[v], &sample))
+                        .collect()
+                };
+                for (f, report) in reports.iter().enumerate() {
+                    *sum = add_report(*sum, k * SEQUENCE_FRAMES + f, report);
+                }
+            }
+            *secs += start.elapsed().as_secs_f64();
+        }
+    }
+    let serial_rate = count as f64 / runs[0].1;
+    let mut rows = String::new();
+    for (form, (_, secs, sum)) in SEQUENCE_FORMS.into_iter().zip(&runs) {
+        let rate = count as f64 / secs;
+        let speedup = if form == "window" {
+            assert_eq!(
+                *sum, runs[0].2,
+                "{SEQUENCE_CIRCUIT}: sampled windows diverged from one-vector calls"
+            );
+            format!(", \"speedup_vs_serial\": {:.3}", rate / serial_rate)
+        } else {
+            String::new()
+        };
+        if !rows.is_empty() {
+            rows.push_str(",\n");
+        }
+        rows.push_str(&format!(
+            "    {{\"circuit\": \"{SEQUENCE_CIRCUIT}\", \"form\": \"{form}\", \"frames\": {SEQUENCE_FRAMES}, \"faults\": {}, \"lanes\": {lanes}, \"candidates\": {count}, \"secs\": {secs:.4}, \"candidates_per_sec\": {rate:.1}, \"identity_checksum\": {sum}{speedup}}}",
+            sample.len()
+        ));
+        eprintln!(
+            "sequence {SEQUENCE_CIRCUIT} {form}: {count} candidates x {SEQUENCE_FRAMES} frames in {secs:.2}s = {rate:.1} candidates/sec"
+        );
+    }
+    rows
+}
+
 /// Parses `path` as a `BENCH_sim` document and checks every field the
 /// scaling-curve consumers rely on. Returns a one-line summary on success.
 fn validate(path: &str) -> Result<String, String> {
@@ -358,8 +467,51 @@ fn validate(path: &str) -> Result<String, String> {
             ));
         }
     }
+    let sequence = field("sequence")?
+        .as_array()
+        .ok_or("`sequence` is not an array")?;
+    let forms: Vec<&str> = sequence
+        .iter()
+        .map(|r| r.get("form").and_then(|v| v.as_str()).unwrap_or(""))
+        .collect();
+    if forms != SEQUENCE_FORMS {
+        return Err(format!(
+            "`sequence` has forms {forms:?}, expected {SEQUENCE_FORMS:?}"
+        ));
+    }
+    for (i, row) in sequence.iter().enumerate() {
+        row.get("circuit")
+            .and_then(|v| v.as_str())
+            .ok_or_else(|| format!("sequence[{i}] missing string `circuit`"))?;
+        for key in [
+            "frames",
+            "faults",
+            "lanes",
+            "candidates",
+            "secs",
+            "candidates_per_sec",
+            "identity_checksum",
+        ] {
+            row.get(key)
+                .and_then(|v| v.as_f64())
+                .ok_or_else(|| format!("sequence[{i}] missing numeric `{key}`"))?;
+        }
+    }
+    sequence[1]
+        .get("speedup_vs_serial")
+        .and_then(|v| v.as_f64())
+        .ok_or("sequence[1] missing numeric `speedup_vs_serial`")?;
+    // Like the width rows, the baseline itself proves both forms agreed.
+    let sums: Vec<Option<u64>> = sequence
+        .iter()
+        .map(|r| r.get("identity_checksum").and_then(|v| v.as_u64()))
+        .collect();
+    if sums[0] != sums[1] {
+        return Err("`sequence` checksums disagree across forms".into());
+    }
     Ok(format!(
-        "{path} ok: 1 serial row, {} width rows, host_cpus {cpus}",
-        width.len()
+        "{path} ok: 1 serial row, {} width rows, {} sequence rows, host_cpus {cpus}",
+        width.len(),
+        sequence.len()
     ))
 }

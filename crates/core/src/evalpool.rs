@@ -29,6 +29,7 @@
 //!   invocation via `Arc`.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -106,6 +107,29 @@ pub fn decode_frame_into(chrom: &Chromosome, pis: usize, frame: usize, out: &mut
     out.extend((0..pis).map(|i| Logic::from_bool(chrom.bit(frame * pis + i))));
 }
 
+/// Decodes frames `frames` of a sequence chromosome into `scratch` and
+/// applies them to `sim` as one sampled window over `sample`, returning
+/// one report per frame.
+fn step_frames(
+    sim: &mut FaultSim,
+    chrom: &Chromosome,
+    pis: usize,
+    frames: Range<usize>,
+    sample: &[FaultId],
+    scratch: &mut Vec<Logic>,
+) -> Vec<StepReport> {
+    scratch.clear();
+    scratch.extend(
+        chrom.bits()[frames.start * pis..frames.end * pis]
+            .iter()
+            .map(|&b| Logic::from_bool(b)),
+    );
+    let vectors: Vec<&[Logic]> = (0..frames.len())
+        .map(|f| &scratch[f * pis..(f + 1) * pis])
+        .collect();
+    sim.step_sampled(&vectors, sample)
+}
+
 /// Scores one candidate: restore to the context's checkpoint, simulate per
 /// the job, apply the phase's fitness function. `scratch` is a reusable
 /// decode buffer — passing the same buffer across calls avoids one `Vec`
@@ -140,9 +164,11 @@ pub fn evaluate_candidate(
                     sim.step_good_only(scratch);
                     phase1(&sim.step_good_only(scratch), *scale)
                 }
-                Phase::VectorGeneration => phase2(&sim.step_sampled(scratch, sample), *scale),
+                Phase::VectorGeneration => {
+                    phase2(&sim.step_sampled(&[&scratch], sample)[0], *scale)
+                }
                 Phase::StalledVectorGeneration => {
-                    phase3(&sim.step_sampled(scratch, sample), *scale)
+                    phase3(&sim.step_sampled(&[&scratch], sample)[0], *scale)
                 }
                 Phase::SequenceGeneration => unreachable!("sequences use EvalJob::Sequence"),
             }
@@ -152,14 +178,10 @@ pub fn evaluate_candidate(
             sample,
             scale,
             pis,
-        } => {
-            let mut reports = Vec::with_capacity(*frames);
-            for frame in 0..*frames {
-                decode_frame_into(chrom, *pis, frame, scratch);
-                reports.push(sim.step_sampled(scratch, sample));
-            }
-            phase4(&reports, *scale)
-        }
+        } => phase4(
+            &step_frames(sim, chrom, *pis, 0..*frames, sample, scratch),
+            *scale,
+        ),
     }
 }
 
@@ -172,7 +194,8 @@ pub fn evaluate_candidate(
 /// each distinct frame is simulated once for its whole subtree. Candidates
 /// sharing a k-frame prefix therefore pay for those k frames once instead
 /// of once each; the frames *not* simulated are recorded as
-/// `prefix_frames_avoided`.
+/// `prefix_frames_avoided`. A trie node that holds a single candidate runs
+/// that candidate's remaining frames as one sampled window.
 ///
 /// Bit-identical to calling [`evaluate_candidate`] per candidate: each
 /// leaf's per-frame [`StepReport`]s are exactly the flat path's, because
@@ -254,6 +277,18 @@ impl PrefixWalk<'_> {
             }
             return;
         }
+        if let [only] = *group {
+            // Nothing left to share: the rest of the sequence is one window.
+            let path = self.reports.len();
+            let rest = depth..self.frames;
+            self.frames_simulated += rest.len() as u64;
+            let chrom = &self.batch[only];
+            let tail = step_frames(sim, chrom, self.pis, rest, self.sample, self.scratch);
+            self.reports.extend(tail);
+            self.scores[only] = phase4(&self.reports, self.scale);
+            self.reports.truncate(path);
+            return;
+        }
         // Partition by the next frame, preserving first-occurrence order so
         // the walk is deterministic. Groups are at most a population wide,
         // so the quadratic scan is negligible next to simulation.
@@ -274,9 +309,10 @@ impl PrefixWalk<'_> {
             if k > 0 {
                 sim.restore(fork.as_ref().expect("forked above"));
             }
-            decode_frame_into(&self.batch[sub[0]], self.pis, depth, self.scratch);
-            self.reports
-                .push(sim.step_sampled(self.scratch, self.sample));
+            let chrom = &self.batch[sub[0]];
+            let frame = depth..depth + 1;
+            let report = step_frames(sim, chrom, self.pis, frame, self.sample, self.scratch);
+            self.reports.extend(report);
             self.frames_simulated += 1;
             self.descend(sim, sub, depth + 1);
             self.reports.pop();

@@ -398,16 +398,29 @@ impl FaultSim {
             .expect("one report per vector")
     }
 
-    /// Applies one vector simulating only `sample` (a subset of the active
-    /// faults); detected sample faults are still dropped. Faults outside the
-    /// sample keep their (now stale) faulty state — the paper accepts this
-    /// approximation to cut fitness-evaluation cost, because candidate
-    /// evaluation happens between a checkpoint/restore pair and the winning
-    /// test is re-simulated with the full list when committed.
-    pub fn step_sampled(&mut self, vector: &[Logic], sample: &[FaultId]) -> StepReport {
-        self.window(&[vector], Some(sample))
-            .pop()
-            .expect("one report per vector")
+    /// Applies a window of vectors simulating only `sample` (a subset of
+    /// the active faults), returning one report per vector; detected sample
+    /// faults are still dropped. Faults outside the sample keep their (now
+    /// stale) faulty state — the paper accepts this approximation to cut
+    /// fitness-evaluation cost, because candidate evaluation happens between
+    /// a checkpoint/restore pair and the winning test is re-simulated with
+    /// the full list when committed.
+    ///
+    /// A window equals one call per vector, bit for bit (every report field
+    /// except `gate_evals`, and the final state). Since the sample still
+    /// lists a fault an earlier vector detected, that fault is simulated
+    /// again from the good state and may be detected, and reported, again;
+    /// its status stamps the latest detecting vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any vector's length differs from `circuit.num_inputs()`.
+    pub fn step_sampled<V: AsRef<[Logic]>>(
+        &mut self,
+        vectors: &[V],
+        sample: &[FaultId],
+    ) -> Vec<StepReport> {
+        self.window(vectors, Some(sample))
     }
 
     /// Applies one vector to the good machine only (no fault propagation).
@@ -458,8 +471,13 @@ impl FaultSim {
     ///
     /// The good machine advances over every frame first. Earlier frames
     /// replay against snapshots of it; the last frame reads the live good
-    /// machine, so a one-vector step takes no snapshot. Each detected fault
-    /// is stamped with the 0-based index of the vector that caught it.
+    /// machine, so a one-vector step takes no snapshot. A full-list window
+    /// masks a detected fault out of its later frames; a sampled window
+    /// keeps simulating it from the good state, as the next one-vector
+    /// call would ([`simulate_group`]). Each detected fault is stamped with
+    /// the 0-based index of the latest vector that caught it, and the
+    /// groups' merge clears the state of every fault dropped at the last
+    /// frame.
     fn window<V: AsRef<[Logic]>>(
         &mut self,
         vectors: &[V],
@@ -516,6 +534,7 @@ impl FaultSim {
             &mut self.ff_entries,
             &self.empty_ff,
             targets,
+            sample.is_none(),
             &frames,
             &mut self.engine,
             probe.as_ref(),
@@ -542,13 +561,10 @@ impl FaultSim {
             newly.sort_unstable();
             newly.dedup();
             let status = Arc::make_mut(&mut self.status);
-            let faulty_ff = Arc::make_mut(&mut self.faulty_ff);
             for &fault in newly.iter() {
                 status[fault.index()] = FaultStatus::Detected {
                     vector: base_vector + f as u32,
                 };
-                self.ff_entries -= faulty_ff[fault.index()].len();
-                faulty_ff[fault.index()] = Arc::clone(&self.empty_ff);
             }
         }
         if any_detected {
@@ -730,7 +746,8 @@ impl FaultSim {
 
 /// Replays every `P::LANES`-fault group of `targets` across `frames` and
 /// merges each group's per-frame outcomes into `reports` before simulating
-/// the next group.
+/// the next group. `drop_detected` masks detected faults out of later
+/// frames (full-list windows; see [`simulate_group`]).
 ///
 /// Returns `(scratch_bytes, events_amortized)`. The merge walks
 /// groups **in group order**, and lane order within a group is fault
@@ -750,6 +767,7 @@ fn run_groups<P: GroupWidth>(
     ff_entries: &mut usize,
     empty_ff: &FaultyFfState,
     targets: &[FaultId],
+    drop_detected: bool,
     frames: &[GoodFrame<'_>],
     engine: &mut Engine,
     probe: Option<&SpanHandle>,
@@ -773,7 +791,7 @@ fn run_groups<P: GroupWidth>(
             faulty_ff: faulty_ff.as_slice(),
             empty_ff,
         };
-        simulate_group(&ctx, frames, group, arena, outcomes);
+        simulate_group(&ctx, frames, group, drop_detected, arena, outcomes);
         let _merge_span = probe.map(|p| p.enter(SpanKind::Merge));
         for (report, out) in reports.iter_mut().zip(outcomes.iter_mut()) {
             report.gate_evals += out.gate_evals;
@@ -788,8 +806,7 @@ fn run_groups<P: GroupWidth>(
             out.detected_mask
                 .for_each(|lane| report.newly_detected.push(group[lane]));
             // Only the window's last frame carries new faulty-FF state
-            // (earlier frames leave `new_ff` empty, so the zip skips them;
-            // lanes detected in the window carry none at all).
+            // (earlier frames leave `new_ff` empty, so the zip skips them).
             for (slot, &fid) in out.new_ff.iter_mut().zip(group) {
                 if let Some(entry) = slot.take() {
                     let idx = fid.index();
@@ -1033,7 +1050,9 @@ mod tests {
         let mut sim = FaultSim::new(circuit);
         let sample: Vec<FaultId> = sim.active_faults().iter().copied().take(5).collect();
         let before = sim.remaining();
-        let r = sim.step_sampled(&[One, One, Zero, Zero], &sample);
+        let r = sim
+            .step_sampled(&[[One, One, Zero, Zero]], &sample)
+            .remove(0);
         assert!(r.detected() <= 5);
         assert_eq!(sim.remaining(), before - r.detected());
     }
@@ -1120,7 +1139,7 @@ mod tests {
         let mut expected_faulty = 0u64;
         for v in prng_sequence(4, 6, 31) {
             sim.restore(&cp);
-            let r = sim.step_sampled(&v, &sample);
+            let r = sim.step_sampled(&[&v], &sample).remove(0);
             expected_gate_evals += r.gate_evals;
             expected_good += r.good_events;
             expected_faulty += r.faulty_events;
@@ -1356,8 +1375,8 @@ mod tests {
             let (cp_auto, cp_pinned) = (auto.checkpoint(), pinned.checkpoint());
             for v in &chunk[1..4] {
                 let (a, b) = (
-                    auto.step_sampled(v, &sample),
-                    pinned.step_sampled(v, &sample),
+                    auto.step_sampled(&[v], &sample).remove(0),
+                    pinned.step_sampled(&[v], &sample).remove(0),
                 );
                 assert_eq!(
                     without_gate_evals(a),
@@ -1398,23 +1417,111 @@ mod tests {
 
     #[test]
     fn stamp_wrap_around_matches_a_fresh_simulator() {
-        // A simulator whose frame stamp starts just below the u32
-        // wrap-around crosses it within its first steps; at both widths
-        // every step must still match a simulator nowhere near it.
+        // A simulator whose frame and forcing stamps are placed just below
+        // the u32 wrap-around crosses them within its next windows; at both
+        // widths every sampled and full-list window must still match a
+        // simulator nowhere near the wrap. First a sampled window over the
+        // first half of the fault list fills the stamped tables at the low
+        // stamps a wrap restarts from; after the placement, sampled windows
+        // over the second half run first, so the nets only the first half
+        // forces still hold those stamps when the restarted ones reach
+        // them: a wrap that failed to clear the tables would read their
+        // stale ranges as current.
         let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
+        let seq = prng_sequence(circuit.num_inputs(), 28, 5);
         for backend in [SimBackend::Scalar64, SimBackend::Wide256] {
             let mut fresh = FaultSim::new(Arc::clone(&circuit));
             let mut wrapped = FaultSim::new(Arc::clone(&circuit));
             fresh.set_backend(backend);
             wrapped.set_backend(backend);
+            let (first, second) = fresh.active_faults().split_at(fresh.remaining() / 2);
+            let (first, second) = (first.to_vec(), second.to_vec());
+            for sim in [&mut fresh, &mut wrapped] {
+                let cp = sim.checkpoint();
+                sim.step_sampled(&seq[..4], &first);
+                sim.restore(&cp);
+            }
             place_stamp(&mut wrapped, u32::MAX - 7);
-            for (i, v) in prng_sequence(circuit.num_inputs(), 12, 5)
-                .iter()
-                .enumerate()
-            {
-                assert_eq!(fresh.step(v), wrapped.step(v), "{backend} step {i}");
+            for (i, window) in seq[4..16].chunks(4).enumerate() {
+                let (cp_fresh, cp_wrapped) = (fresh.checkpoint(), wrapped.checkpoint());
+                assert_eq!(
+                    fresh.step_sampled(window, &second),
+                    wrapped.step_sampled(window, &second),
+                    "{backend} sampled window {i}"
+                );
+                fresh.restore(&cp_fresh);
+                wrapped.restore(&cp_wrapped);
+            }
+            for (i, window) in seq[16..].chunks(4).enumerate() {
+                assert_eq!(
+                    fresh.step_window(window),
+                    wrapped.step_window(window),
+                    "{backend} window {i}"
+                );
             }
             assert_eq!(fresh.export_state(), wrapped.export_state(), "{backend}");
+        }
+    }
+
+    #[test]
+    fn sampled_windows_report_a_re_detected_fault_at_every_detecting_frame() {
+        // The sample still lists a fault an earlier frame of the candidate
+        // detected, so the fault restarts from the good state and may be
+        // detected again; a window reports it at both frames and stamps the
+        // later vector, exactly as one-vector calls do. This pins the
+        // re-count phase-4 fitness sees today (ROADMAP item 6).
+        let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
+        let mut base = FaultSim::new(Arc::clone(&circuit));
+        for v in prng_sequence(circuit.num_inputs(), 6, 3) {
+            base.step(&v);
+        }
+        let sample = base.active_faults().to_vec();
+        let first_vector = base.vectors_applied();
+        // The first candidate in a fixed list that re-detects a fault.
+        let frames_detecting = |reports: &[StepReport], id: FaultId| -> Vec<usize> {
+            (0..reports.len())
+                .filter(|&f| reports[f].newly_detected.contains(&id))
+                .collect()
+        };
+        let (candidate, fault, frames) = (0..64)
+            .find_map(|seed| {
+                let candidate = prng_sequence(circuit.num_inputs(), 12, 100 + seed);
+                let mut sim = base.clone();
+                let reports = sim.step_sampled(&candidate, &sample);
+                sample.iter().find_map(|&id| {
+                    let frames = frames_detecting(&reports, id);
+                    (frames.len() > 1).then(|| (candidate.clone(), id, frames))
+                })
+            })
+            .expect("some candidate re-detects a sample fault");
+        for backend in [SimBackend::Scalar64, SimBackend::Wide256, SimBackend::Auto] {
+            let mut windowed = base.clone();
+            let mut serial = base.clone();
+            windowed.set_backend(backend);
+            serial.set_backend(backend);
+            let window = windowed.step_sampled(&candidate, &sample);
+            let calls: Vec<StepReport> = candidate
+                .iter()
+                .flat_map(|v| serial.step_sampled(&[v], &sample))
+                .collect();
+            assert_eq!(frames_detecting(&window, fault), frames, "{backend}");
+            assert_eq!(frames_detecting(&calls, fault), frames, "{backend}");
+            let last = *frames.last().expect("two frames");
+            assert_eq!(
+                windowed.status(fault),
+                FaultStatus::Detected {
+                    vector: first_vector + last as u32
+                },
+                "{backend}"
+            );
+            for (f, (a, b)) in window.into_iter().zip(calls).enumerate() {
+                assert_eq!(
+                    without_gate_evals(a),
+                    without_gate_evals(b),
+                    "{backend} {f}"
+                );
+            }
+            assert_eq!(windowed.export_state(), serial.export_state(), "{backend}");
         }
     }
 
@@ -1432,7 +1539,7 @@ mod tests {
         sim.step(&seq[0]);
         let sample: Vec<FaultId> = sim.active_faults().iter().copied().step_by(2).collect();
         let cp = sim.checkpoint();
-        sim.step_sampled(&seq[1], &sample);
+        sim.step_sampled(&seq[1..2], &sample);
         sim.restore(&cp);
         let s = counters.snapshot();
         assert_eq!((s.step_calls, s.commit_batch_frames), (2, 0));

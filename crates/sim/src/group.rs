@@ -21,21 +21,23 @@
 //! inline implementation paid: `HashMap` forcing tables are replaced with
 //! slices sorted by net plus stamped `(start, end)` range tables, the
 //! per-gate fanin `Vec` with one reusable buffer, and the per-group
-//! faulty-FF state builders with one flat flip-flop-effect buffer. Faulty
-//! net values live in structure-of-arrays form — one flat `zero` plane
-//! array and one flat `one` plane array, `P::WORDS` words per net — so a
-//! wide backend's plane arithmetic runs over contiguous words the compiler
-//! can keep in vector registers. One arena serves both widths: only the
-//! planes' length depends on the width, and they grow to the widest width
-//! the owner has run.
+//! faulty-FF state builders with one packed flip-flop carry. Faulty net
+//! values live in structure-of-arrays form — one flat `zero` plane array
+//! and one flat `one` plane array, `P::WORDS` words per net — so a wide
+//! backend's plane arithmetic runs over contiguous words the compiler can
+//! keep in vector registers. One arena serves both widths: only the planes'
+//! length depends on the width, and they grow to the widest width the owner
+//! has run.
 //!
-//! A group's cost follows the faults it carries. Carried faulty flip-flop
-//! state is seeded per flip-flop: each seed writes its lane straight into
-//! the flip-flop's planes, and each diverged flip-flop's fanout is
-//! scheduled once, however many lanes it carries. The flip-flop effects a
-//! frame produces are appended to one buffer in flip-flop order; a window's
-//! next frame seeds from it directly, and only the step's last frame
-//! regroups it by lane into the sparse per-fault state.
+//! A window frame pays only for its event sweep. The forcing tables are
+//! published once per group per window, under a forcing stamp of their own.
+//! Faulty flip-flop divergence crosses frames packed: the end-of-frame scan
+//! stores one faulty D word and one lane mask per diverged flip-flop, in
+//! flip-flop order, and the next frame seeds each of them with one blend of
+//! the good and faulty words. Only a window's first frame reads the
+//! per-fault sparse state, and only its last frame regroups the carry by
+//! lane into it. The scan itself visits only the outputs and flip-flops
+//! whose nets the group touched.
 //!
 //! Scheduling runs entirely on the levelized CSR
 //! ([`Levelization::comb_fanout`]): fanout edges carry their consumer's
@@ -117,8 +119,8 @@ pub(crate) struct GroupOutcome<P: PackedValue> {
     /// Replacement sparse faulty-FF state per lane, filled on a window's
     /// last frame only. `None` means "keep the old state" — emitted when
     /// old and new are both empty, so the merge can skip the copy-on-write
-    /// table entirely, and for lanes detected in the window, whose state
-    /// the caller's drop logic clears.
+    /// table entirely. A lane whose fault the window drops gets the empty
+    /// state.
     pub new_ff: Vec<Option<FaultyFfState>>,
 }
 
@@ -136,9 +138,6 @@ impl<P: PackedValue> GroupOutcome<P> {
         self.new_ff.clear();
     }
 }
-
-/// One flip-flop effect of one lane: `(dff index, lane, faulty value)`.
-type FfEffect = (u32, u16, Logic);
 
 /// A packed width an [`Arena`] can simulate groups at. Every arena table is
 /// shared by all widths; the gate fan-in buffer and the per-group outcome
@@ -198,10 +197,11 @@ pub(crate) fn advance_stamp<const N: usize>(stamp: &mut u32, tables: [&mut [u32]
 /// the owner has run and narrower groups use a prefix; all other tables are
 /// indexed by net, level, lane or entry and do not depend on the width.
 ///
-/// Stamp discipline: `stamp` is bumped per group frame, and any stamped
-/// array entry is valid only while its stamp matches — so "clearing" the
-/// faulty values, the forcing-range tables, and the scheduling guard between
-/// groups costs one integer increment instead of a sweep.
+/// Stamp discipline: `stamp` is bumped per group frame and `force_stamp`
+/// per group, and any stamped array entry is valid only while its stamp
+/// matches — so "clearing" the faulty values and the scheduling guard
+/// between frames, and the forcing-range tables between groups, costs one
+/// integer increment instead of a sweep.
 #[derive(Debug)]
 pub(crate) struct Arena {
     /// Zero plane of the faulty value per net (structure-of-arrays:
@@ -221,32 +221,44 @@ pub(crate) struct Arena {
     sched_lo: u32,
     /// Highest level with a queued gate this group.
     sched_hi: u32,
+    /// Current forcing stamp (bumped by 2 per group): the stem and branch
+    /// ranges a group publishes stay valid for its whole window.
+    force_stamp: u32,
     /// Stem forcing entries `(lane, stuck)`, grouped by net.
     stem_entries: Vec<(u32, Logic)>,
     /// Per-net `(start, end)` range into `stem_entries`, stamped.
     stem_range: Vec<(u32, u32)>,
-    /// Validity stamp for `stem_range`.
+    /// Forcing stamp for `stem_range`.
     stem_stamp: Vec<u32>,
     /// Branch forcing entries `(pin, lane, stuck)`, grouped by gate.
     branch_entries: Vec<(u16, u32, Logic)>,
     /// Per-gate `(start, end)` range into `branch_entries`, stamped.
     branch_range: Vec<(u32, u32)>,
-    /// Validity stamp for `branch_range`.
+    /// Forcing stamp for `branch_range`.
     branch_stamp: Vec<u32>,
     /// Sort buffer for stem faults: `(net, lane, stuck)`.
     stem_tmp: Vec<(NetId, u32, Logic)>,
     /// Sort buffer for branch faults: `(gate, pin, lane, stuck)`.
     branch_tmp: Vec<(NetId, u16, u32, Logic)>,
-    /// Flip-flop nets seeded with carried faulty state this frame.
+    /// Flip-flop nets seeded from the sparse per-fault state this frame.
     seeded: Vec<NetId>,
     /// Gate fan-in buffer for 64-lane groups (fan-in is small and bounded).
     fanin64: Vec<Pv64>,
     /// Gate fan-in buffer for 256-lane groups.
     fanin256: Vec<Pv256>,
-    /// The flip-flop-effect buffer: this frame's effects in flip-flop
-    /// order. A window's next frame seeds from it before overwriting it.
-    effects: Vec<FfEffect>,
-    /// `effects` regrouped by lane when a group materializes its new
+    /// The packed flip-flop carry: the flip-flops (dff indices) whose
+    /// faulty D value diverged from the good next state this frame, in
+    /// ascending order. A window's next frame seeds from it before the
+    /// scan overwrites it.
+    carry_dffs: Vec<u32>,
+    /// Zero plane of each carried flip-flop's faulty D word (`P::WORDS`
+    /// words per entry of `carry_dffs`).
+    carry_zero: Vec<u64>,
+    /// One plane of each carried faulty D word (same layout).
+    carry_one: Vec<u64>,
+    /// Lanes each carried word diverges in (same layout).
+    carry_mask: Vec<u64>,
+    /// The carry regrouped by lane when a group materializes its new
     /// faulty flip-flop state.
     by_lane: Vec<(u32, Logic)>,
     /// Per-lane effect counts, then lane offsets into `by_lane`.
@@ -267,6 +279,7 @@ impl Arena {
             buckets: vec![Vec::new(); max_level + 1],
             sched_lo: u32::MAX,
             sched_hi: 0,
+            force_stamp: 0,
             stem_entries: Vec::new(),
             stem_range: vec![(0, 0); n],
             stem_stamp: vec![0; n],
@@ -278,39 +291,35 @@ impl Arena {
             seeded: Vec::new(),
             fanin64: Vec::new(),
             fanin256: Vec::new(),
-            effects: Vec::new(),
+            carry_dffs: Vec::new(),
+            carry_zero: Vec::new(),
+            carry_one: Vec::new(),
+            carry_mask: Vec::new(),
             by_lane: Vec::new(),
             lane_start: vec![0; Pv256::LANES + 1],
         }
     }
 
-    /// Starts a new group (or window frame) at width `P`: grows the planes
-    /// on the first frame at a wider width, bumps the stamp, and resets the
-    /// scheduled level band.
+    /// Starts a window frame of a group at width `P`: grows the planes on
+    /// the first frame at a wider width, bumps the frame stamp, and resets
+    /// the scheduled level band.
     fn begin_frame<P: PackedValue>(&mut self) {
         let words = self.fstamp.len() * P::WORDS;
         if self.fzero.len() < words {
             self.fzero.resize(words, 0);
             self.fone.resize(words, 0);
         }
-        advance_stamp(
-            &mut self.stamp,
-            [
-                &mut self.fstamp,
-                &mut self.queued,
-                &mut self.stem_stamp,
-                &mut self.branch_stamp,
-            ],
-        );
+        advance_stamp(&mut self.stamp, [&mut self.fstamp, &mut self.queued]);
         self.sched_lo = u32::MAX;
         self.sched_hi = 0;
     }
 
-    /// Places the frame stamp, so tests can start a simulator just below
-    /// the wrap-around.
+    /// Places the frame and forcing stamps, so tests can start a simulator
+    /// just below the wrap-around.
     #[cfg(test)]
     pub(crate) fn set_stamp(&mut self, stamp: u32) {
         self.stamp = stamp;
+        self.force_stamp = stamp;
     }
 
     /// The faulty word of `net` for the current group, defaulting to the
@@ -365,11 +374,76 @@ impl Arena {
         self.seeded = seeded;
     }
 
+    /// Seeds flip-flop `ff` from entry `k` of the packed carry: one blend
+    /// of the good word and the carried faulty word over the carried lanes
+    /// still in `carry`. Returns whether any lane diverged.
+    fn seed_carried<P: PackedValue>(
+        &mut self,
+        values: &[Logic],
+        ff: NetId,
+        k: usize,
+        carry: P::Mask,
+    ) -> bool {
+        let i = ff.index();
+        let at = i * P::WORDS;
+        P::broadcast(values[i]).store_planes(&mut self.fzero[at..], &mut self.fone[at..]);
+        let mut diverged = false;
+        for w in 0..P::WORDS {
+            let c = k * P::WORDS + w;
+            let m = self.carry_mask[c] & carry.word(w);
+            diverged |= m != 0;
+            self.fzero[at + w] = (self.fzero[at + w] & !m) | (self.carry_zero[c] & m);
+            self.fone[at + w] = (self.fone[at + w] & !m) | (self.carry_one[c] & m);
+        }
+        if diverged {
+            self.fstamp[i] = self.stamp;
+        }
+        diverged
+    }
+
+    /// Appends flip-flop `dff_idx`'s faulty D word `w`, diverged in lanes
+    /// `diff`, to the packed carry.
+    fn push_carry<P: PackedValue>(&mut self, dff_idx: usize, w: P, diff: P::Mask) {
+        let at = self.carry_zero.len();
+        self.carry_dffs.push(dff_idx as u32);
+        self.carry_zero.resize(at + P::WORDS, 0);
+        self.carry_one.resize(at + P::WORDS, 0);
+        w.store_planes(&mut self.carry_zero[at..], &mut self.carry_one[at..]);
+        self.carry_mask.extend((0..P::WORDS).map(|w| diff.word(w)));
+    }
+
+    /// Calls `f(dff index, lane, faulty value)` for every carried lane in
+    /// `keep`, in flip-flop order and then lane order.
+    fn for_each_carried<P: PackedValue>(
+        &self,
+        keep: P::Mask,
+        mut f: impl FnMut(u32, usize, Logic),
+    ) {
+        for (k, &dff_idx) in self.carry_dffs.iter().enumerate() {
+            for w in 0..P::WORDS {
+                let c = k * P::WORDS + w;
+                let mut bits = self.carry_mask[c] & keep.word(w);
+                while bits != 0 {
+                    let bit = bits & bits.wrapping_neg();
+                    let v = if self.carry_zero[c] & bit != 0 {
+                        Logic::Zero
+                    } else if self.carry_one[c] & bit != 0 {
+                        Logic::One
+                    } else {
+                        Logic::X
+                    };
+                    f(dff_idx, w * 64 + bits.trailing_zeros() as usize, v);
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+
     /// Stem forces on `net` this group (empty when the range is stale).
     #[inline]
     fn stem_forces(&self, net: NetId) -> &[(u32, Logic)] {
         let i = net.index();
-        if self.stem_stamp[i] == self.stamp {
+        if self.stem_stamp[i] == self.force_stamp {
             let (start, end) = self.stem_range[i];
             &self.stem_entries[start as usize..end as usize]
         } else {
@@ -381,7 +455,7 @@ impl Arena {
     #[inline]
     fn branch_forces(&self, gate: NetId) -> &[(u16, u32, Logic)] {
         let i = gate.index();
-        if self.branch_stamp[i] == self.stamp {
+        if self.branch_stamp[i] == self.force_stamp {
             let (start, end) = self.branch_range[i];
             &self.branch_entries[start as usize..end as usize]
         } else {
@@ -410,14 +484,18 @@ impl Arena {
     }
 }
 
-/// Builds the per-group stem/branch forcing tables for the current stamp:
-/// sorts the group's fault sites by net and publishes stamped
-/// `(start, end)` ranges over the sorted entry slices. Entry order within a
-/// net is ascending lane order (forced by the sort key), which matches the
-/// insertion order the old HashMap tables had. Returns the estimated
-/// scratch bytes served.
+/// Builds a group's stem/branch forcing tables once for its whole window:
+/// advances the forcing stamp, sorts the group's fault sites by net and
+/// publishes stamped `(start, end)` ranges over the sorted entry slices.
+/// Entry order within a net is ascending lane order (forced by the sort
+/// key), which matches the insertion order the old HashMap tables had.
+/// Returns the estimated scratch bytes served.
 fn publish_forcing(faults: &FaultList, group: &[FaultId], arena: &mut Arena) -> u64 {
-    let stamp = arena.stamp;
+    advance_stamp(
+        &mut arena.force_stamp,
+        [&mut arena.stem_stamp, &mut arena.branch_stamp],
+    );
+    let stamp = arena.force_stamp;
     arena.stem_tmp.clear();
     arena.branch_tmp.clear();
     for (lane, &fid) in group.iter().enumerate() {
@@ -464,8 +542,9 @@ fn publish_forcing(faults: &FaultList, group: &[FaultId], arena: &mut Arena) -> 
         + arena.branch_tmp.len() * std::mem::size_of::<(NetId, u16, u32, Logic)>()) as u64
 }
 
-/// Seeds every lane's carried faulty flip-flop state from the shared
-/// copy-on-write table (a window's first frame).
+/// Seeds every lane's faulty flip-flop state from the shared copy-on-write
+/// table (a window's first frame), then schedules the fanout of each
+/// diverged flip-flop once.
 fn seed_from_table<P: PackedValue>(
     ctx: &GroupCtx<'_>,
     group: &[FaultId],
@@ -478,35 +557,34 @@ fn seed_from_table<P: PackedValue>(
             arena.seed::<P>(values, dffs[dff_idx as usize], lane, v);
         }
     }
+    arena.schedule_seeded::<P>(ctx.lev, values);
 }
 
-/// Seeds a window frame from the previous frame's flip-flop effects, for
-/// the lanes still `live`. The sweep that follows overwrites the buffer
-/// with this frame's effects.
-fn seed_from_effects<P: PackedValue>(
+/// Seeds a later window frame from the previous frame's packed carry, for
+/// the lanes in `carry`, and schedules the fanout of each flip-flop that
+/// diverged. The scan that follows overwrites the carry with this frame's.
+fn seed_from_carry<P: PackedValue>(
     circuit: &Circuit,
+    lev: &Levelization,
     values: &[Logic],
-    live: P::Mask,
+    carry: P::Mask,
     arena: &mut Arena,
 ) {
-    let effects = std::mem::take(&mut arena.effects);
-    for &(dff_idx, lane, v) in &effects {
-        let lane = usize::from(lane);
-        if live.test(lane) {
-            arena.seed::<P>(values, circuit.dffs()[dff_idx as usize], lane, v);
+    for k in 0..arena.carry_dffs.len() {
+        let ff = circuit.dffs()[arena.carry_dffs[k] as usize];
+        if arena.seed_carried::<P>(values, ff, k, carry) {
+            arena.schedule_fanout(lev, ff);
         }
     }
-    arena.effects = effects;
 }
 
 /// Propagates one group through one good-machine frame whose carried
-/// faulty flip-flop state is already seeded: schedules the seeded
-/// flip-flops' fanout, injects the (already published) stem and branch
-/// forces, sweeps the touched level band event-driven, detects at primary
-/// outputs, and collects the frame's flip-flop effects into
-/// `arena.effects`.
+/// faulty flip-flop state is already seeded and scheduled: injects the
+/// (already published) stem and branch forces, sweeps the touched level
+/// band event-driven, detects at primary outputs, and scans the flip-flops
+/// into the arena's packed carry.
 ///
-/// `live` masks the lanes still being simulated: events, detections, and
+/// `live` masks the lanes being simulated: events, detections, and
 /// flip-flop effects of dead lanes are suppressed, mirroring one-vector
 /// steps, where a dropped fault leaves the group. (Lane values are
 /// independent, so letting a dead lane keep propagating cannot perturb any
@@ -521,9 +599,6 @@ fn run_frame<P: GroupWidth>(
 ) {
     let values = frame.values;
     let mut reused = 0u64;
-
-    // Carried flip-flop divergence: one fanout walk per diverged flip-flop.
-    arena.schedule_seeded::<P>(lev, values);
 
     // Seed stem-fault injections (including faults on PIs and FF outputs,
     // which are never re-evaluated by the combinational sweep). `stem_tmp`
@@ -605,8 +680,12 @@ fn run_frame<P: GroupWidth>(
     *P::fanin(arena) = fanin;
 
     // Detection at primary outputs: strict binary difference. The
-    // per-output masks double as the diagnosis syndrome.
+    // per-output masks double as the diagnosis syndrome. An output the
+    // group never touched holds the good value in every lane.
     for (po_idx, &po) in circuit.outputs().iter().enumerate() {
+        if arena.fstamp[po.index()] != arena.stamp {
+            continue;
+        }
         let goodw = P::broadcast(values[po.index()]);
         let faultyw: P = arena.effective(values, po);
         let mask = faultyw.binary_diff(goodw).and(live);
@@ -615,36 +694,47 @@ fn run_frame<P: GroupWidth>(
     }
 
     // Fault effects at flip-flops: compare faulty D values against the
-    // good next state and append each diverged lane's faulty value to the
-    // flip-flop-effect buffer, in flip-flop order.
-    arena.effects.clear();
+    // good next state and carry each diverged word, with its lane mask, in
+    // flip-flop order. A flip-flop whose D net the group never touched and
+    // that carries no branch force latches the good D value, which is the
+    // good next state, so the scan skips it.
+    arena.carry_dffs.clear();
+    arena.carry_zero.clear();
+    arena.carry_one.clear();
+    arena.carry_mask.clear();
     let mut effect_lanes = P::Mask::EMPTY;
     for (dff_idx, &ff) in circuit.dffs().iter().enumerate() {
         let d = circuit.fanin(ff)[0];
+        let forces = arena.branch_forces(ff);
+        if forces.is_empty() && arena.fstamp[d.index()] != arena.stamp {
+            continue;
+        }
         let mut faultyw: P = arena.effective(values, d);
-        for &(pin, lane, stuck) in arena.branch_forces(ff) {
+        for &(pin, lane, stuck) in forces {
             debug_assert_eq!(pin, 0);
             faultyw.set_lane(lane as usize, stuck);
         }
         let goodw = P::broadcast(frame.next_state[dff_idx]);
         let diff = faultyw.any_diff(goodw).and(live);
-        effect_lanes = effect_lanes.or(diff);
-        let effects = &mut arena.effects;
-        diff.for_each(|lane| effects.push((dff_idx as u32, lane as u16, faultyw.get_lane(lane))));
+        if diff.any() {
+            effect_lanes = effect_lanes.or(diff);
+            out.ff_effect_pairs += u64::from(diff.count());
+            arena.push_carry(dff_idx, faultyw, diff);
+        }
     }
-    out.ff_effect_pairs += arena.effects.len() as u64;
     out.ff_effect_faults += u64::from(effect_lanes.count());
-    reused += (arena.effects.len() * std::mem::size_of::<FfEffect>()) as u64;
+    let carried = std::mem::size_of::<(u32, P, P::Mask)>();
+    reused += (arena.carry_dffs.len() * carried) as u64;
     out.scratch_bytes += reused;
 }
 
-/// Materializes the last frame's flip-flop effects into per-lane
-/// replacement faulty-FF state for the lanes in `keep` (those not detected
-/// in the window), comparing against the pre-window shared table to skip
-/// no-op writes.
+/// Regroups the last frame's packed carry by lane into replacement
+/// faulty-FF state, comparing against the pre-window shared table to skip
+/// no-op writes. Lanes in `keep` take their carried state; the others are
+/// the faults the window drops, whose state is cleared.
 ///
-/// A stable counting sort regroups the flip-flop-ordered effects by lane,
-/// so each lane's entries stay in flip-flop order as the sparse state
+/// A stable counting sort regroups the flip-flop-ordered carry by lane, so
+/// each lane's entries stay in flip-flop order as the sparse state
 /// requires.
 fn materialize_new_ff<P: PackedValue>(
     ctx: &GroupCtx<'_>,
@@ -653,34 +743,31 @@ fn materialize_new_ff<P: PackedValue>(
     arena: &mut Arena,
     out: &mut GroupOutcome<P>,
 ) {
-    let starts = &mut arena.lane_start[..=group.len()];
-    starts.fill(0);
-    for &(_, lane, _) in &arena.effects {
-        starts[usize::from(lane) + 1] += 1;
-    }
-    for lane in 1..starts.len() {
-        starts[lane] += starts[lane - 1];
+    let mut starts = std::mem::take(&mut arena.lane_start);
+    let mut by_lane = std::mem::take(&mut arena.by_lane);
+    let starts_g = &mut starts[..=group.len()];
+    starts_g.fill(0);
+    arena.for_each_carried::<P>(keep, |_, lane, _| starts_g[lane + 1] += 1);
+    for lane in 1..starts_g.len() {
+        starts_g[lane] += starts_g[lane - 1];
     }
     // `starts[lane]` is now the lane's first slot; placing an entry bumps
     // it, so afterwards it is the lane's end (and the next lane's start).
-    arena.by_lane.clear();
-    arena.by_lane.resize(arena.effects.len(), (0, Logic::X));
-    for &(dff_idx, lane, v) in &arena.effects {
-        let slot = &mut starts[usize::from(lane)];
-        arena.by_lane[*slot as usize] = (dff_idx, v);
+    by_lane.clear();
+    by_lane.resize(starts_g[group.len()] as usize, (0, Logic::X));
+    arena.for_each_carried::<P>(keep, |dff_idx, lane, v| {
+        let slot = &mut starts_g[lane];
+        by_lane[*slot as usize] = (dff_idx, v);
         *slot += 1;
-    }
+    });
 
     let mut reused = 0u64;
     let mut start = 0usize;
     for (lane, &fid) in group.iter().enumerate() {
-        let end = starts[lane] as usize;
-        let state = &arena.by_lane[start..end];
+        let end = starts_g[lane] as usize;
+        let state = &by_lane[start..end];
         start = end;
-        if !keep.test(lane) {
-            // Detected in the window: the caller's drop logic clears it.
-            out.new_ff.push(None);
-        } else if state.is_empty() && ctx.faulty_ff[fid.index()].is_empty() {
+        if state.is_empty() && ctx.faulty_ff[fid.index()].is_empty() {
             // Keep sharing the empty slice: no write, no unshare.
             out.new_ff.push(None);
         } else if state.is_empty() {
@@ -691,20 +778,30 @@ fn materialize_new_ff<P: PackedValue>(
         }
     }
     out.scratch_bytes += reused;
+    arena.lane_start = starts;
+    arena.by_lane = by_lane;
 }
 
 /// Simulates one group of at most `P::LANES` faults across a window of
 /// good-machine frames in a single pass, producing one [`GroupOutcome`] per
 /// frame.
 ///
-/// Frame `0` seeds from the shared faulty-FF table; each later frame seeds
-/// from the previous frame's flip-flop effects still in the arena, so the
-/// window never touches the copy-on-write table in between. Lanes detected
-/// at frame `f` are masked out of frames `f+1..` (events, detections, and
-/// FF effects), mirroring the drop-after-step semantics of stepping one
-/// vector at a time; because lane values are independent, their continued
-/// propagation cannot perturb live lanes. Only the *last* frame's outcome
-/// carries `new_ff` entries.
+/// The group's forcing tables are published once. Frame `0` seeds from
+/// the shared faulty-FF table; each later frame seeds from the previous
+/// frame's packed carry, so the window never touches the copy-on-write
+/// table in between. Only the *last* frame's outcome carries `new_ff`
+/// entries.
+///
+/// A lane detected at frame `f` starts frame `f+1` from the good state: its
+/// carried flip-flop divergence is dropped, as the drop after a one-vector
+/// step clears it. With `drop_detected` (full-list windows) the lane is
+/// also masked out of frames `f+1..` (events, detections, and FF effects),
+/// as the dropped fault leaves the active list; because lane values are
+/// independent, its continued propagation cannot perturb live lanes.
+/// Without it (sampled windows) the lane stays live, as the sample still
+/// lists the fault, and may be detected again. Either way the window ends
+/// with the state of the lanes not detected at its last frame and clears
+/// the others.
 ///
 /// Every per-frame outcome is bit-identical to what a one-frame window per
 /// vector would have produced — except `gate_evals`/`scratch_bytes`, which
@@ -713,25 +810,30 @@ pub(crate) fn simulate_group<P: GroupWidth>(
     ctx: &GroupCtx<'_>,
     frames: &[GoodFrame<'_>],
     group: &[FaultId],
+    drop_detected: bool,
     arena: &mut Arena,
     outs: &mut [GroupOutcome<P>],
 ) {
     debug_assert!(group.len() <= P::LANES);
     debug_assert_eq!(frames.len(), outs.len());
     let mut live = P::Mask::low(group.len());
+    let mut carry = live;
     for (f, (frame, out)) in frames.iter().zip(outs.iter_mut()).enumerate() {
         out.reset();
         arena.begin_frame::<P>();
-        out.scratch_bytes += publish_forcing(ctx.faults, group, arena);
         if f == 0 {
+            out.scratch_bytes += publish_forcing(ctx.faults, group, arena);
             seed_from_table::<P>(ctx, group, frame.values, arena);
         } else {
-            seed_from_effects::<P>(ctx.circuit, frame.values, live, arena);
+            seed_from_carry::<P>(ctx.circuit, ctx.lev, frame.values, carry, arena);
         }
         run_frame(ctx.circuit, ctx.lev, *frame, live, arena, out);
-        live = live.and(out.detected_mask.invert());
+        carry = live.and(out.detected_mask.invert());
+        if drop_detected {
+            live = carry;
+        }
     }
     if let Some(last) = outs.last_mut() {
-        materialize_new_ff(ctx, group, live, arena, last);
+        materialize_new_ff(ctx, group, carry, arena, last);
     }
 }

@@ -12,7 +12,9 @@ use gatest_netlist::generate::{CircuitProfile, SyntheticGenerator};
 use gatest_netlist::levelize::Levelization;
 use gatest_netlist::Circuit;
 use gatest_sim::eval::eval_scalar;
-use gatest_sim::{Fault, FaultId, FaultList, FaultSim, FaultSite, FaultStatus, Logic, SimBackend};
+use gatest_sim::{
+    Fault, FaultId, FaultList, FaultSim, FaultSite, FaultStatus, Logic, SimBackend, StepReport,
+};
 
 /// Simulates the good and single-fault machines independently, gate by
 /// gate, frame by frame — no packing, no events, no sharing. Slow and
@@ -158,12 +160,20 @@ fn sampled_stepping_detects_subset_of_full() {
     let mut sampled = FaultSim::new(Arc::clone(&circuit));
     let sample: Vec<_> = sampled.active_faults().iter().copied().step_by(3).collect();
     for v in &sequence {
-        for f in sampled.step_sampled(v, &sample).newly_detected {
+        for f in sampled.step_sampled(&[v], &sample).remove(0).newly_detected {
             assert!(
                 full_detected.contains(&f),
                 "sampled sim detected {f:?} that full sim missed"
             );
         }
+    }
+}
+
+/// A report with its one width- and batching-dependent field cleared.
+fn without_gate_evals(report: &StepReport) -> StepReport {
+    StepReport {
+        gate_evals: 0,
+        ..report.clone()
     }
 }
 
@@ -182,10 +192,13 @@ proptest! {
     /// Every stepping entry point agrees with the reference on random
     /// synthetic circuits, at every width. Commits alternate one-vector
     /// `step`s with 2–3-vector `step_window`s; before each commit a
-    /// two-frame `step_sampled` candidate over every other active fault
+    /// 2–6-frame `step_sampled` candidate over every other active fault
     /// runs between `checkpoint` and `restore`, as fitness evaluation
-    /// does. Each sample fault's first detection in the candidate, and each
-    /// fault's final detecting vector, must match a reference replay.
+    /// does. The candidate runs twice from the same checkpoint, as one
+    /// window and as one-vector calls: every report field but `gate_evals`
+    /// and the exported state must agree. Each sample fault's first
+    /// detection in the candidate, and each fault's final detecting vector,
+    /// must match a reference replay.
     #[test]
     fn stepping_matches_reference_on_random_circuits(
         seed in any::<u64>(),
@@ -204,14 +217,16 @@ proptest! {
         };
         let circuit = Arc::new(SyntheticGenerator::new(seed).generate(&profile));
         let faults = FaultList::collapsed(&circuit);
-        // Each round: a two-vector candidate, then a commit of one vector
+        // Each round: a 2–6-vector candidate, then a commit of one vector
         // (even rounds) or two to three (odd rounds).
         let mut rng = gatest_ga::Rng::new(seed ^ 0x5eed);
         let schedule: Vec<_> = (0..rounds)
             .map(|round| {
                 let len = if round % 2 == 0 { 1 } else { 2 + usize::from(rng.coin()) };
-                let mut vectors = random_sequence(circuit.num_inputs(), 2 + len, rng.next_u64());
-                let commit = vectors.split_off(2);
+                let frames = 2 + (rng.next_u64() % 5) as usize;
+                let mut vectors =
+                    random_sequence(circuit.num_inputs(), frames + len, rng.next_u64());
+                let commit = vectors.split_off(frames);
                 (vectors, commit)
             })
             .collect();
@@ -226,12 +241,30 @@ proptest! {
                 let sample: Vec<FaultId> =
                     sim.active_faults().iter().copied().step_by(2).collect();
                 let cp = sim.checkpoint();
+                let mut serial = Vec::new();
+                for v in candidate {
+                    serial.extend(sim.step_sampled(&[v], &sample));
+                }
+                let serial_state = sim.export_state();
+                sim.restore(&cp);
+                let window = sim.step_sampled(candidate, &sample);
+                prop_assert_eq!(window.len(), candidate.len());
                 let mut first = vec![None; faults.len()];
-                for (frame, v) in candidate.iter().enumerate() {
-                    for f in sim.step_sampled(v, &sample).newly_detected {
+                for (frame, (a, b)) in window.iter().zip(&serial).enumerate() {
+                    prop_assert_eq!(
+                        without_gate_evals(a),
+                        without_gate_evals(b),
+                        "{backend}: sampled window frame {frame} at vector {applied}"
+                    );
+                    for f in &a.newly_detected {
                         first[f.index()].get_or_insert((applied + frame) as u32);
                     }
                 }
+                prop_assert_eq!(
+                    sim.export_state(),
+                    serial_state,
+                    "{backend}: sampled window state at vector {applied}"
+                );
                 sim.restore(&cp);
                 let replay: Vec<Vec<Logic>> =
                     committed[..applied].iter().chain(candidate).cloned().collect();
