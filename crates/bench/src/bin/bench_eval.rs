@@ -285,7 +285,7 @@ fn cache_section(sim: &FaultSim, ctx: &Arc<EvalContext>, pis: usize, batches: us
     }
     let baseline_secs = start.elapsed().as_secs_f64();
 
-    let mut memo = EvalMemo::new(4096, true).expect("memoization enabled");
+    let mut memo = EvalMemo::new(4096).expect("memoization enabled");
     let counters = SimCounters::default();
     let start = Instant::now();
     let mut memo_sum = 0.0f64;

@@ -18,8 +18,7 @@ use gatest_core::{
 use gatest_netlist::depth::sequential_depth;
 use gatest_netlist::scoap::Scoap;
 use gatest_sim::dictionary::FaultDictionary;
-use gatest_sim::transition::TransitionFaultSim;
-use gatest_sim::{FaultSim, Logic, SimBackend};
+use gatest_sim::{FaultList, FaultSim, Logic, SimBackend};
 use gatest_telemetry::json::{parse_json, spans_from_json, Json};
 use gatest_telemetry::{
     Instruments, JsonlTraceWriter, MetricsObserver, MetricsServer, MultiObserver, ProgressReporter,
@@ -49,17 +48,11 @@ fn read_tests(opts: &Opts) -> Result<Vec<Vec<Logic>>, Box<dyn Error>> {
     Ok(test_set_from_string(&text).map_err(std::io::Error::other)?)
 }
 
-/// Parses `--workers` (alias `--threads`): a positive integer, or `0` /
-/// `auto` meaning all available cores. Defaults to 1 (serial).
+/// Parses `--workers`: a positive integer, or `0` / `auto` meaning all
+/// available cores. Defaults to 1 (serial).
 fn worker_count(opts: &Opts) -> Result<usize, Box<dyn Error>> {
-    let value = match (opts.get("workers"), opts.get("threads")) {
-        (Some(_), Some(_)) => {
-            return Err(UsageError::boxed(
-                "--workers and --threads are aliases; pass only one",
-            ))
-        }
-        (Some(v), None) | (None, Some(v)) => v,
-        (None, None) => return Ok(1),
+    let Some(value) = opts.get("workers") else {
+        return Ok(1);
     };
     if value == "auto" {
         return Ok(0);
@@ -89,8 +82,9 @@ fn sim_width_backend(opts: &Opts) -> Result<SimBackend, Box<dyn Error>> {
 
 /// Parses `--eval-cache`: a fitness-cache entry count, or `off` (same as
 /// `0`) to disable the whole memoization layer — cache, batch dedup, and
-/// prefix-sharing sequence evaluation. Returns `None` when the flag is
-/// absent, leaving the built-in default in place.
+/// prefix-sharing sequence evaluation, which all ride this one switch.
+/// Returns `None` when the flag is absent, leaving the built-in default in
+/// place.
 fn eval_cache_override(opts: &Opts) -> Result<Option<usize>, Box<dyn Error>> {
     let Some(value) = opts.get("eval-cache") else {
         return Ok(None);
@@ -192,8 +186,7 @@ pub fn atpg(opts: &Opts) -> Result<ExitCode, Box<dyn Error>> {
     let circuit = load_circuit(&spec)?;
     let mut config = GatestConfig::for_circuit(&circuit)
         .with_workers(worker_count(opts)?)
-        .with_sim_width(sim_width_backend(opts)?)
-        .with_dedup(!opts.has("no-dedup"));
+        .with_sim_width(sim_width_backend(opts)?);
     if let Some(entries) = eval_cache_override(opts)? {
         config = config.with_eval_cache(entries);
     }
@@ -406,53 +399,47 @@ pub fn serve(opts: &Opts) -> Result<ExitCode, Box<dyn Error>> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `gatest grade` — fault-grade a test set.
+/// `gatest grade` — fault-grade a test set against the collapsed stuck-at
+/// list, or with `--transition` the transition-fault list.
 pub fn grade(opts: &Opts) -> Result<(), Box<dyn Error>> {
     let circuit = load_circuit(opts.circuit()?)?;
     let tests = read_tests(opts)?;
-    if opts.has("transition") {
-        let mut sim = TransitionFaultSim::new(Arc::clone(&circuit));
-        for v in &tests {
-            sim.step(v);
-        }
-        println!(
-            "transition faults: {}/{} detected ({:.1}%)",
-            sim.detected_count(),
-            sim.total_faults(),
-            100.0 * sim.detected_count() as f64 / sim.total_faults().max(1) as f64
-        );
+    let (model, faults) = if opts.has("transition") {
+        ("transition", FaultList::transition(&circuit))
     } else {
-        let mut sim = FaultSim::new(Arc::clone(&circuit));
-        for v in &tests {
-            sim.step(v);
-        }
-        let total = sim.fault_list().len();
+        ("stuck-at", FaultList::collapsed(&circuit))
+    };
+    let mut sim = FaultSim::with_faults(Arc::clone(&circuit), faults);
+    for v in &tests {
+        sim.step(v);
+    }
+    let faults = sim.fault_list();
+    let total = faults.len();
+    println!(
+        "{model} faults: {}/{} detected ({:.1}%)",
+        sim.detected_count(),
+        total,
+        100.0 * sim.detected_count() as f64 / total.max(1) as f64
+    );
+    let survivors: Vec<String> = sim
+        .active_faults()
+        .iter()
+        .take(opts.num("survivors", 10usize)?)
+        .map(|&id| faults.display(id, &circuit).to_string())
+        .collect();
+    if !survivors.is_empty() {
         println!(
-            "stuck-at faults: {}/{} detected ({:.1}%)",
-            sim.detected_count(),
-            total,
-            100.0 * sim.detected_count() as f64 / total.max(1) as f64
+            "undetected (first {}): {}",
+            survivors.len(),
+            survivors.join(", ")
         );
-        let survivors: Vec<String> = sim
-            .active_faults()
-            .iter()
-            .take(opts.num("survivors", 10usize)?)
-            .map(|&id| sim.fault_list().get(id).display(&circuit).to_string())
-            .collect();
-        if !survivors.is_empty() {
-            println!(
-                "undetected (first {}): {}",
-                survivors.len(),
-                survivors.join(", ")
-            );
-        }
-        if let Some(path) = opts.get("report") {
-            std::fs::write(
-                path,
-                gatest_sim::fault_report::write_fault_report(&circuit, &sim),
-            )?;
-            eprintln!("wrote per-fault report to {path}");
-        }
+    }
+    if let Some(path) = opts.get("report") {
+        std::fs::write(
+            path,
+            gatest_sim::fault_report::write_fault_report(&circuit, &sim),
+        )?;
+        eprintln!("wrote per-fault report to {path}");
     }
     Ok(())
 }

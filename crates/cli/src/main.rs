@@ -3,14 +3,14 @@
 //! ```text
 //! gatest atpg     <circuit> [--seed N] [--sample N] [--workers N|auto]
 //!                 [--sim-width auto|scalar64|wide256] [--out tests.txt]
-//!                 [--eval-cache N|off] [--no-dedup] [--paranoid-cache]
+//!                 [--eval-cache N|off] [--paranoid-cache]
 //!                 [--trace-out trace.jsonl] [--progress] [-v|--verbose] [-q|--quiet]
 //!                 [--metrics-addr 127.0.0.1:9184]
 //!                 [--checkpoint FILE] [--checkpoint-every N|Ns] [--resume FILE]
 //!                 [--max-wall-secs S] [--max-evals N] [--result-json FILE]
 //!                 [--fault-report FILE]
 //!
-//! `--workers` (alias `--threads`) sets the fitness-evaluation pool size: a
+//! `--workers` sets the fitness-evaluation pool size: a
 //! positive integer, or `0`/`auto` for all available cores. It is the only
 //! parallel layer; each worker's simulator steps its fault groups serially.
 //! Results are bit-identical at every worker count.
@@ -33,15 +33,15 @@
 //! `--eval-cache N` bounds the epoch-keyed fitness cache (default 4096
 //! entries); `off` (or `0`) disables the whole memoization layer — cache,
 //! batch dedup, and prefix-sharing sequence evaluation — restoring the
-//! uncached evaluation path exactly. `--no-dedup` disables only the
-//! within-batch duplicate elimination. `--paranoid-cache` recomputes every
-//! memoized score and asserts bit-equality (debug aid, slow). All three are
+//! uncached evaluation path exactly. `--paranoid-cache` recomputes every
+//! memoized score and asserts bit-equality (debug aid, slow). Both are
 //! runtime-only: they never change results, only how much simulation is
 //! spent producing them.
 //! gatest serve    [--addr HOST:PORT] [--state-dir DIR] [--slice-ticks N]
 //!                 [--queue-depth N] [--runners N] [--port-file FILE]
 //!                 [--result-ttl-secs S]
-//! gatest grade    <circuit> --tests tests.txt [--transition]
+//! gatest grade    <circuit> --tests tests.txt [--transition] [--survivors N]
+//!                 [--report FILE]
 //! gatest compact  <circuit> --tests tests.txt [--out compacted.txt]
 //! gatest diagnose <circuit> --tests tests.txt --observe V:PO[,V:PO...]
 //! gatest stats    <circuit>
@@ -138,7 +138,7 @@ fn usage() -> String {
     s.push_str("Prometheus /metrics and JSON /healthz for the duration of the run;\n");
     s.push_str("trace phases prints a traced run's span-time breakdown and\n");
     s.push_str("trace diff <a> <b> [--threshold PCT] [--no-timing] gates regressions\n");
-    s.push_str("\nparallelism (atpg): --workers N (alias --threads) sizes the\n");
+    s.push_str("\nparallelism (atpg): --workers N sizes the\n");
     s.push_str("fitness-evaluation pool; 0 or `auto` uses all available cores;\n");
     s.push_str("--sim-width auto|scalar64|wide256 picks the packed backend\n");
     s.push_str("(default auto: 256 fault machines per word for steps over 128\n");
@@ -147,8 +147,8 @@ fn usage() -> String {
     s.push_str("are bit-identical at every workers/sim-width combination\n");
     s.push_str("\nmemoization (atpg): --eval-cache N bounds the fitness cache\n");
     s.push_str("(default 4096; `off` disables cache, dedup, and prefix sharing);\n");
-    s.push_str("--no-dedup keeps duplicate chromosomes' evaluations; --paranoid-cache\n");
-    s.push_str("recomputes every memoized score and asserts bit-equality; results\n");
+    s.push_str("--paranoid-cache recomputes every memoized score and asserts\n");
+    s.push_str("bit-equality; results\n");
     s.push_str("are bit-identical with memoization on or off\n");
     s.push_str("\nlong runs (atpg): --checkpoint FILE saves resumable state\n");
     s.push_str("(--checkpoint-every N generations, or Ns seconds); --max-wall-secs\n");
@@ -180,11 +180,9 @@ const COMMAND_FLAGS: [(&str, &[&str]); 10] = [
             "seed",
             "sample",
             "workers",
-            "threads",
             "sim-width",
             "out",
             "eval-cache",
-            "no-dedup",
             "paranoid-cache",
             "trace-out",
             "progress",

@@ -1,6 +1,11 @@
 //! End-to-end tests of the `gatest` binary.
 
 use std::process::Command;
+use std::sync::Arc;
+
+use gatest_core::report::test_set_from_string;
+use gatest_sim::fault_report::parse_fault_report;
+use gatest_sim::{FaultList, FaultSim};
 
 fn gatest(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_gatest"))
@@ -56,9 +61,13 @@ fn atpg_then_grade_round_trip() {
 
 #[test]
 fn grade_transition_mode() {
+    // `--transition` grades on the same path as stuck-at: the count line,
+    // the survivor list and the per-fault report all follow the
+    // transition-fault list, and the report parses back to it.
     let dir = std::env::temp_dir().join("gatest_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
     let tests = dir.join("s27t.tests");
+    let report = dir.join("s27t.report");
     gatest(&["atpg", "s27", "--out", tests.to_str().unwrap()]);
     let out = gatest(&[
         "grade",
@@ -66,9 +75,48 @@ fn grade_transition_mode() {
         "--tests",
         tests.to_str().unwrap(),
         "--transition",
+        "--survivors",
+        "3",
+        "--report",
+        report.to_str().unwrap(),
     ]);
     assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("transition faults"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+
+    let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s27").unwrap());
+    let test_set = test_set_from_string(&std::fs::read_to_string(&tests).unwrap()).unwrap();
+    let mut sim = FaultSim::with_faults(Arc::clone(&circuit), FaultList::transition(&circuit));
+    for v in &test_set {
+        sim.step(v);
+    }
+    let faults = sim.fault_list();
+    let count = format!(
+        "transition faults: {}/{} detected ({:.1}%)",
+        sim.detected_count(),
+        faults.len(),
+        100.0 * sim.detected_count() as f64 / faults.len() as f64
+    );
+    assert!(stdout.contains(&count), "{stdout}");
+    let survivors: Vec<String> = sim
+        .active_faults()
+        .iter()
+        .take(3)
+        .map(|&id| faults.display(id, &circuit).to_string())
+        .collect();
+    assert_eq!(survivors.len(), 3, "s27's test set misses some transitions");
+    assert!(survivors
+        .iter()
+        .all(|s| s.ends_with("/STR") || s.ends_with("/STF")));
+    let listed = format!("undetected (first 3): {}", survivors.join(", "));
+    assert!(stdout.contains(&listed), "{stdout}");
+
+    let text = std::fs::read_to_string(&report).expect("--report writes the report");
+    let parsed = parse_fault_report(&circuit, &text).unwrap();
+    assert_eq!(parsed.len(), faults.len());
+    for ((fault, status), (id, original)) in parsed.iter().zip(faults.iter()) {
+        assert_eq!(*fault, original);
+        assert_eq!(*status, sim.status(id));
+    }
 }
 
 #[test]
@@ -139,6 +187,8 @@ fn flags_a_command_does_not_take_exit_with_code_2() {
             "--fault-shards",
         ),
         (&["atpg", "s27", "--sim-threads", "2"][..], "--sim-threads"),
+        (&["atpg", "s27", "--threads", "2"][..], "--threads"),
+        (&["atpg", "s27", "--no-dedup"][..], "--no-dedup"),
         (&["stats", "s27", "--seed", "1"][..], "--seed"),
     ] {
         let out = gatest(args);

@@ -232,7 +232,7 @@ pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// (everything except the seed — stored separately — and the runtime-only
 /// knobs `parallel_workers`, `sim_width`, the two budget
 /// limits, and the memoization knobs `eval_cache_entries` /
-/// `dedup` / `paranoid_cache`, which are all bit-identity-neutral). Resume
+/// `paranoid_cache`, which are all bit-identity-neutral). Resume
 /// compares this digest so a checkpoint is never silently continued under
 /// a different configuration.
 pub fn config_digest(config: &GatestConfig) -> u64 {
@@ -960,7 +960,6 @@ mod tests {
         b.max_wall_secs = Some(1.0);
         b.seed = 999;
         b.eval_cache_entries = 0;
-        b.dedup = false;
         b.paranoid_cache = true;
         b.sim_width = gatest_sim::SimBackend::Wide256;
         assert_eq!(config_digest(&a), config_digest(&b), "runtime knobs");

@@ -112,16 +112,12 @@ pub struct GatestConfig {
     pub sim_width: SimBackend,
     /// Capacity (in entries) of the epoch-keyed fitness cache, the heart of
     /// the memoization layer in front of candidate evaluation. `0` disables
-    /// the whole layer (cache and prefix-sharing sequence evaluation) —
-    /// every candidate is then re-simulated, which is useful for A/B
-    /// comparisons. Memoized scores are bit-identical to recomputed ones by
+    /// the whole layer (cache, batch dedup and prefix-sharing sequence
+    /// evaluation) — every candidate is then re-simulated, which is useful
+    /// for A/B comparisons. Memoized scores are bit-identical to recomputed ones by
     /// construction, so this knob changes runtime only, never results, and
     /// it is excluded from the checkpoint config digest.
     pub eval_cache_entries: usize,
-    /// Deduplicate identical chromosomes within each GA generation before
-    /// evaluation, fanning one simulated score out to all copies. Like the
-    /// cache this is bit-identity-neutral and runtime-only.
-    pub dedup: bool,
     /// Debug mode: recompute every memoized (cached, deduplicated, or
     /// prefix-shared) score with the plain flat evaluator and panic on any
     /// bit difference. Slow; for validating the memoization layer.
@@ -162,7 +158,6 @@ impl Default for GatestConfig {
             parallel_workers: 1,
             sim_width: SimBackend::Auto,
             eval_cache_entries: 4096,
-            dedup: true,
             paranoid_cache: false,
             seed: 1,
             max_wall_secs: None,
@@ -215,13 +210,6 @@ impl GatestConfig {
     /// (`0` disables the memoization layer entirely).
     pub fn with_eval_cache(mut self, entries: usize) -> Self {
         self.eval_cache_entries = entries;
-        self
-    }
-
-    /// A new configuration with generation-level chromosome dedup switched
-    /// on or off.
-    pub fn with_dedup(mut self, dedup: bool) -> Self {
-        self.dedup = dedup;
         self
     }
 
@@ -350,11 +338,9 @@ mod tests {
     fn memoization_knobs_default_on() {
         let cfg = GatestConfig::default();
         assert!(cfg.eval_cache_entries > 0, "cache is on by default");
-        assert!(cfg.dedup, "dedup is on by default");
         assert!(!cfg.paranoid_cache, "paranoia is opt-in");
-        let off = GatestConfig::default().with_eval_cache(0).with_dedup(false);
+        let off = GatestConfig::default().with_eval_cache(0);
         assert_eq!(off.eval_cache_entries, 0);
-        assert!(!off.dedup);
     }
 
     #[test]

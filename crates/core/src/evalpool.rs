@@ -486,8 +486,9 @@ impl EvalCache {
     }
 }
 
-/// The memoization layer in front of the raw evaluation path: batch-level
-/// chromosome dedup plus the epoch-keyed [`EvalCache`].
+/// The memoization layer in front of the raw evaluation path: the
+/// epoch-keyed [`EvalCache`] plus batch-level chromosome dedup, which rides
+/// the same switch.
 ///
 /// [`EvalMemo::evaluate`] answers what it can from the cache, collapses
 /// in-batch duplicates, and hands only the distinct unresolved candidates
@@ -499,27 +500,16 @@ impl EvalCache {
 /// composition or order.
 #[derive(Debug)]
 pub struct EvalMemo {
-    cache: Option<EvalCache>,
-    dedup: bool,
+    cache: EvalCache,
 }
 
 impl EvalMemo {
-    /// A memoization layer with the given cache capacity (`0` = no cache)
-    /// and dedup switch; `None` when both mechanisms are off.
-    pub fn new(cache_entries: usize, dedup: bool) -> Option<Self> {
-        if cache_entries == 0 && !dedup {
-            return None;
-        }
-        Some(EvalMemo {
-            cache: (cache_entries > 0).then(|| EvalCache::new(cache_entries)),
-            dedup,
+    /// A memoization layer whose cache holds `cache_entries` scores; `None`
+    /// when `cache_entries` is `0`, which switches the layer off.
+    pub fn new(cache_entries: usize) -> Option<Self> {
+        (cache_entries > 0).then(|| EvalMemo {
+            cache: EvalCache::new(cache_entries),
         })
-    }
-
-    /// `true` if the score cache (and with it prefix-shared sequence
-    /// evaluation) is enabled.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.is_some()
     }
 
     /// Scores `batch`, calling `raw` at most once with the distinct
@@ -537,9 +527,7 @@ impl EvalMemo {
         raw: impl FnOnce(&[Chromosome]) -> Vec<f64>,
     ) -> Vec<f64> {
         let phase = ctx.phase_tag();
-        if let Some(cache) = &mut self.cache {
-            cache.begin_epoch(ctx.epoch);
-        }
+        self.cache.begin_epoch(ctx.epoch);
         let fingerprints: Vec<u64> = batch.iter().map(Chromosome::fingerprint).collect();
         let mut scores: Vec<f64> = vec![0.0; batch.len()];
         let mut resolved = vec![false; batch.len()];
@@ -551,25 +539,21 @@ impl EvalMemo {
         // fingerprint -> miss slots with that fingerprint (collision chain).
         let mut seen: HashMap<u64, Vec<usize>> = HashMap::new();
         'candidates: for (i, chrom) in batch.iter().enumerate() {
-            if let Some(cache) = &mut self.cache {
-                if let Some(score) = cache.lookup(phase, fingerprints[i], chrom) {
-                    scores[i] = score;
-                    resolved[i] = true;
-                    hits += 1;
-                    continue;
-                }
+            if let Some(score) = self.cache.lookup(phase, fingerprints[i], chrom) {
+                scores[i] = score;
+                resolved[i] = true;
+                hits += 1;
+                continue;
             }
-            if self.dedup {
-                if let Some(slots) = seen.get(&fingerprints[i]) {
-                    for &slot in slots {
-                        if batch[misses[slot]] == *chrom {
-                            copy_from.push((i, slot));
-                            continue 'candidates;
-                        }
+            if let Some(slots) = seen.get(&fingerprints[i]) {
+                for &slot in slots {
+                    if batch[misses[slot]] == *chrom {
+                        copy_from.push((i, slot));
+                        continue 'candidates;
                     }
                 }
-                seen.entry(fingerprints[i]).or_default().push(misses.len());
             }
+            seen.entry(fingerprints[i]).or_default().push(misses.len());
             misses.push(i);
         }
         // Sequence jobs sort the distinct work lexicographically: scores
@@ -600,9 +584,8 @@ impl EvalMemo {
         for (slot, &i) in misses.iter().enumerate() {
             scores[i] = slot_scores[slot];
             resolved[i] = true;
-            if let Some(cache) = &mut self.cache {
-                cache.insert(phase, fingerprints[i], &batch[i], slot_scores[slot]);
-            }
+            self.cache
+                .insert(phase, fingerprints[i], &batch[i], slot_scores[slot]);
         }
         for &(i, slot) in &copy_from {
             scores[i] = slot_scores[slot];
@@ -610,9 +593,7 @@ impl EvalMemo {
         }
         debug_assert!(resolved.iter().all(|&r| r));
         if let Some(c) = counters {
-            if self.cache.is_some() {
-                c.record_cache_outcome(hits, misses.len() as u64);
-            }
+            c.record_cache_outcome(hits, misses.len() as u64);
             c.record_dedup_skips(copy_from.len() as u64);
         }
         scores
@@ -1104,7 +1085,7 @@ mod tests {
             .collect();
 
         let counters = SimCounters::new();
-        let mut memo = EvalMemo::new(64, true).expect("layer on");
+        let mut memo = EvalMemo::new(64).expect("layer on");
         let mut raw_calls = 0usize;
         let scores = memo.evaluate(&ctx, &batch, Some(&counters), |work| {
             raw_calls += work.len();
@@ -1147,36 +1128,6 @@ mod tests {
                 .collect()
         });
         assert_eq!(raw_again, 4, "epoch change must drop every cached score");
-    }
-
-    #[test]
-    fn memo_dedup_only_mode_shares_scores_without_caching() {
-        let sim = warmed_sim();
-        let ctx = vector_ctx(&sim, Phase::VectorGeneration);
-        let distinct = random_batch(3, 3, 33);
-        let batch = vec![
-            distinct[0].clone(),
-            distinct[1].clone(),
-            distinct[0].clone(),
-            distinct[2].clone(),
-            distinct[0].clone(),
-        ];
-        let counters = SimCounters::new();
-        let mut memo = EvalMemo::new(0, true).expect("dedup still on");
-        assert!(!memo.cache_enabled());
-        let mut seen = 0usize;
-        let scores = memo.evaluate(&ctx, &batch, Some(&counters), |work| {
-            seen = work.len();
-            work.iter().map(|c| c.bits()[0] as u8 as f64).collect()
-        });
-        assert_eq!(seen, 3);
-        assert_eq!(scores.len(), 5);
-        assert_eq!(scores[0].to_bits(), scores[2].to_bits());
-        assert_eq!(scores[0].to_bits(), scores[4].to_bits());
-        let snap = counters.snapshot();
-        assert_eq!(snap.dedup_skips, 2);
-        assert_eq!(snap.cache_hits + snap.cache_misses, 0, "no cache in play");
-        assert!(EvalMemo::new(0, false).is_none(), "both off = no layer");
     }
 
     #[test]

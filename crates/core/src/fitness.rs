@@ -7,6 +7,14 @@
 //!   the population moving when nothing is being detected.
 //! * **Phase 4** (sequence generation): phase 2 over a whole sequence, with
 //!   the sequence length folded into the propagation term.
+//!
+//! Phases 2–4 also reward *launches* — transition faults whose slow edge
+//! the good machine fired, the transition analogue of fault activation —
+//! with `#launched / (2 × #faults × seq_len)`. That is the paper's
+//! conclusion ("other fault models can easily be accommodated with
+//! appropriate fitness functions") made concrete. A stuck-at step launches
+//! nothing, so the term adds exactly `0.0` and stuck-at scores keep their
+//! bits.
 
 use gatest_sim::{GoodStepReport, StepReport};
 
@@ -76,9 +84,12 @@ pub fn phase1(report: &GoodStepReport, scale: FitnessScale) -> f64 {
     report.ffs_set as f64 + report.ffs_changed as f64 / scale.ffs_f()
 }
 
-/// Phase 2: `#detected + #prop-to-FF / (#faults × #FFs)`.
+/// Phase 2: `#detected + #prop-to-FF / (#faults × #FFs)`, plus the launch
+/// term `#launched / (2 × #faults)`.
 pub fn phase2(report: &StepReport, scale: FitnessScale) -> f64 {
-    report.detected() as f64 + report.ff_effect_pairs as f64 / (scale.faults_f() * scale.ffs_f())
+    report.detected() as f64
+        + report.ff_effect_pairs as f64 / (scale.faults_f() * scale.ffs_f())
+        + launches(report.launched, scale, 1.0)
 }
 
 /// Phase 3: phase 2 plus `2 × (good+faulty events) / (#nodes × #faults)`.
@@ -91,12 +102,22 @@ pub fn phase3(report: &StepReport, scale: FitnessScale) -> f64 {
 /// Phase 4: accumulated over a sequence of `seq_len` vectors; the sequence
 /// length joins the propagation normalization so the detection count stays
 /// dominant:
-/// `Σ#detected + Σ#prop-to-FF / (#faults × #FFs × seq_len)`.
+/// `Σ#detected + Σ#prop-to-FF / (#faults × #FFs × seq_len)`, plus the
+/// launch term `Σ#launched / (2 × #faults × seq_len)`.
 pub fn phase4(reports: &[StepReport], scale: FitnessScale) -> f64 {
     let detected: usize = reports.iter().map(StepReport::detected).sum();
     let pairs: u64 = reports.iter().map(|r| r.ff_effect_pairs).sum();
+    let launched: u64 = reports.iter().map(|r| r.launched).sum();
     let len = reports.len().max(1) as f64;
-    detected as f64 + pairs as f64 / (scale.faults_f() * scale.ffs_f() * len)
+    detected as f64
+        + pairs as f64 / (scale.faults_f() * scale.ffs_f() * len)
+        + launches(launched, scale, len)
+}
+
+/// The launch term: at most one half per fault and frame, so a detection
+/// still outweighs every launch. Exactly `0.0` when nothing launched.
+fn launches(launched: u64, scale: FitnessScale, len: f64) -> f64 {
+    launched as f64 / (2.0 * scale.faults_f() * len)
 }
 
 #[cfg(test)]
@@ -118,6 +139,7 @@ mod tests {
             po_detections: Vec::new(),
             ff_effect_pairs: pairs,
             ff_effect_faults: pairs.min(1),
+            launched: 0,
             good_events: good_ev,
             faulty_events: faulty_ev,
             gate_evals: 0,
@@ -173,6 +195,29 @@ mod tests {
         let short = vec![report(0, 10, 0, 0)];
         let long = vec![report(0, 10, 0, 0), report(0, 0, 0, 0)];
         assert!(phase4(&short, scale()) > phase4(&long, scale()));
+    }
+
+    #[test]
+    fn launches_score_below_a_detection_and_vanish_for_stuck_at() {
+        let launched = |n| StepReport {
+            launched: n,
+            ..report(0, 5, 10, 20)
+        };
+        let all = launched(100);
+        assert!(phase2(&all, scale()) > phase2(&launched(0), scale()));
+        assert!(phase2(&all, scale()) < phase2(&report(1, 0, 0, 0), scale()));
+        let seq = [launched(100), launched(100)];
+        assert!(phase4(&seq, scale()) < 1.0);
+        // No launch adds +0.0, which leaves every score's bits alone.
+        let quiet = report(2, 7, 30, 40);
+        let bits = |x: f64| x.to_bits();
+        let plain = 2.0 + 7.0 / (100.0 * 10.0);
+        assert_eq!(bits(phase2(&quiet, scale())), bits(plain));
+        let activity = 2.0 * 70.0 / (200.0 * 100.0);
+        assert_eq!(bits(phase3(&quiet, scale())), bits(plain + activity));
+        let pair = [quiet.clone(), quiet];
+        let seq_plain = 4.0 + 14.0 / (100.0 * 10.0 * 2.0);
+        assert_eq!(bits(phase4(&pair, scale())), bits(seq_plain));
     }
 
     #[test]

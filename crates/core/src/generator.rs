@@ -289,10 +289,10 @@ struct MachineState {
 struct DriverCtx {
     pool: Option<EvalPool>,
     packed: Option<PackedGood>,
-    /// The memoization layer (dedup + fitness cache); `None` when both are
-    /// disabled. Process-local by design: a resumed leg starts cold and
-    /// merely re-simulates what the cache would have answered, so results
-    /// are unaffected.
+    /// The memoization layer (fitness cache + batch dedup); `None` when
+    /// the cache is off. Process-local by design: a resumed leg starts cold
+    /// and merely re-simulates what the cache would have answered, so
+    /// results are unaffected.
     memo: Option<EvalMemo>,
     scratch: Vec<Logic>,
     seq_lens: Vec<usize>,
@@ -586,7 +586,7 @@ impl TestGenerator {
                     Arc::clone(&self.circuit),
                 )
             }),
-            memo: EvalMemo::new(self.config.eval_cache_entries, self.config.dedup),
+            memo: EvalMemo::new(self.config.eval_cache_entries),
             scratch: Vec::with_capacity(pis),
             seq_lens: self.config.sequence_lengths(self.seq_depth),
             progress_limit: self.config.progress_limit(self.seq_depth),
@@ -1200,8 +1200,11 @@ impl TestGenerator {
             },
         });
         for &fid in &report.newly_detected {
-            let fault = self.sim.fault_list().get(fid);
-            let site = fault.display(&self.circuit).to_string();
+            let site = self
+                .sim
+                .fault_list()
+                .display(fid, &self.circuit)
+                .to_string();
             if let Some(w) = dctx.report.as_mut() {
                 if let Err(e) = w.record(fid, &site, (vectors - 1) as u32, u32::from(phase)) {
                     dctx.report_error = Some(format!("failed to stream fault report: {e}"));
@@ -1632,8 +1635,7 @@ struct EvalPath<'a> {
 fn eval_batch(path: &mut EvalPath<'_>, ctx: &Arc<EvalContext>, batch: &[Chromosome]) -> Vec<f64> {
     // Prefix sharing rides the same knob as the cache: `--eval-cache off`
     // restores the seed evaluation path exactly.
-    let shared_prefix = path.memo.as_ref().is_some_and(|m| m.cache_enabled())
-        && matches!(ctx.job, EvalJob::Sequence { .. });
+    let shared_prefix = path.memo.is_some() && matches!(ctx.job, EvalJob::Sequence { .. });
     let EvalPath {
         raw,
         memo,
@@ -2074,5 +2076,120 @@ mod tests {
             "stream holds the final leg's detections only"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The transition-fault flow: the same generator over
+/// [`FaultList::transition`].
+#[cfg(test)]
+mod transition_tests {
+    use super::*;
+
+    fn run_transition(
+        name: &str,
+        config: impl FnOnce(GatestConfig) -> GatestConfig,
+    ) -> (Arc<Circuit>, TestGenerator, TestGenResult) {
+        let circuit = Arc::new(gatest_netlist::benchmarks::iscas89(name).unwrap());
+        let config = config(GatestConfig::for_circuit(&circuit));
+        let faults = FaultList::transition(&circuit);
+        let mut generator = TestGenerator::with_faults(Arc::clone(&circuit), faults, config);
+        let result = generator.run();
+        (circuit, generator, result)
+    }
+
+    fn transition_sim(circuit: &Arc<Circuit>) -> FaultSim {
+        FaultSim::with_faults(Arc::clone(circuit), FaultList::transition(circuit))
+    }
+
+    #[test]
+    fn covers_most_transition_faults_on_s27() {
+        let (circuit, _, result) = run_transition("s27", |c| c.with_seed(2));
+        assert_eq!(result.total_faults, 2 * circuit.num_gates());
+        assert!(
+            result.fault_coverage() > 0.6,
+            "coverage {:.2}",
+            result.fault_coverage()
+        );
+    }
+
+    #[test]
+    fn transition_test_set_replays_to_the_same_detections() {
+        let (circuit, generator, result) = run_transition("s27", |c| c.with_seed(4));
+        let mut sim = transition_sim(&circuit);
+        for v in &result.test_set {
+            sim.step(v);
+        }
+        assert_eq!(sim.detected_count(), result.detected);
+        for (id, _) in sim.fault_list().iter() {
+            assert_eq!(sim.status(id), generator.sim().status(id), "{id:?}");
+        }
+    }
+
+    #[test]
+    fn transition_runs_are_deterministic_given_seed() {
+        let (_, _, a) = run_transition("s27", |c| c.with_seed(9));
+        let (_, _, b) = run_transition("s27", |c| c.with_seed(9));
+        assert_eq!(
+            crate::report::result_to_json(&a),
+            crate::report::result_to_json(&b)
+        );
+    }
+
+    #[test]
+    fn interrupted_transition_runs_resume_bit_identically() {
+        // Checkpoint/resume comes with the one generator: a transition run
+        // preempted mid-search and resumed from its snapshot ends exactly
+        // where the uninterrupted run does.
+        let config = |c: GatestConfig| GatestConfig {
+            fault_sample: FaultSample::Count(60),
+            ..c.with_seed(5)
+        };
+        let (circuit, _, full) = run_transition("s298", config);
+        let config = config(GatestConfig::for_circuit(&circuit));
+        let faults = FaultList::transition(&circuit);
+        let controls = RunControls {
+            max_ticks: Some(40),
+            ..RunControls::default()
+        };
+        let mut first =
+            TestGenerator::with_faults(Arc::clone(&circuit), faults.clone(), config.clone());
+        let (leg, snapshot) = first.run_preemptible(&controls);
+        assert_eq!(leg.stop, StopCause::Interrupted);
+        let snapshot = snapshot.expect("an early stop returns its snapshot");
+        let mut second = TestGenerator::with_faults(circuit, faults, config);
+        let resumed = second.resume(&snapshot, &RunControls::default()).unwrap();
+        assert_eq!(
+            crate::report::result_to_json(&resumed),
+            crate::report::result_to_json(&full)
+        );
+    }
+
+    #[test]
+    fn transition_runs_respect_the_vector_cap() {
+        let (_, _, result) = run_transition("s298", |c| GatestConfig {
+            max_vectors: 40,
+            ..c.with_seed(3)
+        });
+        assert!(result.vectors() <= 40);
+    }
+
+    #[test]
+    fn ga_beats_random_on_transition_faults() {
+        let (circuit, _, result) = run_transition("s298", |c| GatestConfig {
+            max_vectors: 300,
+            ..c.with_seed(6)
+        });
+        let mut random = transition_sim(&circuit);
+        let mut rng = Rng::new(6);
+        for _ in 0..result.vectors() {
+            let v: Vec<Logic> = (0..3).map(|_| Logic::from_bool(rng.coin())).collect();
+            random.step(&v);
+        }
+        assert!(
+            result.detected >= random.detected_count(),
+            "GA {} vs random {}",
+            result.detected,
+            random.detected_count()
+        );
     }
 }

@@ -19,6 +19,12 @@
 //!    the sequential depth, with the GA population reinitialized for each
 //!    attempt; four consecutive failures at a length move to the next.
 //!
+//! The fault model comes with the fault list: a generator built with
+//! [`TestGenerator::with_faults`] over
+//! [`FaultList::transition`](gatest_sim::FaultList::transition) targets
+//! transition faults through the same flow, its fitness rewarding launched
+//! edges as well ([`fitness`]).
+//!
 //! # Example
 //!
 //! ```
@@ -47,7 +53,6 @@ pub mod evalpool;
 pub mod fitness;
 pub mod generator;
 pub mod report;
-pub mod transition;
 
 pub use checkpoint::{
     config_digest, CheckpointError, GaSnapshot, RunSnapshot, SnapshotIndividual, SnapshotPos,
@@ -63,4 +68,3 @@ pub use gatest_telemetry as telemetry;
 pub use generator::{
     CheckpointCadence, ResumeError, RunControls, StopCause, TestGenResult, TestGenerator,
 };
-pub use transition::{TransitionResult, TransitionTestGenerator};

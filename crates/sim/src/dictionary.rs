@@ -134,7 +134,7 @@ mod tests {
     }
 
     fn demo_tests() -> Vec<Vec<Logic>> {
-        let mut rng = crate::transition::tests_support::Rng::new(9);
+        let mut rng = crate::tests_support::Rng::new(9);
         (0..48)
             .map(|_| (0..4).map(|_| Logic::from_bool(rng.coin())).collect())
             .collect()

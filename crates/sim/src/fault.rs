@@ -1,10 +1,20 @@
-//! Single stuck-at fault model: fault universe and equivalence collapsing.
+//! Fault lists: the stuck-at universe with equivalence collapsing, and the
+//! transition-fault list. A [`FaultList`] names its [`FaultModel`]; every
+//! fault is a site plus the value forced there.
 //!
 //! Faults live either on a net's *stem* (the gate output itself) or on a
 //! *branch* (one fanout connection of a net that drives several gates).
 //! Branch faults are only distinct from the stem fault when the driving net
 //! has fanout greater than one, so the universe contains branch faults only
 //! for such pins.
+//!
+//! A transition (gross-delay) fault delays one edge of a net by a clock: a
+//! slow-to-rise fault on net *n* is a stuck-at-0 forced on *n*'s stem in
+//! exactly the frames where the good machine launches the rising edge
+//! (`good[t-1] = 0`, `good[t] = 1`), a slow-to-fall fault a stuck-at-1 in
+//! the frames that launch the falling edge. Once its effect reaches a
+//! flip-flop it propagates like any other fault, so one simulator serves
+//! both models.
 //!
 //! Equivalence collapsing merges faults that no test can distinguish:
 //!
@@ -35,13 +45,25 @@ pub enum FaultSite {
     },
 }
 
-/// A single stuck-at fault.
+/// A single fault: a site and the value forced there. Under
+/// [`FaultModel::Transition`] the value is forced only in launch frames:
+/// `Zero` is slow-to-rise, `One` slow-to-fall.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fault {
     /// Fault location.
     pub site: FaultSite,
     /// Stuck value; always `Zero` or `One`, never `X`.
     pub stuck: Logic,
+}
+
+/// How the faults of a [`FaultList`] act on their sites.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultModel {
+    /// The site holds its stuck value in every frame.
+    StuckAt,
+    /// The site (always a stem) holds its old value in each frame whose
+    /// good machine launches the slow edge, and is fault-free otherwise.
+    Transition,
 }
 
 impl Fault {
@@ -54,26 +76,34 @@ impl Fault {
         }
     }
 
-    /// Renders the fault using circuit net names, e.g. `G11/SA0` or
-    /// `G8.in1/SA1`.
+    /// Renders the stuck-at fault using circuit net names, e.g. `G11/SA0`
+    /// or `G8.in1/SA1` ([`FaultList::display`] renders under the list's
+    /// model).
     pub fn display<'a>(&'a self, circuit: &'a Circuit) -> impl fmt::Display + 'a {
-        struct D<'a>(&'a Fault, &'a Circuit);
+        self.display_as(FaultModel::StuckAt, circuit)
+    }
+
+    fn display_as<'a>(&self, model: FaultModel, circuit: &'a Circuit) -> impl fmt::Display + 'a {
+        struct D<'a>(Fault, FaultModel, &'a Circuit);
         impl fmt::Display for D<'_> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                let sa = match self.0.stuck {
-                    Logic::Zero => "SA0",
-                    Logic::One => "SA1",
-                    Logic::X => "SA?",
+                let kind = match (self.1, self.0.stuck) {
+                    (FaultModel::StuckAt, Logic::Zero) => "SA0",
+                    (FaultModel::StuckAt, Logic::One) => "SA1",
+                    (FaultModel::StuckAt, Logic::X) => "SA?",
+                    (FaultModel::Transition, Logic::Zero) => "STR",
+                    (FaultModel::Transition, Logic::One) => "STF",
+                    (FaultModel::Transition, Logic::X) => "ST?",
                 };
                 match self.0.site {
-                    FaultSite::Stem(net) => write!(f, "{}/{sa}", self.1.net_name(net)),
+                    FaultSite::Stem(net) => write!(f, "{}/{kind}", self.2.net_name(net)),
                     FaultSite::Branch { gate, pin } => {
-                        write!(f, "{}.in{pin}/{sa}", self.1.net_name(gate))
+                        write!(f, "{}.in{pin}/{kind}", self.2.net_name(gate))
                     }
                 }
             }
         }
-        D(self, circuit)
+        D(*self, model, circuit)
     }
 }
 
@@ -102,20 +132,57 @@ pub enum FaultStatus {
     },
 }
 
-/// An ordered list of faults targeted by simulation or test generation.
+/// An ordered list of faults targeted by simulation or test generation,
+/// under one [`FaultModel`].
 #[derive(Debug, Clone)]
 pub struct FaultList {
     faults: Vec<Fault>,
     universe: usize,
+    model: FaultModel,
 }
 
 impl FaultList {
+    fn stuck_at(faults: Vec<Fault>, universe: usize) -> Self {
+        FaultList {
+            faults,
+            universe,
+            model: FaultModel::StuckAt,
+        }
+    }
+
     /// The full (uncollapsed) stuck-at universe of `circuit`: both polarities
     /// on every stem, plus both polarities on every fanout branch.
     pub fn full(circuit: &Circuit) -> Self {
         let faults = universe(circuit);
         let universe = faults.len();
-        FaultList { faults, universe }
+        Self::stuck_at(faults, universe)
+    }
+
+    /// The transition-fault list of `circuit`: a slow-to-rise and a
+    /// slow-to-fall fault on every net's stem, net-major, rise first. Each
+    /// is the stem's stuck-at fault at the edge's old value (see the
+    /// module docs), so the list is uncollapsed and is its own universe.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use gatest_sim::{FaultId, FaultList};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let c = gatest_netlist::benchmarks::iscas89("s27")?;
+    /// let faults = FaultList::transition(&c);
+    /// assert_eq!(faults.len(), 2 * c.num_gates());
+    /// assert_eq!(faults.display(FaultId(0), &c).to_string(), "G0/STR");
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn transition(circuit: &Circuit) -> Self {
+        let faults: Vec<Fault> = stem_faults(circuit).collect();
+        FaultList {
+            universe: faults.len(),
+            faults,
+            model: FaultModel::Transition,
+        }
     }
 
     /// The equivalence-collapsed fault list of `circuit` (one representative
@@ -196,10 +263,7 @@ impl FaultList {
         let mut chosen: Vec<usize> = rep.into_iter().flatten().collect();
         chosen.sort_unstable();
         let faults: Vec<Fault> = chosen.into_iter().map(|i| all[i]).collect();
-        FaultList {
-            faults,
-            universe: all.len(),
-        }
+        Self::stuck_at(faults, all.len())
     }
 
     /// The dominance-collapsed fault list: equivalence collapsing plus the
@@ -249,10 +313,12 @@ impl FaultList {
             .into_iter()
             .filter(|f| !dominated.contains(f))
             .collect();
-        FaultList {
-            faults,
-            universe: collapsed.universe,
-        }
+        Self::stuck_at(faults, collapsed.universe)
+    }
+
+    /// The fault model the list's faults follow.
+    pub fn model(&self) -> FaultModel {
+        self.model
     }
 
     /// Number of faults in the list.
@@ -280,6 +346,17 @@ impl FaultList {
         self.faults[id.index()]
     }
 
+    /// Renders fault `id` with circuit net names under the list's model:
+    /// `G11/SA0` or `G8.in1/SA1` for stuck-at faults, `G11/STR`
+    /// (slow-to-rise) or `G11/STF` (slow-to-fall) for transition faults.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn display<'a>(&self, id: FaultId, circuit: &'a Circuit) -> impl fmt::Display + 'a {
+        self.get(id).display_as(self.model, circuit)
+    }
+
     /// Iterates over `(FaultId, Fault)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (FaultId, Fault)> + '_ {
         self.faults
@@ -289,17 +366,19 @@ impl FaultList {
     }
 }
 
+/// Both stem faults of every net, net-major, `Zero` first.
+fn stem_faults(circuit: &Circuit) -> impl Iterator<Item = Fault> + '_ {
+    circuit.net_ids().flat_map(|net| {
+        [Logic::Zero, Logic::One].map(|stuck| Fault {
+            site: FaultSite::Stem(net),
+            stuck,
+        })
+    })
+}
+
 /// Enumerates the uncollapsed fault universe in deterministic order.
 fn universe(circuit: &Circuit) -> Vec<Fault> {
-    let mut out = Vec::new();
-    for net in circuit.net_ids() {
-        for stuck in [Logic::Zero, Logic::One] {
-            out.push(Fault {
-                site: FaultSite::Stem(net),
-                stuck,
-            });
-        }
-    }
+    let mut out: Vec<Fault> = stem_faults(circuit).collect();
     for gate in circuit.net_ids() {
         for (pin, &driver) in circuit.fanin(gate).iter().enumerate() {
             if circuit.fanout(driver).len() > 1 {
@@ -536,7 +615,7 @@ mod tests {
         let seq = gatest_netlist::benchmarks::iscas89("s27").unwrap();
         let comb = Arc::new(gatest_netlist::scan::full_scan(&seq).circuit().clone());
 
-        let mut rng = crate::transition::tests_support::Rng::new(9);
+        let mut rng = crate::tests_support::Rng::new(9);
         let patterns: Vec<Vec<Logic>> = (0..256)
             .map(|_| {
                 (0..comb.num_inputs())
@@ -578,6 +657,30 @@ mod tests {
         for (i, (id, _)) in list.iter().enumerate() {
             assert_eq!(id.index(), i);
         }
+    }
+
+    #[test]
+    fn transition_list_is_net_major_rise_first() {
+        let c = s27();
+        let list = FaultList::transition(&c);
+        assert_eq!(list.model(), FaultModel::Transition);
+        assert_eq!(list.len(), c.num_gates() * 2);
+        assert_eq!(list.universe_size(), list.len());
+        for (id, fault) in list.iter() {
+            let net = c.net_ids().nth(id.index() / 2).unwrap();
+            assert_eq!(fault.site, FaultSite::Stem(net));
+            let (stuck, name) = if id.index() % 2 == 0 {
+                (Logic::Zero, "STR")
+            } else {
+                (Logic::One, "STF")
+            };
+            assert_eq!(fault.stuck, stuck);
+            let shown = format!("{}/{name}", c.net_name(net));
+            assert_eq!(list.display(id, &c).to_string(), shown);
+        }
+        let stuck_at = FaultList::full(&c);
+        assert_eq!(stuck_at.model(), FaultModel::StuckAt);
+        assert_eq!(stuck_at.display(FaultId(0), &c).to_string(), "G0/SA0");
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //! G0/SA1        detected 3
 //! G8.in0/SA0    undetected
 //! ```
+//!
+//! Fault names follow the simulated list's model ([`FaultList::display`]):
+//! a transition list's report names `G11/STR` and `G11/STF`.
 
 use std::error::Error;
 use std::fmt;
@@ -30,7 +33,7 @@ use gatest_netlist::Circuit;
 use gatest_telemetry::json::{parse_json, quote};
 use gatest_telemetry::SimCounters;
 
-use crate::fault::{Fault, FaultId, FaultSite, FaultStatus};
+use crate::fault::{Fault, FaultId, FaultList, FaultSite, FaultStatus};
 use crate::fsim::FaultSim;
 use crate::value::Logic;
 
@@ -78,8 +81,9 @@ pub fn write_fault_report(circuit: &Circuit, sim: &FaultSim) -> String {
         sim.detected_count(),
         sim.fault_list().len()
     );
-    for (id, fault) in sim.fault_list().iter() {
-        let name = fault.display(circuit).to_string();
+    let faults = sim.fault_list();
+    for (id, _) in faults.iter() {
+        let name = faults.display(id, circuit).to_string();
         match sim.status(id) {
             FaultStatus::Detected { vector } => {
                 let _ = writeln!(out, "{name:<28} detected {vector}");
@@ -93,7 +97,10 @@ pub fn write_fault_report(circuit: &Circuit, sim: &FaultSim) -> String {
 }
 
 /// Parses a report written by [`write_fault_report`] back into
-/// `(fault, status)` pairs, resolving net names against `circuit`.
+/// `(fault, status)` pairs, resolving net names against `circuit`. A
+/// transition fault parses as the stuck-at fault it forces in its launch
+/// frames (`STR` as stuck-at-0, `STF` as stuck-at-1), which is how
+/// [`FaultList::transition`] lists it.
 ///
 /// # Errors
 ///
@@ -127,13 +134,13 @@ pub fn parse_fault_report(
             other => return Err(err(format!("unknown status `{other}`"))),
         };
 
-        // `NET/SA0` or `NET.inPIN/SA1`.
+        // `NET/SA0`, `NET.inPIN/SA1`, or `NET/STR` and `NET/STF`.
         let (site_str, sa) = name
             .rsplit_once('/')
             .ok_or_else(|| err(format!("`{name}` is not NET/SAx")))?;
         let stuck = match sa {
-            "SA0" => Logic::Zero,
-            "SA1" => Logic::One,
+            "SA0" | "STR" => Logic::Zero,
+            "SA1" | "STF" => Logic::One,
             other => return Err(err(format!("unknown polarity `{other}`"))),
         };
         let site = match site_str.rsplit_once(".in") {
@@ -257,13 +264,13 @@ impl FaultReportWriter {
     pub fn record_step(
         &mut self,
         circuit: &Circuit,
-        faults: &crate::fault::FaultList,
+        faults: &FaultList,
         newly_detected: &[FaultId],
         vector: u32,
         phase: u32,
     ) -> io::Result<()> {
         for &f in newly_detected {
-            let site = faults.get(f).display(circuit).to_string();
+            let site = faults.display(f, circuit).to_string();
             self.record(f, &site, vector, phase)?;
         }
         Ok(())
@@ -376,7 +383,7 @@ mod tests {
     fn graded_sim() -> (Arc<Circuit>, FaultSim) {
         let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s27").unwrap());
         let mut sim = FaultSim::new(Arc::clone(&circuit));
-        let mut rng = crate::transition::tests_support::Rng::new(4);
+        let mut rng = crate::tests_support::Rng::new(4);
         for _ in 0..24 {
             let v: Vec<Logic> = (0..4).map(|_| Logic::from_bool(rng.coin())).collect();
             sim.step(&v);
@@ -388,6 +395,26 @@ mod tests {
     fn report_round_trips() {
         let (circuit, sim) = graded_sim();
         let text = write_fault_report(&circuit, &sim);
+        let parsed = parse_fault_report(&circuit, &text).unwrap();
+        assert_eq!(parsed.len(), sim.fault_list().len());
+        for ((fault, status), (id, original)) in parsed.iter().zip(sim.fault_list().iter()) {
+            assert_eq!(*fault, original);
+            assert_eq!(*status, sim.status(id));
+        }
+    }
+
+    #[test]
+    fn transition_report_round_trips() {
+        let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s27").unwrap());
+        let mut sim = FaultSim::with_faults(Arc::clone(&circuit), FaultList::transition(&circuit));
+        let mut rng = crate::tests_support::Rng::new(4);
+        for _ in 0..24 {
+            let v: Vec<Logic> = (0..4).map(|_| Logic::from_bool(rng.coin())).collect();
+            sim.step(&v);
+        }
+        let text = write_fault_report(&circuit, &sim);
+        assert!(text.contains("G0/STR") && text.contains("G0/STF"), "{text}");
+        assert!(!text.contains("/SA"), "{text}");
         let parsed = parse_fault_report(&circuit, &text).unwrap();
         assert_eq!(parsed.len(), sim.fault_list().len());
         for ((fault, status), (id, original)) in parsed.iter().zip(sim.fault_list().iter()) {

@@ -25,6 +25,10 @@
 //!   pointers instead of copying every fault's state back;
 //! * per-step counts of faulty-circuit events and of fault effects
 //!   propagated to flip-flops, which the phase-2/3/4 fitness functions use.
+//!
+//! The fault model is the fault list's ([`FaultList::model`]): a
+//! [`FaultList::transition`] list runs through the same window routine,
+//! forcing each fault only in the frames that launch its slow edge.
 
 use std::sync::Arc;
 
@@ -32,7 +36,7 @@ use gatest_netlist::levelize::Levelization;
 use gatest_netlist::Circuit;
 use gatest_telemetry::{Instruments, SimCounters, SpanHandle, SpanKind};
 
-use crate::fault::{FaultId, FaultList, FaultStatus};
+use crate::fault::{FaultId, FaultList, FaultModel, FaultStatus};
 use crate::good_sim::{GoodSim, GoodSimState, GoodStepReport};
 use crate::group::{
     simulate_group, Arena, FaultyFfState, GoodFrame, GroupCtx, GroupOutcome, GroupWidth,
@@ -57,6 +61,10 @@ pub struct StepReport {
     pub ff_effect_pairs: u64,
     /// Number of distinct faults with at least one effect at a flip-flop.
     pub ff_effect_faults: u64,
+    /// Transition faults whose launch condition held this frame (the good
+    /// machine fired their slow edge), among the faults simulated; always 0
+    /// for stuck-at lists.
+    pub launched: u64,
     /// Good-circuit events (net value changes) this frame.
     pub good_events: u64,
     /// Faulty-circuit events, summed over all simulated faulty machines.
@@ -471,7 +479,9 @@ impl FaultSim {
     ///
     /// The good machine advances over every frame first. Earlier frames
     /// replay against snapshots of it; the last frame reads the live good
-    /// machine, so a one-vector step takes no snapshot. A full-list window
+    /// machine, so a one-vector step takes no snapshot. A transition list
+    /// also keeps the good values from before the window, which its first
+    /// frame's launches compare against. A full-list window
     /// masks a detected fault out of its later frames; a sampled window
     /// keeps simulating it from the good state, as the next one-vector
     /// call would ([`simulate_group`]). Each detected fault is stamped with
@@ -489,6 +499,8 @@ impl FaultSim {
         let probe = self.probe();
         let _step_span = probe.as_ref().map(|p| p.enter(SpanKind::SimStep));
         let base_vector = self.vectors_applied;
+        let before =
+            (self.faults.model() == FaultModel::Transition).then(|| self.good.values().to_vec());
         let mut reports: Vec<StepReport> = Vec::with_capacity(vectors.len());
         let mut snapshots: Vec<GoodSimState> = Vec::with_capacity(vectors.len() - 1);
         for (f, vector) in vectors.iter().enumerate() {
@@ -533,6 +545,7 @@ impl FaultSim {
             &mut self.faulty_ff,
             &mut self.ff_entries,
             &self.empty_ff,
+            before.as_deref(),
             targets,
             sample.is_none(),
             &frames,
@@ -746,7 +759,8 @@ impl FaultSim {
 
 /// Replays every `P::LANES`-fault group of `targets` across `frames` and
 /// merges each group's per-frame outcomes into `reports` before simulating
-/// the next group. `drop_detected` masks detected faults out of later
+/// the next group. `before` is the good state ahead of the first frame, for
+/// transition lists; `drop_detected` masks detected faults out of later
 /// frames (full-list windows; see [`simulate_group`]).
 ///
 /// Returns `(scratch_bytes, events_amortized)`. The merge walks
@@ -766,6 +780,7 @@ fn run_groups<P: GroupWidth>(
     faulty_ff: &mut Arc<Vec<FaultyFfState>>,
     ff_entries: &mut usize,
     empty_ff: &FaultyFfState,
+    before: Option<&[Logic]>,
     targets: &[FaultId],
     drop_detected: bool,
     frames: &[GoodFrame<'_>],
@@ -790,6 +805,7 @@ fn run_groups<P: GroupWidth>(
             faults,
             faulty_ff: faulty_ff.as_slice(),
             empty_ff,
+            before,
         };
         simulate_group(&ctx, frames, group, drop_detected, arena, outcomes);
         let _merge_span = probe.map(|p| p.enter(SpanKind::Merge));
@@ -798,6 +814,7 @@ fn run_groups<P: GroupWidth>(
             report.faulty_events += out.faulty_events;
             report.ff_effect_pairs += out.ff_effect_pairs;
             report.ff_effect_faults += out.ff_effect_faults;
+            report.launched += out.launched;
             scratch_bytes += out.scratch_bytes;
             events_amortized += out.events_amortized;
             for &(lane, po) in &out.po_detections {
@@ -1418,49 +1435,173 @@ mod tests {
     #[test]
     fn stamp_wrap_around_matches_a_fresh_simulator() {
         // A simulator whose frame and forcing stamps are placed just below
-        // the u32 wrap-around crosses them within its next windows; at both
-        // widths every sampled and full-list window must still match a
-        // simulator nowhere near the wrap. First a sampled window over the
-        // first half of the fault list fills the stamped tables at the low
-        // stamps a wrap restarts from; after the placement, sampled windows
-        // over the second half run first, so the nets only the first half
-        // forces still hold those stamps when the restarted ones reach
-        // them: a wrap that failed to clear the tables would read their
-        // stale ranges as current.
+        // the u32 wrap-around crosses them within its next windows; for
+        // both fault models and at both widths every sampled and full-list
+        // window must still match a simulator nowhere near the wrap. Both
+        // first initialize their good machines, which uses no stamp, so
+        // transition faults launch. Then a sampled window over the faults
+        // anchored on even nets fills the stamped tables at the low stamps a
+        // wrap restarts from; after the placement, sampled windows over the
+        // faults on odd nets run first, so the even nets their cones reach
+        // still hold those stamps when the restarted ones do: a wrap that
+        // failed to clear the tables would read their stale ranges as
+        // current. Transition groups publish their forcing at every frame,
+        // so their windows cross the wrap mid-window.
         let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
         let seq = prng_sequence(circuit.num_inputs(), 28, 5);
-        for backend in [SimBackend::Scalar64, SimBackend::Wide256] {
-            let mut fresh = FaultSim::new(Arc::clone(&circuit));
-            let mut wrapped = FaultSim::new(Arc::clone(&circuit));
-            fresh.set_backend(backend);
-            wrapped.set_backend(backend);
-            let (first, second) = fresh.active_faults().split_at(fresh.remaining() / 2);
-            let (first, second) = (first.to_vec(), second.to_vec());
-            for sim in [&mut fresh, &mut wrapped] {
-                let cp = sim.checkpoint();
-                sim.step_sampled(&seq[..4], &first);
-                sim.restore(&cp);
-            }
-            place_stamp(&mut wrapped, u32::MAX - 7);
-            for (i, window) in seq[4..16].chunks(4).enumerate() {
-                let (cp_fresh, cp_wrapped) = (fresh.checkpoint(), wrapped.checkpoint());
+        let zeros = vec![Zero; circuit.num_inputs()];
+        let init = gatest_netlist::depth::sequential_depth(&circuit) + 2;
+        for faults in [
+            FaultList::collapsed(&circuit),
+            FaultList::transition(&circuit),
+        ] {
+            let model = faults.model();
+            for backend in [SimBackend::Scalar64, SimBackend::Wide256] {
+                let mut fresh = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
+                fresh.set_backend(backend);
+                for _ in 0..init {
+                    fresh.step_good_only(&zeros);
+                }
+                let mut wrapped = fresh.clone();
+                let (first, second): (Vec<FaultId>, Vec<FaultId>) = fresh
+                    .active_faults()
+                    .iter()
+                    .partition(|&&id| faults.get(id).anchor().index() % 2 == 0);
+                for sim in [&mut fresh, &mut wrapped] {
+                    let cp = sim.checkpoint();
+                    sim.step_sampled(&seq[..4], &first);
+                    sim.restore(&cp);
+                }
+                place_stamp(&mut wrapped, u32::MAX - 7);
+                for (i, window) in seq[4..16].chunks(4).enumerate() {
+                    let (cp_fresh, cp_wrapped) = (fresh.checkpoint(), wrapped.checkpoint());
+                    assert_eq!(
+                        fresh.step_sampled(window, &second),
+                        wrapped.step_sampled(window, &second),
+                        "{model:?} {backend} sampled window {i}"
+                    );
+                    fresh.restore(&cp_fresh);
+                    wrapped.restore(&cp_wrapped);
+                }
+                for (i, window) in seq[16..].chunks(4).enumerate() {
+                    assert_eq!(
+                        fresh.step_window(window),
+                        wrapped.step_window(window),
+                        "{model:?} {backend} window {i}"
+                    );
+                }
                 assert_eq!(
-                    fresh.step_sampled(window, &second),
-                    wrapped.step_sampled(window, &second),
-                    "{backend} sampled window {i}"
-                );
-                fresh.restore(&cp_fresh);
-                wrapped.restore(&cp_wrapped);
-            }
-            for (i, window) in seq[16..].chunks(4).enumerate() {
-                assert_eq!(
-                    fresh.step_window(window),
-                    wrapped.step_window(window),
-                    "{backend} window {i}"
+                    fresh.export_state(),
+                    wrapped.export_state(),
+                    "{model:?} {backend}"
                 );
             }
-            assert_eq!(fresh.export_state(), wrapped.export_state(), "{backend}");
         }
+    }
+
+    /// A simulator over `circuit`'s transition-fault list.
+    fn transition_sim(circuit: &Arc<Circuit>) -> FaultSim {
+        FaultSim::with_faults(Arc::clone(circuit), FaultList::transition(circuit))
+    }
+
+    /// `a -> BUF y -> output`: two nets, four transition faults.
+    fn wire() -> Arc<Circuit> {
+        let mut b = CircuitBuilder::new("wire");
+        let a = b.input("a");
+        let y = b.gate(GateKind::Buf, "y", &[a]);
+        b.output(y);
+        Arc::new(b.finish().unwrap())
+    }
+
+    /// The forced (old) values of the faults `report` newly detected:
+    /// `Zero` for slow-to-rise, `One` for slow-to-fall.
+    fn detected_edges(sim: &FaultSim, report: &StepReport) -> Vec<Logic> {
+        report
+            .newly_detected
+            .iter()
+            .map(|&id| sim.fault_list().get(id).stuck)
+            .collect()
+    }
+
+    #[test]
+    fn slow_to_rise_needs_a_rising_pair() {
+        let mut sim = transition_sim(&wire());
+        // Static 1: no edge, so nothing launches or is detected.
+        sim.step(&[One]);
+        let r = sim.step(&[One]);
+        assert_eq!((r.launched, r.detected()), (0, 0));
+        // 0 -> 1 launches both nets' slow-to-rise faults; the faulty value
+        // lags at 0 while the good one is 1, so the output shows them.
+        sim.step(&[Zero]);
+        let r = sim.step(&[One]);
+        assert_eq!(r.launched, 2);
+        assert_eq!(detected_edges(&sim, &r), [Zero, Zero]);
+    }
+
+    #[test]
+    fn slow_to_fall_needs_a_falling_pair() {
+        let mut sim = transition_sim(&wire());
+        sim.step(&[One]);
+        let r = sim.step(&[Zero]);
+        assert_eq!(r.launched, 2);
+        assert_eq!(detected_edges(&sim, &r), [One, One]);
+    }
+
+    #[test]
+    fn both_transition_polarities_need_both_edges() {
+        let mut sim = transition_sim(&wire());
+        sim.step(&[Zero]);
+        sim.step(&[One]);
+        assert_eq!(sim.remaining(), 2, "only the rising edge was launched");
+        sim.step(&[Zero]);
+        assert_eq!(sim.remaining(), 0, "a and y each have STR and STF");
+    }
+
+    #[test]
+    fn transition_effects_latch_through_flip_flops() {
+        // y observes q one frame after the slow net feeds the D input.
+        let mut b = CircuitBuilder::new("pipe");
+        let a = b.input("a");
+        let g = b.gate(GateKind::Buf, "g", &[a]);
+        let q = b.gate(GateKind::Dff, "q", &[g]);
+        let y = b.gate(GateKind::Buf, "y", &[q]);
+        b.output(y);
+        let mut sim = transition_sim(&Arc::new(b.finish().unwrap()));
+        sim.step(&[Zero]);
+        let launch = sim.step(&[One]); // g rises; its effect latches into q
+        assert!(launch.ff_effect_pairs > 0);
+        assert_eq!(launch.detected(), 0, "not at the output yet");
+        let capture = sim.step(&[One]);
+        assert!(
+            capture.detected() > 0,
+            "the latched effect reaches the output"
+        );
+    }
+
+    #[test]
+    fn transition_checkpoint_restore_round_trips() {
+        let mut sim = transition_sim(&s27());
+        sim.step(&[One, One, Zero, Zero]);
+        let cp = sim.checkpoint();
+        let probe = [[Zero, One, One, Zero], [One, Zero, Zero, One]];
+        let first: Vec<_> = probe.iter().map(|v| sim.step(v)).collect();
+        let state = sim.export_state();
+        sim.restore(&cp);
+        let second: Vec<_> = probe.iter().map(|v| sim.step(v)).collect();
+        assert_eq!(first, second);
+        assert!(first.iter().any(|r| r.launched > 0));
+        assert_eq!(sim.export_state(), state);
+    }
+
+    #[test]
+    fn s27_transition_coverage_under_random() {
+        let mut sim = transition_sim(&s27());
+        for v in prng_sequence(4, 256, 5) {
+            sim.step(&v);
+        }
+        let cov = sim.detected_count() as f64 / sim.fault_list().len() as f64;
+        assert!(cov > 0.5, "transition coverage {cov:.2} unexpectedly low");
+        assert!(cov < 1.0, "some transition faults need directed tests");
     }
 
     #[test]

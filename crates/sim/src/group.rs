@@ -30,7 +30,10 @@
 //! has run.
 //!
 //! A window frame pays only for its event sweep. The forcing tables are
-//! published once per group per window, under a forcing stamp of their own.
+//! published once per group per window, under a forcing stamp of their own
+//! — except for transition faults, which force their site only in the
+//! frames whose good machine launches the slow edge: a transition group
+//! re-publishes its tables every frame, keeping only the launching lanes.
 //! Faulty flip-flop divergence crosses frames packed: the end-of-frame scan
 //! stores one faulty D word and one lane mask per diverged flip-flop, in
 //! flip-flop order, and the next frame seeds each of them with one blend of
@@ -54,7 +57,7 @@ use gatest_netlist::levelize::{FanoutEdge, Levelization};
 use gatest_netlist::{Circuit, NetId};
 
 use crate::eval::eval_packed;
-use crate::fault::{FaultId, FaultList, FaultSite};
+use crate::fault::{Fault, FaultId, FaultList, FaultModel, FaultSite};
 use crate::value::{LaneMask, Logic, PackedValue, Pv256, Pv64};
 
 /// Sparse faulty flip-flop state for one fault: `(dff index, faulty value)`
@@ -76,6 +79,10 @@ pub(crate) struct GroupCtx<'a> {
     pub faulty_ff: &'a [FaultyFfState],
     /// The shared empty slice, so clearing a fault's state allocates nothing.
     pub empty_ff: &'a FaultyFfState,
+    /// Good net values before the window's first frame, which a transition
+    /// fault's launch in that frame compares against. `Some` exactly for
+    /// [`FaultModel::Transition`] lists.
+    pub before: Option<&'a [Logic]>,
 }
 
 /// One good-machine frame a group replays against: net values after the
@@ -114,6 +121,9 @@ pub(crate) struct GroupOutcome<P: PackedValue> {
     pub events_amortized: u64,
     /// Packed faulty gate re-evaluations.
     pub gate_evals: u64,
+    /// Live lanes whose transition fault launched (forced its site) this
+    /// frame; always 0 for stuck-at lists.
+    pub launched: u64,
     /// Estimated bytes served from reused scratch this group (telemetry).
     pub scratch_bytes: u64,
     /// Replacement sparse faulty-FF state per lane, filled on a window's
@@ -134,6 +144,7 @@ impl<P: PackedValue> GroupOutcome<P> {
         self.faulty_events = 0;
         self.events_amortized = 0;
         self.gate_evals = 0;
+        self.launched = 0;
         self.scratch_bytes = 0;
         self.new_ff.clear();
     }
@@ -198,7 +209,8 @@ pub(crate) fn advance_stamp<const N: usize>(stamp: &mut u32, tables: [&mut [u32]
 /// indexed by net, level, lane or entry and do not depend on the width.
 ///
 /// Stamp discipline: `stamp` is bumped per group frame and `force_stamp`
-/// per group, and any stamped array entry is valid only while its stamp
+/// per published forcing (once per group, or per frame of a transition
+/// group), and any stamped array entry is valid only while its stamp
 /// matches — so "clearing" the faulty values and the scheduling guard
 /// between frames, and the forcing-range tables between groups, costs one
 /// integer increment instead of a sweep.
@@ -221,8 +233,9 @@ pub(crate) struct Arena {
     sched_lo: u32,
     /// Highest level with a queued gate this group.
     sched_hi: u32,
-    /// Current forcing stamp (bumped by 2 per group): the stem and branch
-    /// ranges a group publishes stay valid for its whole window.
+    /// Current forcing stamp (bumped by 2 per publish): the stem and branch
+    /// ranges a group publishes stay valid until it publishes again — for
+    /// its whole window, or for one frame of a transition group.
     force_stamp: u32,
     /// Stem forcing entries `(lane, stuck)`, grouped by net.
     stem_entries: Vec<(u32, Logic)>,
@@ -484,13 +497,18 @@ impl Arena {
     }
 }
 
-/// Builds a group's stem/branch forcing tables once for its whole window:
-/// advances the forcing stamp, sorts the group's fault sites by net and
-/// publishes stamped `(start, end)` ranges over the sorted entry slices.
+/// Builds a group's stem/branch forcing tables from the lanes `forces`
+/// admits: advances the forcing stamp, sorts the admitted fault sites by net
+/// and publishes stamped `(start, end)` ranges over the sorted entry slices.
 /// Entry order within a net is ascending lane order (forced by the sort
 /// key), which matches the insertion order the old HashMap tables had.
 /// Returns the estimated scratch bytes served.
-fn publish_forcing(faults: &FaultList, group: &[FaultId], arena: &mut Arena) -> u64 {
+fn publish_forcing(
+    faults: &FaultList,
+    group: &[FaultId],
+    arena: &mut Arena,
+    mut forces: impl FnMut(usize, Fault) -> bool,
+) -> u64 {
     advance_stamp(
         &mut arena.force_stamp,
         [&mut arena.stem_stamp, &mut arena.branch_stamp],
@@ -499,8 +517,11 @@ fn publish_forcing(faults: &FaultList, group: &[FaultId], arena: &mut Arena) -> 
     arena.stem_tmp.clear();
     arena.branch_tmp.clear();
     for (lane, &fid) in group.iter().enumerate() {
-        let lane = lane as u32;
         let fault = faults.get(fid);
+        if !forces(lane, fault) {
+            continue;
+        }
+        let lane = lane as u32;
         match fault.site {
             FaultSite::Stem(net) => arena.stem_tmp.push((net, lane, fault.stuck)),
             FaultSite::Branch { gate, pin } => {
@@ -786,7 +807,12 @@ fn materialize_new_ff<P: PackedValue>(
 /// good-machine frames in a single pass, producing one [`GroupOutcome`] per
 /// frame.
 ///
-/// The group's forcing tables are published once. Frame `0` seeds from
+/// A stuck-at group's forcing tables are published once. A transition
+/// group's are published at every frame, with only the lanes whose good
+/// machine launches the slow edge — the fault net's good value before the
+/// frame (`ctx.before` for frame `0`) is the edge's old value and its value
+/// in the frame the new one; the live lanes among them are the frame's
+/// `launched` count. Frame `0` seeds from
 /// the shared faulty-FF table; each later frame seeds from the previous
 /// frame's packed carry, so the window never touches the copy-on-write
 /// table in between. Only the *last* frame's outcome carries `new_ff`
@@ -816,13 +842,31 @@ pub(crate) fn simulate_group<P: GroupWidth>(
 ) {
     debug_assert!(group.len() <= P::LANES);
     debug_assert_eq!(frames.len(), outs.len());
+    debug_assert_eq!(
+        ctx.before.is_some(),
+        ctx.faults.model() == FaultModel::Transition
+    );
     let mut live = P::Mask::low(group.len());
     let mut carry = live;
     for (f, (frame, out)) in frames.iter().zip(outs.iter_mut()).enumerate() {
         out.reset();
         arena.begin_frame::<P>();
+        match ctx.before {
+            None if f > 0 => {}
+            None => out.scratch_bytes += publish_forcing(ctx.faults, group, arena, |_, _| true),
+            Some(before) => {
+                let prev = if f == 0 { before } else { frames[f - 1].values };
+                let mut launched = 0;
+                out.scratch_bytes += publish_forcing(ctx.faults, group, arena, |lane, fault| {
+                    let net = fault.anchor().index();
+                    let fires = prev[net] == fault.stuck && frame.values[net] == !fault.stuck;
+                    launched += u64::from(fires && live.test(lane));
+                    fires
+                });
+                out.launched = launched;
+            }
+        }
         if f == 0 {
-            out.scratch_bytes += publish_forcing(ctx.faults, group, arena);
             seed_from_table::<P>(ctx, group, frame.values, arena);
         } else {
             seed_from_carry::<P>(ctx.circuit, ctx.lev, frame.values, carry, arena);

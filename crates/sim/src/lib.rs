@@ -11,17 +11,16 @@
 //!   an AVX2 fast path dispatched at runtime). [`SimBackend`] selects a
 //!   backend by name; results are bit-identical across widths.
 //! * [`eval`] — gate evaluation over both representations.
-//! * [`fault`] — the single stuck-at fault universe and equivalence
-//!   collapsing ([`FaultList`]).
+//! * [`fault`] — fault lists under a [`FaultModel`]: the single stuck-at
+//!   universe with equivalence collapsing, and the transition (gross-delay)
+//!   list, which demonstrates the paper's claim that other fault models
+//!   slot into the same framework ([`FaultList`]).
 //! * [`good_sim`] — the fault-free machine ([`GoodSim`]), with the event and
 //!   flip-flop statistics the GATEST fitness functions consume.
-//! * [`fsim`] — the fault simulator proper ([`FaultSim`]): 64-fault packed
-//!   single-fault propagation, event-driven levelized evaluation, fault
-//!   dropping, sparse faulty state, and the checkpoint/restore mechanism the
-//!   paper adds in §IV.
-//! * [`transition`] — the transition (gross-delay) fault model and its
-//!   simulator, demonstrating the paper's claim that other fault models
-//!   slot into the same framework.
+//! * [`fsim`] — the fault simulator proper ([`FaultSim`]) for every fault
+//!   model: packed single-fault propagation, event-driven levelized
+//!   evaluation, fault dropping, sparse faulty state, and the
+//!   checkpoint/restore mechanism the paper adds in §IV.
 //! * [`fault_report`] — textual per-fault status reports (round-tripping).
 //! * [`equiv`] — random-simulation equivalence smoke-checking.
 //! * [`dictionary`] — first-detection fault dictionaries and
@@ -64,21 +63,37 @@ pub(crate) mod group;
 pub mod packed_good;
 pub mod ppsfp;
 pub mod state_space;
-pub mod transition;
 pub mod value;
 pub mod vcd;
 
 pub use dictionary::{FaultDictionary, Syndrome};
-pub use fault::{Fault, FaultId, FaultList, FaultSite, FaultStatus};
+pub use fault::{Fault, FaultId, FaultList, FaultModel, FaultSite, FaultStatus};
 pub use fault_report::{FaultReportWriter, StreamRecord, StreamSummary};
 pub use fsim::{Checkpoint, FaultSim, SimState, StepReport};
 pub use good_sim::{GoodSim, GoodSimState, GoodStepReport};
 pub use packed_good::PackedGoodSim;
-pub use transition::{Slow, TransitionFault, TransitionFaultSim};
 pub use value::{LaneMask, Logic, Mask256, PackedValue, Pv256, Pv64, SimBackend};
 
 /// The s27 circuit for intra-crate tests.
 #[cfg(test)]
 pub(crate) fn tests_circuit() -> gatest_netlist::Circuit {
     gatest_netlist::benchmarks::iscas89("s27").expect("bundled s27")
+}
+
+/// Tiny deterministic PRNG for this crate's tests (keeps `gatest-sim`
+/// independent of `gatest-ga`).
+#[cfg(test)]
+pub(crate) mod tests_support {
+    pub struct Rng(u64);
+    impl Rng {
+        pub fn new(seed: u64) -> Self {
+            Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
+        }
+        pub fn coin(&mut self) -> bool {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 & 1 == 1
+        }
+    }
 }

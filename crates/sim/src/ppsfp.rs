@@ -318,7 +318,7 @@ mod tests {
     }
 
     fn random_patterns(pis: usize, count: usize, seed: u64) -> Vec<Vec<Logic>> {
-        let mut rng = crate::transition::tests_support::Rng::new(seed);
+        let mut rng = crate::tests_support::Rng::new(seed);
         (0..count)
             .map(|_| (0..pis).map(|_| Logic::from_bool(rng.coin())).collect())
             .collect()

@@ -19,7 +19,7 @@ fn temp_path(tag: &str) -> PathBuf {
     ))
 }
 
-/// One complete run with the given worker count and memoization knobs,
+/// One complete run with the given worker count and cache capacity,
 /// reduced to its deterministic fingerprint.
 fn run_fingerprint(
     name: &str,
@@ -27,37 +27,35 @@ fn run_fingerprint(
     sample: FaultSample,
     workers: usize,
     cache: usize,
-    dedup: bool,
 ) -> (String, u64) {
     let circuit = Arc::new(iscas89(name).unwrap());
     let mut config = GatestConfig::for_circuit(&circuit)
         .with_seed(seed)
         .with_workers(workers)
-        .with_eval_cache(cache)
-        .with_dedup(dedup);
+        .with_eval_cache(cache);
     config.fault_sample = sample;
     let result = TestGenerator::new(circuit, config).run();
     assert_eq!(result.stop, StopCause::Completed);
     (result_to_json(&result), score_checksum(&result))
 }
 
-/// The tentpole guarantee on s27: with memoization fully off as the
-/// reference, every combination of cache capacity (default, tiny-evicting,
-/// off), dedup switch, and worker count produces the byte-identical result
-/// JSON and score checksum.
+/// The tentpole guarantee on s27: with memoization off (cache, batch dedup
+/// and prefix sharing all ride the cache switch) as the reference, every
+/// combination of cache capacity (default, tiny-evicting, off) and worker
+/// count produces the byte-identical result JSON and score checksum.
 #[test]
 fn s27_memoization_is_bit_identical_across_thread_shapes() {
-    let (base_json, base_sum) = run_fingerprint("s27", 3, FaultSample::Full, 1, 0, false);
+    let (base_json, base_sum) = run_fingerprint("s27", 3, FaultSample::Full, 1, 0);
     for workers in [1usize, 0] {
-        for (cache, dedup) in [(4096usize, true), (4096, false), (0, true), (8, true)] {
-            let (json, sum) = run_fingerprint("s27", 3, FaultSample::Full, workers, cache, dedup);
+        for cache in [4096usize, 0, 8] {
+            let (json, sum) = run_fingerprint("s27", 3, FaultSample::Full, workers, cache);
             assert_eq!(
                 sum, base_sum,
-                "score checksum at workers={workers} cache={cache} dedup={dedup}"
+                "score checksum at workers={workers} cache={cache}"
             );
             assert_eq!(
                 json, base_json,
-                "result JSON at workers={workers} cache={cache} dedup={dedup}"
+                "result JSON at workers={workers} cache={cache}"
             );
         }
     }
@@ -68,14 +66,14 @@ fn s27_memoization_is_bit_identical_across_thread_shapes() {
 #[test]
 fn s298_sampled_cache_on_equals_cache_off() {
     let sample = FaultSample::Count(60);
-    let (base_json, base_sum) = run_fingerprint("s298", 21, sample, 1, 0, false);
+    let (base_json, base_sum) = run_fingerprint("s298", 21, sample, 1, 0);
     for workers in [2usize, 0] {
-        let (json, sum) = run_fingerprint("s298", 21, sample, workers, 4096, true);
+        let (json, sum) = run_fingerprint("s298", 21, sample, workers, 4096);
         assert_eq!(sum, base_sum, "workers={workers}");
         assert_eq!(json, base_json, "workers={workers}");
     }
     // Serial cache-on as well, the shape the determinism CI job diffs.
-    let (json, _) = run_fingerprint("s298", 21, sample, 1, 4096, true);
+    let (json, _) = run_fingerprint("s298", 21, sample, 1, 4096);
     assert_eq!(json, base_json, "serial cache-on");
 }
 
@@ -84,8 +82,8 @@ fn s298_sampled_cache_on_equals_cache_off() {
 #[test]
 fn s27_seed_sweep_cached_equals_uncached() {
     for seed in 1..=6u64 {
-        let (off, _) = run_fingerprint("s27", seed, FaultSample::Full, 1, 0, false);
-        let (on, _) = run_fingerprint("s27", seed, FaultSample::Full, 1, 4096, true);
+        let (off, _) = run_fingerprint("s27", seed, FaultSample::Full, 1, 0);
+        let (on, _) = run_fingerprint("s27", seed, FaultSample::Full, 1, 4096);
         assert_eq!(on, off, "seed {seed}");
     }
 }
@@ -96,7 +94,7 @@ fn s27_seed_sweep_cached_equals_uncached() {
 /// pool, and packed-phase-1 paths at once.
 #[test]
 fn paranoid_mode_survives_a_full_run() {
-    let (base_json, _) = run_fingerprint("s27", 5, FaultSample::Full, 1, 0, false);
+    let (base_json, _) = run_fingerprint("s27", 5, FaultSample::Full, 1, 0);
     let circuit = Arc::new(iscas89("s27").unwrap());
     let mut config = GatestConfig::for_circuit(&circuit)
         .with_seed(5)

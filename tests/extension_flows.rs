@@ -11,8 +11,7 @@ use gatest_netlist::{benchmarks, verilog};
 use gatest_sim::dictionary::FaultDictionary;
 use gatest_sim::fault_report::{parse_fault_report, write_fault_report};
 use gatest_sim::ppsfp::Ppsfp;
-use gatest_sim::transition::TransitionFaultSim;
-use gatest_sim::{FaultSim, Logic};
+use gatest_sim::{FaultList, FaultSim, Logic};
 
 fn random_patterns(pis: usize, count: usize, seed: u64) -> Vec<Vec<Logic>> {
     let mut rng = gatest_ga::Rng::new(seed);
@@ -87,16 +86,14 @@ fn stuck_at_tests_partially_cover_transition_faults() {
     let stuck = TestGenerator::new(Arc::clone(&circuit), config).run();
     assert_eq!(stuck.detected, stuck.total_faults, "s27 stuck-at is easy");
 
-    let mut tsim = TransitionFaultSim::new(Arc::clone(&circuit));
+    let mut tsim = FaultSim::with_faults(Arc::clone(&circuit), FaultList::transition(&circuit));
     for v in &stuck.test_set {
         tsim.step(v);
     }
-    let tcov = tsim.detected_count() as f64 / tsim.total_faults() as f64;
+    let total = tsim.fault_list().len();
+    let tcov = tsim.detected_count() as f64 / total as f64;
     assert!(tcov > 0.3, "stuck-at tests catch transitions: {tcov:.2}");
-    assert!(
-        tsim.detected_count() < tsim.total_faults(),
-        "but not all of them"
-    );
+    assert!(tsim.detected_count() < total, "but not all of them");
 }
 
 #[test]

@@ -1,25 +1,34 @@
-//! Cross-validation of the packed transition-fault simulator against an
-//! independent scalar implementation of the gross-delay model.
+//! Cross-validation of the packed fault simulator over transition-fault
+//! lists against an independent scalar implementation of the gross-delay
+//! model, over circuits of the bundled suite and over random synthetic
+//! circuits.
 
 use std::sync::Arc;
 
+use proptest::prelude::*;
+
 use gatest_netlist::benchmarks;
+use gatest_netlist::generate::{CircuitProfile, SyntheticGenerator};
 use gatest_netlist::levelize::Levelization;
 use gatest_netlist::Circuit;
 use gatest_sim::eval::eval_scalar;
-use gatest_sim::transition::{transition_universe, TransitionFault, TransitionFaultSim};
-use gatest_sim::Logic;
+use gatest_sim::{
+    Fault, FaultId, FaultList, FaultSim, FaultSite, FaultStatus, Logic, SimBackend, StepReport,
+};
 
 /// Scalar reference: simulate the good machine and one faulty machine side
-/// by side. The faulty machine forces the fault net to its old value in
-/// every frame where the *good* machine launches the slow transition
+/// by side. A transition fault is listed as the stuck-at fault of its
+/// edge's old value on the net's stem; the faulty machine forces that value
+/// in every frame where the *good* machine launches the slow transition
 /// (`good[t-1] = old`, `good[t] = new`), and otherwise evaluates normally
-/// from its own (possibly diverged) state.
-fn reference_detects(
-    circuit: &Arc<Circuit>,
-    fault: TransitionFault,
-    sequence: &[Vec<Logic>],
-) -> bool {
+/// from its own (possibly diverged) state. Returns the 0-based index of the
+/// first frame at which a primary output differs (both values known), or
+/// `None`.
+fn reference_detects(circuit: &Arc<Circuit>, fault: Fault, sequence: &[Vec<Logic>]) -> Option<u32> {
+    let FaultSite::Stem(net) = fault.site else {
+        panic!("transition faults sit on stems");
+    };
+    let (old, new) = (fault.stuck, !fault.stuck);
     let lev = Levelization::new(circuit);
     let n = circuit.num_gates();
     let mut gvals = vec![Logic::X; n];
@@ -28,7 +37,7 @@ fn reference_detects(
     let mut fstate = vec![Logic::X; circuit.num_dffs()];
     let mut prev_good = vec![Logic::X; n];
 
-    for vec in sequence {
+    for (frame, vec) in sequence.iter().enumerate() {
         prev_good.copy_from_slice(&gvals);
         for (i, &ff) in circuit.dffs().iter().enumerate() {
             gvals[ff.index()] = gstate[i];
@@ -52,13 +61,12 @@ fn reference_detects(
                 .collect();
             gvals[gate.index()] = eval_scalar(kind, &fanin);
         }
-        let launched = prev_good[fault.net.index()] == fault.slow.old_value()
-            && gvals[fault.net.index()] == fault.slow.new_value();
+        let launched = prev_good[net.index()] == old && gvals[net.index()] == new;
 
         // Faulty machine: sources (PIs/FFs) already set; force the fault
         // net if it is a source and launched, then evaluate.
-        if launched && !circuit.kind(fault.net).is_combinational() {
-            fvals[fault.net.index()] = fault.slow.old_value();
+        if launched && !circuit.kind(net).is_combinational() {
+            fvals[net.index()] = old;
         }
         for &gate in lev.schedule() {
             let kind = circuit.kind(gate);
@@ -71,8 +79,8 @@ fn reference_detects(
                 .map(|&s| fvals[s.index()])
                 .collect();
             let mut out = eval_scalar(kind, &fanin);
-            if launched && gate == fault.net {
-                out = fault.slow.old_value();
+            if launched && gate == net {
+                out = old;
             }
             fvals[gate.index()] = out;
         }
@@ -81,7 +89,7 @@ fn reference_detects(
             let g = gvals[po.index()];
             let f = fvals[po.index()];
             if g.is_known() && f.is_known() && g != f {
-                return true;
+                return Some(frame as u32);
             }
         }
         for (i, &ff) in circuit.dffs().iter().enumerate() {
@@ -90,7 +98,7 @@ fn reference_detects(
             fstate[i] = fvals[d.index()];
         }
     }
-    false
+    None
 }
 
 fn random_sequence(pis: usize, len: usize, seed: u64) -> Vec<Vec<Logic>> {
@@ -100,27 +108,31 @@ fn random_sequence(pis: usize, len: usize, seed: u64) -> Vec<Vec<Logic>> {
         .collect()
 }
 
+/// The index of the vector `sim` claims first detected `id`, in the form
+/// [`reference_detects`] returns.
+fn claimed_vector(sim: &FaultSim, id: FaultId) -> Option<u32> {
+    match sim.status(id) {
+        FaultStatus::Detected { vector } => Some(vector),
+        FaultStatus::Undetected => None,
+    }
+}
+
 fn cross_validate(name: &str, vectors: usize, seed: u64) {
     let circuit = Arc::new(benchmarks::iscas89(name).expect("bundled circuit"));
-    let faults = transition_universe(&circuit);
+    let faults = FaultList::transition(&circuit);
     let mut sequence = vec![vec![Logic::Zero; circuit.num_inputs()]; 4];
     sequence.extend(random_sequence(circuit.num_inputs(), vectors, seed));
 
-    let mut sim = TransitionFaultSim::with_faults(Arc::clone(&circuit), faults.clone());
-    let mut fast = vec![false; faults.len()];
+    let mut sim = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
     for v in &sequence {
-        for f in sim.step(v).newly_detected {
-            fast[f.index()] = true;
-        }
+        sim.step(v);
     }
-
-    for (idx, &fault) in faults.iter().enumerate() {
-        let expect = reference_detects(&circuit, fault, &sequence);
+    for (id, fault) in faults.iter() {
         assert_eq!(
-            fast[idx],
-            expect,
+            claimed_vector(&sim, id),
+            reference_detects(&circuit, fault, &sequence),
             "{name}: transition fault {} disagrees with the reference",
-            fault.display(&circuit)
+            faults.display(id, &circuit)
         );
     }
 }
@@ -138,4 +150,122 @@ fn s298_transition_sim_matches_reference() {
 #[test]
 fn s386_transition_sim_matches_reference() {
     cross_validate("s386", 12, 3);
+}
+
+/// A report with its one width- and batching-dependent field cleared.
+fn without_gate_evals(report: &StepReport) -> StepReport {
+    StepReport {
+        gate_evals: 0,
+        ..report.clone()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Every stepping entry point agrees with the reference on random
+    /// synthetic circuits over their transition-fault lists, at every
+    /// width. Commits alternate one-vector `step`s with 2–3-vector
+    /// `step_window`s; before each commit a 2–6-frame `step_sampled`
+    /// candidate over every other active fault runs between `checkpoint`
+    /// and `restore`, as fitness evaluation does. The candidate runs twice
+    /// from the same checkpoint, as one window and as one-vector calls:
+    /// every report field but `gate_evals` (`launched` included) and the
+    /// exported state must agree. Each sample fault's first detection in
+    /// the candidate, and each fault's final detecting vector, must match a
+    /// reference replay.
+    #[test]
+    fn transition_stepping_matches_reference_on_random_circuits(
+        seed in any::<u64>(),
+        inputs in 2usize..=8,
+        dffs in 1usize..=12,
+        gates in 10usize..=60,
+        rounds in 2usize..=6,
+    ) {
+        let profile = CircuitProfile {
+            name: format!("rand_{seed:016x}"),
+            inputs,
+            outputs: 2,
+            dffs,
+            gates,
+            seq_depth: (dffs as u32).min(3),
+        };
+        let circuit = Arc::new(SyntheticGenerator::new(seed).generate(&profile));
+        let faults = FaultList::transition(&circuit);
+        // Each round: a 2–6-vector candidate, then a commit of one vector
+        // (even rounds) or two to three (odd rounds).
+        let mut rng = gatest_ga::Rng::new(seed ^ 0x7e57);
+        let schedule: Vec<_> = (0..rounds)
+            .map(|round| {
+                let len = if round % 2 == 0 { 1 } else { 2 + usize::from(rng.coin()) };
+                let frames = 2 + (rng.next_u64() % 5) as usize;
+                let mut vectors =
+                    random_sequence(circuit.num_inputs(), frames + len, rng.next_u64());
+                let commit = vectors.split_off(frames);
+                (vectors, commit)
+            })
+            .collect();
+        let committed: Vec<Vec<Logic>> =
+            schedule.iter().flat_map(|(_, commit)| commit.clone()).collect();
+
+        for backend in [SimBackend::Scalar64, SimBackend::Wide256, SimBackend::Auto] {
+            let mut sim = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
+            sim.set_backend(backend);
+            let mut applied = 0;
+            for (candidate, commit) in &schedule {
+                let sample: Vec<FaultId> =
+                    sim.active_faults().iter().copied().step_by(2).collect();
+                let cp = sim.checkpoint();
+                let mut serial = Vec::new();
+                for v in candidate {
+                    serial.extend(sim.step_sampled(&[v], &sample));
+                }
+                let serial_state = sim.export_state();
+                sim.restore(&cp);
+                let window = sim.step_sampled(candidate, &sample);
+                prop_assert_eq!(window.len(), candidate.len());
+                let mut first = vec![None; faults.len()];
+                for (frame, (a, b)) in window.iter().zip(&serial).enumerate() {
+                    prop_assert_eq!(
+                        without_gate_evals(a),
+                        without_gate_evals(b),
+                        "{backend}: sampled window frame {frame} at vector {applied}"
+                    );
+                    for f in &a.newly_detected {
+                        first[f.index()].get_or_insert((applied + frame) as u32);
+                    }
+                }
+                prop_assert_eq!(
+                    sim.export_state(),
+                    serial_state,
+                    "{backend}: sampled window state at vector {applied}"
+                );
+                sim.restore(&cp);
+                let replay: Vec<Vec<Logic>> =
+                    committed[..applied].iter().chain(candidate).cloned().collect();
+                for &id in &sample {
+                    prop_assert_eq!(
+                        first[id.index()],
+                        reference_detects(&circuit, faults.get(id), &replay),
+                        "{backend}: sample fault {} at vector {applied}",
+                        faults.display(id, &circuit)
+                    );
+                }
+                if let [vector] = commit.as_slice() {
+                    sim.step(vector);
+                } else {
+                    sim.step_window(commit);
+                }
+                applied += commit.len();
+            }
+            for (id, fault) in faults.iter() {
+                prop_assert_eq!(
+                    claimed_vector(&sim, id),
+                    reference_detects(&circuit, fault, &committed),
+                    "{backend}: fault {}",
+                    faults.display(id, &circuit)
+                );
+            }
+        }
+    }
 }
