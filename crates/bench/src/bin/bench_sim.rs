@@ -23,6 +23,12 @@
 //! `step_sampled` calls and once as sampled windows, alternating the two
 //! forms chunk by chunk, and asserts both forms report the same checksum.
 //!
+//! A fourth `good` section times the good machine alone: `GoodSim::apply`
+//! frames per second on s298 and s1423, replaying a fixed random stream
+//! from the all-X state. Each row records a checksum over every frame's
+//! `events`, `ffs_set` and `ffs_changed` for one pass of the stream, and
+//! `--validate` replays the stream to check it.
+//!
 //! Prints a JSON document to stdout; `scripts/bench_eval.sh` redirects it to
 //! `BENCH_sim.json` so the performance trajectory is tracked across PRs.
 //! Pass `--smoke` for a fast CI-sized run (same shape, fewer vectors).
@@ -35,7 +41,7 @@ use std::time::Instant;
 use gatest_ga::Rng;
 use gatest_netlist::benchmarks;
 use gatest_netlist::generate::{CircuitProfile, SyntheticGenerator};
-use gatest_sim::{FaultSim, Logic, SimBackend, StepReport};
+use gatest_sim::{FaultSim, GoodSim, Logic, SimBackend, StepReport};
 use gatest_telemetry::json::parse_json;
 
 const CIRCUIT: &str = "s1423";
@@ -54,13 +60,18 @@ const SEQUENCE_FRAMES: usize = 16;
 const SEQUENCE_CHUNK: usize = 8;
 /// The two forms the `sequence` section scores candidates in.
 const SEQUENCE_FORMS: [&str; 2] = ["serial", "window"];
+/// Circuits the `good` section times the good machine on.
+const GOOD_CIRCUITS: [&str; 2] = ["s298", "s1423"];
+/// Vectors in the `good` section's fixed stream; the checksum covers one
+/// pass of it.
+const GOOD_STREAM: usize = 1000;
 /// Bumped whenever the document shape changes; `--validate` requires it.
 /// 2 added provenance (`git_revision`, `timestamp`); 3 added the `width`
 /// packed-backend comparison section; 4 added the skipped-row shape for
 /// thread counts the host cannot measure meaningfully; 5 dropped the
 /// sim-thread sweep, leaving one serial `scalar64` row in `results`; 6
-/// added the `sequence` section.
-const SCHEMA_VERSION: u64 = 6;
+/// added the `sequence` section; 7 added the `good` section.
+const SCHEMA_VERSION: u64 = 7;
 
 /// `--NAME VALUE` from the args, else the `env` variable, else `"unknown"`.
 /// Benchmarks never read the clock or the repo themselves — provenance is
@@ -133,10 +144,11 @@ fn main() {
     );
 
     println!(
-        "{{\n  \"bench\": \"step_throughput\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"git_revision\": \"{git_revision}\",\n  \"timestamp\": \"{timestamp}\",\n  \"circuit\": \"{CIRCUIT}\",\n  \"mode\": \"{}\",\n  \"host_cpus\": {host_cpus},\n  \"identity_checksum\": {checksum},\n  \"results\": [\n{row}\n  ],\n  \"width\": [\n{}\n  ],\n  \"sequence\": [\n{}\n  ]\n}}",
+        "{{\n  \"bench\": \"step_throughput\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"git_revision\": \"{git_revision}\",\n  \"timestamp\": \"{timestamp}\",\n  \"circuit\": \"{CIRCUIT}\",\n  \"mode\": \"{}\",\n  \"host_cpus\": {host_cpus},\n  \"identity_checksum\": {checksum},\n  \"results\": [\n{row}\n  ],\n  \"width\": [\n{}\n  ],\n  \"sequence\": [\n{}\n  ],\n  \"good\": [\n{}\n  ]\n}}",
         if smoke { "smoke" } else { "full" },
         width_rows(smoke),
-        sequence_rows(smoke)
+        sequence_rows(smoke),
+        good_rows(smoke)
     );
 }
 
@@ -378,6 +390,68 @@ fn sequence_rows(smoke: bool) -> String {
     rows
 }
 
+/// The `good` section's fixed input stream for `circuit`.
+fn good_stream(circuit: &gatest_netlist::Circuit) -> Vec<Vec<Logic>> {
+    let mut rng = Rng::new(9);
+    (0..GOOD_STREAM)
+        .map(|_| {
+            (0..circuit.num_inputs())
+                .map(|_| Logic::from_bool(rng.coin()))
+                .collect()
+        })
+        .collect()
+}
+
+/// Replays `stream` through `sim` from the all-X state, returning the
+/// checksum over every frame's `events`, `ffs_set` and `ffs_changed`,
+/// weighted by frame index (it stays far below 2^53, so the JSON number
+/// holds it exactly).
+fn good_pass(sim: &mut GoodSim, stream: &[Vec<Logic>]) -> u64 {
+    sim.reset();
+    (1..).zip(stream).fold(0u64, |sum, (n, v)| {
+        let r = sim.apply(v);
+        sum + n * (r.events + 1_000 * r.ffs_set as u64 + 1_000_000 * r.ffs_changed as u64)
+    })
+}
+
+/// The good-machine rows: `GoodSim::apply` frames per second per circuit,
+/// over repeated passes of the fixed stream, with one pass's checksum.
+fn good_rows(smoke: bool) -> String {
+    let mut rows = String::new();
+    for name in GOOD_CIRCUITS {
+        let circuit = Arc::new(benchmarks::iscas89(name).expect("bundled circuit"));
+        let stream = good_stream(&circuit);
+        let mut sim = GoodSim::new(Arc::clone(&circuit));
+        let checksum = good_pass(&mut sim, &stream);
+        let passes = match (smoke, name) {
+            (true, "s298") => 100,
+            (true, _) => 20,
+            (false, "s298") => 1000,
+            (false, _) => 200,
+        };
+        let start = Instant::now();
+        for _ in 0..passes {
+            assert_eq!(
+                good_pass(&mut sim, &stream),
+                checksum,
+                "{name}: passes differ"
+            );
+        }
+        let secs = start.elapsed().as_secs_f64();
+        let frames = passes * GOOD_STREAM;
+        let rate = frames as f64 / secs;
+        if !rows.is_empty() {
+            rows.push_str(",\n");
+        }
+        rows.push_str(&format!(
+            "    {{\"circuit\": \"{name}\", \"gates\": {}, \"frames\": {frames}, \"secs\": {secs:.4}, \"frames_per_sec\": {rate:.0}, \"identity_checksum\": {checksum}}}",
+            circuit.num_gates()
+        ));
+        eprintln!("good {name}: {frames} frames in {secs:.2}s = {rate:.0} frames/sec");
+    }
+    rows
+}
+
 /// Parses `path` as a `BENCH_sim` document and checks every field the
 /// scaling-curve consumers rely on. Returns a one-line summary on success.
 fn validate(path: &str) -> Result<String, String> {
@@ -509,9 +583,41 @@ fn validate(path: &str) -> Result<String, String> {
     if sums[0] != sums[1] {
         return Err("`sequence` checksums disagree across forms".into());
     }
+    let good = field("good")?.as_array().ok_or("`good` is not an array")?;
+    let circuits: Vec<&str> = good
+        .iter()
+        .map(|r| r.get("circuit").and_then(|v| v.as_str()).unwrap_or(""))
+        .collect();
+    if circuits != GOOD_CIRCUITS {
+        return Err(format!(
+            "`good` has circuits {circuits:?}, expected {GOOD_CIRCUITS:?}"
+        ));
+    }
+    for (row, name) in good.iter().zip(GOOD_CIRCUITS) {
+        for key in ["gates", "frames", "secs", "frames_per_sec"] {
+            row.get(key)
+                .and_then(|v| v.as_f64())
+                .ok_or_else(|| format!("good {name} missing numeric `{key}`"))?;
+        }
+        let recorded = row
+            .get("identity_checksum")
+            .and_then(|v| v.as_u64())
+            .ok_or_else(|| format!("good {name} missing integer `identity_checksum`"))?;
+        // The good machine is deterministic: one pass of the stream must
+        // still produce the recorded statistics.
+        let circuit = Arc::new(benchmarks::iscas89(name).expect("bundled circuit"));
+        let stream = good_stream(&circuit);
+        let replayed = good_pass(&mut GoodSim::new(circuit), &stream);
+        if replayed != recorded {
+            return Err(format!(
+                "good {name}: checksum {recorded} does not match a replay ({replayed})"
+            ));
+        }
+    }
     Ok(format!(
-        "{path} ok: 1 serial row, {} width rows, {} sequence rows, host_cpus {cpus}",
+        "{path} ok: 1 serial row, {} width rows, {} sequence rows, {} good rows, host_cpus {cpus}",
         width.len(),
-        sequence.len()
+        sequence.len(),
+        good.len()
     ))
 }

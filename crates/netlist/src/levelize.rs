@@ -9,14 +9,16 @@
 use crate::circuit::Circuit;
 use crate::gate::{GateKind, NetId};
 
-/// One combinational consumer of a net, with its evaluation level
-/// precomputed so event scheduling never touches the level table.
+/// One combinational consumer of a net, with its schedule position
+/// precomputed so event scheduling never touches the record index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FanoutEdge {
     /// The consuming combinational gate.
     pub gate: NetId,
-    /// `Levelization::level(gate)`, baked into the edge.
-    pub level: u32,
+    /// `Levelization::comb_pos(gate)`, baked into the edge: the consumer's
+    /// record in the schedule-ordered CSR. A consumer always sits at a
+    /// higher position than a combinational producer.
+    pub pos: u32,
 }
 
 /// Level assignment for a circuit, plus a level-ordered gate schedule.
@@ -60,7 +62,7 @@ pub struct Levelization {
     comb_index: Vec<u32>,
     /// Per-net combinational fanout CSR: consumers that are ordinary logic
     /// gates (flip-flop D pins are latched between frames, not scheduled),
-    /// each carrying its precomputed level.
+    /// each carrying its precomputed schedule position.
     comb_fanout_offsets: Vec<u32>,
     comb_fanout_edges: Vec<FanoutEdge>,
 }
@@ -129,7 +131,7 @@ impl Levelization {
         // Schedule-order CSR over the combinational gates: the fan-in arena
         // is laid out in exactly the order the sweep visits records, and the
         // per-net fanout lists are pre-filtered to combinational consumers
-        // with their levels baked in.
+        // with their schedule positions baked in.
         let mut comb_gates = Vec::new();
         let mut comb_kinds = Vec::new();
         let mut comb_fanin_offsets = Vec::with_capacity(n + 1);
@@ -156,7 +158,7 @@ impl Levelization {
                 if circuit.kind(out).is_combinational() {
                     comb_fanout_edges.push(FanoutEdge {
                         gate: out,
-                        level: levels[out.index()],
+                        pos: comb_index[out.index()],
                     });
                 }
             }
@@ -248,12 +250,28 @@ impl Levelization {
     /// Panics if `gate` is not a combinational gate.
     #[inline]
     pub fn comb_kind(&self, gate: NetId) -> GateKind {
-        self.comb_kinds[self.comb_index[gate.index()] as usize]
+        self.comb_kinds[self.comb_pos(gate)]
+    }
+
+    /// The CSR record index of combinational gate `gate`: its position in
+    /// [`comb_gates`](Levelization::comb_gates). Positions follow the
+    /// schedule, so every combinational gate sits after all of its
+    /// combinational fan-ins.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gate` is not a combinational gate.
+    #[inline]
+    pub fn comb_pos(&self, gate: NetId) -> usize {
+        let pos = self.comb_index[gate.index()];
+        assert!(pos != u32::MAX, "{gate} is not a combinational gate");
+        pos as usize
     }
 
     /// The combinational consumers of `net`, each with its precomputed
-    /// level — flip-flop D pins are filtered out at build time, so event
-    /// scheduling needs neither a kind check nor a level lookup per edge.
+    /// schedule position — flip-flop D pins are filtered out at build time,
+    /// so event scheduling needs neither a kind check nor an index lookup
+    /// per edge.
     /// Edge order matches [`Circuit::fanout`] restricted to combinational
     /// consumers, so traversal order (and therefore every event-driven
     /// result) is unchanged from the pointer-chasing layout.
@@ -414,7 +432,20 @@ mod tests {
                 "comb fanout of {id}"
             );
             for e in edges {
-                assert_eq!(e.level, lev.level(e.gate), "baked level of {}", e.gate);
+                assert_eq!(
+                    e.pos as usize,
+                    lev.comb_pos(e.gate),
+                    "baked position of {}",
+                    e.gate
+                );
+                assert_eq!(lev.comb_gates()[e.pos as usize], e.gate);
+                if c.kind(id).is_combinational() {
+                    assert!(
+                        e.pos as usize > lev.comb_pos(id),
+                        "{} sits after {id}",
+                        e.gate
+                    );
+                }
             }
         }
         assert!(lev.csr_bytes() > 0);

@@ -41,8 +41,7 @@ pub fn eval_scalar(kind: GateKind, fanin: &[Logic]) -> Logic {
 /// Evaluates a gate over packed fanin words (`P::LANES` lanes at once).
 ///
 /// Same contract as [`eval_scalar`]. Delegates to
-/// [`PackedValue::eval_gate`], so backends with a vectorized override (e.g.
-/// [`Pv256`](crate::Pv256)'s AVX2 path) are dispatched here.
+/// [`PackedValue::eval_gate`].
 #[inline]
 pub fn eval_packed<P: PackedValue>(kind: GateKind, fanin: &[P]) -> P {
     P::eval_gate(kind, fanin)

@@ -39,8 +39,7 @@ use gatest_telemetry::{Instruments, SimCounters, SpanHandle, SpanKind};
 use crate::fault::{FaultId, FaultList, FaultModel, FaultStatus};
 use crate::good_sim::{GoodSim, GoodSimState, GoodStepReport};
 use crate::group::{
-    simulate_group, Arena, FaultyFfState, GoodFrame, GroupCtx, GroupOutcome, GroupWidth,
-    OutcomeSlots,
+    Arena, FaultyFfState, GoodFrame, GroupCtx, GroupOutcome, GroupWidth, OutcomeSlots,
 };
 use crate::value::{LaneMask, Logic, Pv256, Pv64, SimBackend};
 
@@ -484,10 +483,10 @@ impl FaultSim {
     /// frame's launches compare against. A full-list window
     /// masks a detected fault out of its later frames; a sampled window
     /// keeps simulating it from the good state, as the next one-vector
-    /// call would ([`simulate_group`]). Each detected fault is stamped with
-    /// the 0-based index of the latest vector that caught it, and the
-    /// groups' merge clears the state of every fault dropped at the last
-    /// frame.
+    /// call would ([`simulate_group`](crate::group::simulate_group)). Each
+    /// detected fault is stamped with the 0-based index of the latest
+    /// vector that caught it, and the groups' merge clears the state of
+    /// every fault dropped at the last frame.
     fn window<V: AsRef<[Logic]>>(
         &mut self,
         vectors: &[V],
@@ -761,7 +760,8 @@ impl FaultSim {
 /// merges each group's per-frame outcomes into `reports` before simulating
 /// the next group. `before` is the good state ahead of the first frame, for
 /// transition lists; `drop_detected` masks detected faults out of later
-/// frames (full-list windows; see [`simulate_group`]).
+/// frames (full-list windows; see
+/// [`simulate_group`](crate::group::simulate_group)).
 ///
 /// Returns `(scratch_bytes, events_amortized)`. The merge walks
 /// groups **in group order**, and lane order within a group is fault
@@ -788,9 +788,7 @@ fn run_groups<P: GroupWidth>(
     probe: Option<&SpanHandle>,
     reports: &mut [StepReport],
 ) -> (u64, u64) {
-    let arena = engine
-        .arena
-        .get_or_insert_with(|| Arena::new(circuit, lev.max_level() as usize));
+    let arena = engine.arena.get_or_insert_with(|| Arena::new(circuit, lev));
     let outcomes = P::outcomes(&mut engine.slots);
     if outcomes.len() < frames.len() {
         outcomes.resize_with(frames.len(), GroupOutcome::default);
@@ -807,7 +805,7 @@ fn run_groups<P: GroupWidth>(
             empty_ff,
             before,
         };
-        simulate_group(&ctx, frames, group, drop_detected, arena, outcomes);
+        P::simulate(&ctx, frames, group, drop_detected, arena, outcomes);
         let _merge_span = probe.map(|p| p.enter(SpanKind::Merge));
         for (report, out) in reports.iter_mut().zip(outcomes.iter_mut()) {
             report.gate_evals += out.gate_evals;
@@ -1422,14 +1420,17 @@ mod tests {
         assert_eq!(auto.export_state(), pinned.export_state());
     }
 
-    /// Builds `sim`'s arena if no step has yet and places its frame stamp.
-    fn place_stamp(sim: &mut FaultSim, stamp: u32) {
-        let max_level = sim.good.levelization().max_level() as usize;
-        let circuit = Arc::clone(&sim.circuit);
+    /// `sim`'s arena, built now if no step has built it yet.
+    fn arena(sim: &mut FaultSim) -> &mut Arena {
+        let (circuit, lev) = (&sim.circuit, sim.good.levelization());
         sim.engine
             .arena
-            .get_or_insert_with(|| Arena::new(&circuit, max_level))
-            .set_stamp(stamp);
+            .get_or_insert_with(|| Arena::new(circuit, lev))
+    }
+
+    /// Builds `sim`'s arena if no step has yet and places its frame stamp.
+    fn place_stamp(sim: &mut FaultSim, stamp: u32) {
+        arena(sim).set_stamp(stamp);
     }
 
     #[test]
@@ -1496,6 +1497,57 @@ mod tests {
                     "{model:?} {backend}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn avx2_clone_matches_the_portable_kernel() {
+        // One s298 campaign per fault model, run twice at 256 lanes: once
+        // through the AVX2 clone of `simulate_group` and once through the
+        // portable instance. Full-list `step_window` commits alternate with
+        // multi-frame `step_sampled` candidates between `checkpoint` and
+        // `restore`; every report field, `gate_evals` included, and the
+        // exported state must match.
+        let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
+        let zeros = vec![Zero; circuit.num_inputs()];
+        let init = gatest_netlist::depth::sequential_depth(&circuit) as usize + 2;
+        let seq = prng_sequence(circuit.num_inputs(), 48, 23);
+        for faults in [
+            FaultList::collapsed(&circuit),
+            FaultList::transition(&circuit),
+        ] {
+            let model = faults.model();
+            let campaign = |portable: bool| {
+                let mut sim = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
+                sim.set_backend(SimBackend::Wide256);
+                if portable {
+                    arena(&mut sim).force_portable();
+                }
+                let avx2 = arena(&mut sim).uses_avx2();
+                let mut reports = sim.step_window(&vec![zeros.clone(); init]);
+                for round in seq.chunks(8) {
+                    let (candidate, commit) = round.split_at(5);
+                    let sample: Vec<FaultId> =
+                        sim.active_faults().iter().copied().step_by(2).collect();
+                    let cp = sim.checkpoint();
+                    reports.extend(sim.step_sampled(candidate, &sample));
+                    sim.restore(&cp);
+                    reports.extend(sim.step_window(commit));
+                }
+                (avx2, reports, sim.export_state())
+            };
+            let (avx2, clone_reports, clone_state) = campaign(false);
+            if !avx2 {
+                eprintln!(
+                    "skipped: this host has no AVX2, so 256-lane groups run only the portable kernel"
+                );
+                return;
+            }
+            let (avx2, reports, state) = campaign(true);
+            assert!(!avx2, "the second campaign runs the portable kernel");
+            assert!(reports.iter().any(|r| r.detected() > 0), "{model:?}");
+            assert_eq!(clone_reports, reports, "{model:?}");
+            assert_eq!(clone_state, state, "{model:?}");
         }
     }
 

@@ -9,9 +9,8 @@
 use std::sync::Arc;
 
 use gatest_netlist::levelize::Levelization;
-use gatest_netlist::{Circuit, NetId};
+use gatest_netlist::{Circuit, GateKind, NetId};
 
-use crate::eval::eval_scalar;
 use crate::value::Logic;
 
 /// Per-frame statistics from [`GoodSim::apply`].
@@ -23,6 +22,48 @@ pub struct GoodStepReport {
     pub ffs_set: usize,
     /// Flip-flops whose next-state value differs from their current state.
     pub ffs_changed: usize,
+}
+
+/// A value's two bit planes `(zero, one)`, as the packed words encode them:
+/// 0 is `(1, 0)`, 1 is `(0, 1)` and X is `(0, 0)`.
+#[inline(always)]
+fn planes(v: Logic) -> (u8, u8) {
+    (u8::from(v == Logic::Zero), u8::from(v == Logic::One))
+}
+
+/// The value whose planes are `(zero, one)`, indexed by `zero << 1 | one`
+/// (both planes set does not occur).
+const FROM_PLANES: [Logic; 4] = [Logic::X, Logic::One, Logic::Zero, Logic::X];
+
+/// Evaluates one gate of the good machine: matches its kind once, folds
+/// the fan-in values of `values` on their bit planes, inverts by swapping
+/// the planes, and converts back once. Agrees with
+/// [`eval_scalar`](crate::eval::eval_scalar), which the reference
+/// simulators keep as their own evaluator.
+#[inline(always)]
+fn fold_gate(kind: GateKind, fanin: &[NetId], values: &[Logic]) -> Logic {
+    let mut inputs = fanin.iter().map(|n| planes(values[n.index()]));
+    let and = |(z, o): (u8, u8), (pz, po): (u8, u8)| (z | pz, o & po);
+    let or = |(z, o): (u8, u8), (pz, po): (u8, u8)| (z & pz, o | po);
+    let xor = |(z, o): (u8, u8), (pz, po): (u8, u8)| ((z & pz) | (o & po), (z & po) | (o & pz));
+    let swap = |(z, o): (u8, u8)| (o, z);
+    let (zero, one) = match kind {
+        GateKind::And => inputs.fold((0, 1), and),
+        GateKind::Nand => swap(inputs.fold((0, 1), and)),
+        GateKind::Or => inputs.fold((1, 0), or),
+        GateKind::Nor => swap(inputs.fold((1, 0), or)),
+        GateKind::Xor => inputs.fold((1, 0), xor),
+        GateKind::Xnor => swap(inputs.fold((1, 0), xor)),
+        GateKind::Not => swap(inputs.next().expect("NOT has one input")),
+        GateKind::Buf => inputs.next().expect("BUF has one input"),
+        GateKind::Const0 => (1, 0),
+        GateKind::Const1 => (0, 1),
+        GateKind::Input | GateKind::Dff => {
+            debug_assert!(false, "{kind} values come from the environment");
+            (0, 0)
+        }
+    };
+    FROM_PLANES[usize::from(zero << 1 | one)]
 }
 
 /// Snapshot of a [`GoodSim`]'s mutable state.
@@ -97,8 +138,8 @@ impl GoodSim {
     fn apply_constants(&mut self) {
         for id in self.circuit.net_ids() {
             match self.circuit.kind(id) {
-                gatest_netlist::GateKind::Const0 => self.values[id.index()] = Logic::Zero,
-                gatest_netlist::GateKind::Const1 => self.values[id.index()] = Logic::One,
+                GateKind::Const0 => self.values[id.index()] = Logic::Zero,
+                GateKind::Const1 => self.values[id.index()] = Logic::One,
                 _ => {}
             }
         }
@@ -135,37 +176,28 @@ impl GoodSim {
             "vector length must match the primary input count"
         );
         let mut events = 0u64;
+        let mut set = |slot: &mut Logic, v: Logic| {
+            events += u64::from(*slot != v);
+            *slot = v;
+        };
 
         // Latch: flip-flop outputs take the next-state computed last frame.
         let circuit = Arc::clone(&self.circuit);
         for (i, &ff) in circuit.dffs().iter().enumerate() {
-            let v = self.next_state[i];
-            if self.values[ff.index()] != v {
-                events += 1;
-            }
-            self.values[ff.index()] = v;
+            set(&mut self.values[ff.index()], self.next_state[i]);
         }
 
         // Drive primary inputs.
         for (i, &pi) in circuit.inputs().iter().enumerate() {
-            if self.values[pi.index()] != vector[i] {
-                events += 1;
-            }
-            self.values[pi.index()] = vector[i];
+            set(&mut self.values[pi.index()], vector[i]);
         }
 
         // Evaluate combinational gates in level order, sweeping the
         // schedule-ordered CSR: records and the fan-in arena are read
-        // contiguously, with no per-gate kind test or offset-table hop.
-        let mut fanin_buf: Vec<Logic> = Vec::with_capacity(8);
+        // contiguously, and each gate folds on bit planes.
         for (gate, kind, fanin) in self.lev.comb_records() {
-            fanin_buf.clear();
-            fanin_buf.extend(fanin.iter().map(|&n| self.values[n.index()]));
-            let v = eval_scalar(kind, &fanin_buf);
-            if self.values[gate.index()] != v {
-                events += 1;
-                self.values[gate.index()] = v;
-            }
+            let v = fold_gate(kind, fanin, &self.values);
+            set(&mut self.values[gate.index()], v);
         }
 
         // Compute next flip-flop state from D inputs.
@@ -260,8 +292,48 @@ impl GoodSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gatest_netlist::{CircuitBuilder, GateKind};
+    use crate::eval::eval_scalar;
+    use gatest_netlist::CircuitBuilder;
     use Logic::{One, Zero, X};
+
+    #[test]
+    fn fold_gate_matches_eval_scalar_exhaustively() {
+        // Every combinational kind over every 0/1/X combination of its
+        // legal fan-in counts: 1–4 for the folding kinds, 1 for NOT/BUF,
+        // none for the constants.
+        let values = [Zero, One, X];
+        let fanin: Vec<NetId> = (0..4).map(NetId::new).collect();
+        for kind in [
+            GateKind::And,
+            GateKind::Nand,
+            GateKind::Or,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Xnor,
+            GateKind::Not,
+            GateKind::Buf,
+            GateKind::Const0,
+            GateKind::Const1,
+        ] {
+            let arities = match kind {
+                GateKind::Not | GateKind::Buf => 1..=1,
+                GateKind::Const0 | GateKind::Const1 => 0..=0,
+                _ => 1..=4,
+            };
+            for arity in arities {
+                for combo in 0..3usize.pow(arity as u32) {
+                    let inputs: Vec<Logic> = (0..arity)
+                        .map(|pin| values[combo / 3usize.pow(pin as u32) % 3])
+                        .collect();
+                    assert_eq!(
+                        fold_gate(kind, &fanin[..arity], &inputs),
+                        eval_scalar(kind, &inputs),
+                        "{kind}{inputs:?}"
+                    );
+                }
+            }
+        }
+    }
 
     fn counterish() -> Arc<Circuit> {
         // q' = q XOR a; y = NOT(q)

@@ -20,14 +20,14 @@
 //! The arena also removes the per-group/per-gate allocations the original
 //! inline implementation paid: `HashMap` forcing tables are replaced with
 //! slices sorted by net plus stamped `(start, end)` range tables, the
-//! per-gate fanin `Vec` with one reusable buffer, and the per-group
-//! faulty-FF state builders with one packed flip-flop carry. Faulty net
-//! values live in structure-of-arrays form — one flat `zero` plane array
-//! and one flat `one` plane array, `P::WORDS` words per net — so a wide
-//! backend's plane arithmetic runs over contiguous words the compiler can
-//! keep in vector registers. One arena serves both widths: only the planes'
-//! length depends on the width, and they grow to the widest width the owner
-//! has run.
+//! per-gate fanin `Vec` with a fold over the fan-in words as they are read,
+//! and the per-group faulty-FF state builders with one packed flip-flop
+//! carry. Faulty net values live in structure-of-arrays form — one flat
+//! `zero` plane array and one flat `one` plane array, `P::WORDS` words per
+//! net — so a wide backend's plane arithmetic runs over contiguous words the
+//! compiler can keep in vector registers. One arena serves both widths: only
+//! the planes' length depends on the width, and they grow to the widest
+//! width the owner has run.
 //!
 //! A window frame pays only for its event sweep. The forcing tables are
 //! published once per group per window, under a forcing stamp of their own
@@ -44,19 +44,25 @@
 //!
 //! Scheduling runs entirely on the levelized CSR
 //! ([`Levelization::comb_fanout`]): fanout edges carry their consumer's
-//! level, so pushing an event needs neither a gate-kind check nor a level
-//! lookup, and the sweep walks only the `[sched_lo, sched_hi]` level band a
-//! group actually touched. The queue is shared by all lanes of the group —
-//! a gate whose fan-in changed in *any* lane is evaluated once for the
-//! whole group — and the lane evaluations that sharing saves are tallied as
-//! `events_amortized`.
+//! schedule position, and scheduling an event sets that position's bit in
+//! a bitmap. A consumer always sits at a higher position than its producer,
+//! so one forward scan over the touched words visits every scheduled gate
+//! once, after all of its fan-ins, and leaves the bitmap empty. The
+//! schedule is shared by all lanes of the group — a gate whose fan-in
+//! changed in *any* lane is evaluated once for the whole group — and the
+//! lane evaluations that sharing saves are tallied as `events_amortized`.
+//!
+//! On x86-64 hosts with AVX2, a 256-lane group runs through one clone of
+//! [`simulate_group`] compiled with AVX2 enabled, chosen once per group:
+//! every helper the group calls is inlined into it, so the plane loads,
+//! blends, folds, compares and stores of the whole group use 256-bit
+//! registers.
 
 use std::sync::Arc;
 
-use gatest_netlist::levelize::{FanoutEdge, Levelization};
-use gatest_netlist::{Circuit, NetId};
+use gatest_netlist::levelize::Levelization;
+use gatest_netlist::{Circuit, GateKind, NetId};
 
-use crate::eval::eval_packed;
 use crate::fault::{Fault, FaultId, FaultList, FaultModel, FaultSite};
 use crate::value::{LaneMask, Logic, PackedValue, Pv256, Pv64};
 
@@ -117,7 +123,7 @@ pub(crate) struct GroupOutcome<P: PackedValue> {
     pub faulty_events: u64,
     /// Lane events served by an evaluation shared with another lane: at
     /// every changed gate, all diverged lanes beyond the first ride the one
-    /// packed evaluation the shared per-group queue issued.
+    /// packed evaluation the shared per-group schedule issued.
     pub events_amortized: u64,
     /// Packed faulty gate re-evaluations.
     pub gate_evals: u64,
@@ -151,31 +157,73 @@ impl<P: PackedValue> GroupOutcome<P> {
 }
 
 /// A packed width an [`Arena`] can simulate groups at. Every arena table is
-/// shared by all widths; the gate fan-in buffer and the per-group outcome
-/// slots are the only typed scratch, so each width names its own.
+/// shared by all widths; the per-group outcome slots are the only typed
+/// scratch, so each width names its own.
 pub(crate) trait GroupWidth: PackedValue {
-    /// This width's fan-in buffer inside `arena`.
-    fn fanin(arena: &mut Arena) -> &mut Vec<Self>;
     /// This width's outcome slots.
     fn outcomes(slots: &mut OutcomeSlots) -> &mut Vec<GroupOutcome<Self>>;
+
+    /// Simulates one group at this width ([`simulate_group`]).
+    fn simulate(
+        ctx: &GroupCtx<'_>,
+        frames: &[GoodFrame<'_>],
+        group: &[FaultId],
+        drop_detected: bool,
+        arena: &mut Arena,
+        outs: &mut [GroupOutcome<Self>],
+    ) {
+        simulate_group(ctx, frames, group, drop_detected, arena, outs);
+    }
 }
 
 impl GroupWidth for Pv64 {
-    fn fanin(arena: &mut Arena) -> &mut Vec<Pv64> {
-        &mut arena.fanin64
-    }
     fn outcomes(slots: &mut OutcomeSlots) -> &mut Vec<GroupOutcome<Pv64>> {
         &mut slots.narrow
     }
 }
 
 impl GroupWidth for Pv256 {
-    fn fanin(arena: &mut Arena) -> &mut Vec<Pv256> {
-        &mut arena.fanin256
-    }
     fn outcomes(slots: &mut OutcomeSlots) -> &mut Vec<GroupOutcome<Pv256>> {
         &mut slots.wide
     }
+
+    /// Runs the AVX2 clone of [`simulate_group`] where the arena found AVX2,
+    /// the portable instance elsewhere. Both are bit-identical.
+    fn simulate(
+        ctx: &GroupCtx<'_>,
+        frames: &[GoodFrame<'_>],
+        group: &[FaultId],
+        drop_detected: bool,
+        arena: &mut Arena,
+        outs: &mut [GroupOutcome<Pv256>],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if arena.avx2 {
+            // SAFETY: `arena.avx2` is set only when the host supports AVX2.
+            return unsafe { simulate_group_avx2(ctx, frames, group, drop_detected, arena, outs) };
+        }
+        simulate_group(ctx, frames, group, drop_detected, arena, outs);
+    }
+}
+
+/// [`simulate_group`] at 256 lanes, compiled with AVX2 enabled. Every helper
+/// the group runs is `#[inline(always)]`, so it compiles into this clone
+/// with 256-bit registers instead of being called at the baseline target.
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn simulate_group_avx2(
+    ctx: &GroupCtx<'_>,
+    frames: &[GoodFrame<'_>],
+    group: &[FaultId],
+    drop_detected: bool,
+    arena: &mut Arena,
+    outs: &mut [GroupOutcome<Pv256>],
+) {
+    simulate_group(ctx, frames, group, drop_detected, arena, outs);
 }
 
 /// Reusable per-frame outcome slots, one vector per width, kept across
@@ -186,8 +234,7 @@ pub(crate) struct OutcomeSlots {
     wide: Vec<GroupOutcome<Pv256>>,
 }
 
-/// Advances a frame stamp by two. Stamped tables start at zero, and the
-/// scheduling guard returns to zero after each evaluation, so a stamp of
+/// Advances a stamp by two. Stamped tables start at zero, so a stamp of
 /// zero would make untouched entries read as current: when the stamp wraps
 /// around, every table is cleared and the stamp restarts at two.
 pub(crate) fn advance_stamp<const N: usize>(stamp: &mut u32, tables: [&mut [u32]; N]) {
@@ -206,14 +253,16 @@ pub(crate) fn advance_stamp<const N: usize>(stamp: &mut u32, tables: [&mut [u32]
 /// One arena serves every width. The faulty-value planes hold `P::WORDS`
 /// words per net for the group running, so they grow to the widest width
 /// the owner has run and narrower groups use a prefix; all other tables are
-/// indexed by net, level, lane or entry and do not depend on the width.
+/// indexed by net, schedule position, lane or entry and do not depend on
+/// the width.
 ///
 /// Stamp discipline: `stamp` is bumped per group frame and `force_stamp`
 /// per published forcing (once per group, or per frame of a transition
 /// group), and any stamped array entry is valid only while its stamp
-/// matches — so "clearing" the faulty values and the scheduling guard
-/// between frames, and the forcing-range tables between groups, costs one
-/// integer increment instead of a sweep.
+/// matches — so "clearing" the faulty values between frames, and the
+/// forcing-range tables between groups, costs one integer increment
+/// instead of a sweep. The schedule bitmap needs no stamp: the sweep clears
+/// each bit as it evaluates the gate, so every frame ends with it empty.
 #[derive(Debug)]
 pub(crate) struct Arena {
     /// Zero plane of the faulty value per net (structure-of-arrays:
@@ -225,14 +274,17 @@ pub(crate) struct Arena {
     fstamp: Vec<u32>,
     /// Current frame stamp (bumped by 2 per group frame).
     stamp: u32,
-    /// Scheduling guard per gate (queued when it matches `stamp`).
-    queued: Vec<u32>,
-    /// Level-bucketed event queue; buckets keep their capacity.
-    buckets: Vec<Vec<NetId>>,
-    /// Lowest level with a queued gate this group (`u32::MAX` when none).
-    sched_lo: u32,
-    /// Highest level with a queued gate this group.
-    sched_hi: u32,
+    /// Gates waiting for evaluation this frame: one bit per combinational
+    /// schedule position ([`Levelization::comb_pos`]).
+    sched: Vec<u64>,
+    /// The lowest word of `sched` a schedule touched this frame
+    /// (`usize::MAX` when none).
+    lo_word: usize,
+    /// The highest word of `sched` a schedule touched this frame.
+    hi_word: usize,
+    /// Whether the host supports AVX2, so 256-lane groups run through
+    /// [`simulate_group_avx2`].
+    avx2: bool,
     /// Current forcing stamp (bumped by 2 per publish): the stem and branch
     /// ranges a group publishes stay valid until it publishes again — for
     /// its whole window, or for one frame of a transition group.
@@ -255,10 +307,6 @@ pub(crate) struct Arena {
     branch_tmp: Vec<(NetId, u16, u32, Logic)>,
     /// Flip-flop nets seeded from the sparse per-fault state this frame.
     seeded: Vec<NetId>,
-    /// Gate fan-in buffer for 64-lane groups (fan-in is small and bounded).
-    fanin64: Vec<Pv64>,
-    /// Gate fan-in buffer for 256-lane groups.
-    fanin256: Vec<Pv256>,
     /// The packed flip-flop carry: the flip-flops (dff indices) whose
     /// faulty D value diverged from the good next state this frame, in
     /// ascending order. A window's next frame seeds from it before the
@@ -279,19 +327,22 @@ pub(crate) struct Arena {
 }
 
 impl Arena {
-    /// An arena sized for `circuit` (combinational depth `max_level`). The
+    /// An arena sized for `circuit` and its levelization `lev`. The
     /// faulty-value planes are allocated by the first group that runs.
-    pub(crate) fn new(circuit: &Circuit, max_level: usize) -> Self {
+    pub(crate) fn new(circuit: &Circuit, lev: &Levelization) -> Self {
         let n = circuit.num_gates();
         Arena {
             fzero: Vec::new(),
             fone: Vec::new(),
             fstamp: vec![0; n],
             stamp: 0,
-            queued: vec![0; n],
-            buckets: vec![Vec::new(); max_level + 1],
-            sched_lo: u32::MAX,
-            sched_hi: 0,
+            sched: vec![0; lev.comb_len().div_ceil(64)],
+            lo_word: usize::MAX,
+            hi_word: 0,
+            #[cfg(target_arch = "x86_64")]
+            avx2: is_x86_feature_detected!("avx2"),
+            #[cfg(not(target_arch = "x86_64"))]
+            avx2: false,
             force_stamp: 0,
             stem_entries: Vec::new(),
             stem_range: vec![(0, 0); n],
@@ -302,8 +353,6 @@ impl Arena {
             stem_tmp: Vec::new(),
             branch_tmp: Vec::new(),
             seeded: Vec::new(),
-            fanin64: Vec::new(),
-            fanin256: Vec::new(),
             carry_dffs: Vec::new(),
             carry_zero: Vec::new(),
             carry_one: Vec::new(),
@@ -315,16 +364,17 @@ impl Arena {
 
     /// Starts a window frame of a group at width `P`: grows the planes on
     /// the first frame at a wider width, bumps the frame stamp, and resets
-    /// the scheduled level band.
+    /// the touched band of the schedule bitmap.
+    #[inline(always)]
     fn begin_frame<P: PackedValue>(&mut self) {
         let words = self.fstamp.len() * P::WORDS;
         if self.fzero.len() < words {
             self.fzero.resize(words, 0);
             self.fone.resize(words, 0);
         }
-        advance_stamp(&mut self.stamp, [&mut self.fstamp, &mut self.queued]);
-        self.sched_lo = u32::MAX;
-        self.sched_hi = 0;
+        advance_stamp(&mut self.stamp, [&mut self.fstamp]);
+        self.lo_word = usize::MAX;
+        self.hi_word = 0;
     }
 
     /// Places the frame and forcing stamps, so tests can start a simulator
@@ -335,9 +385,22 @@ impl Arena {
         self.force_stamp = stamp;
     }
 
+    /// Runs every later 256-lane group through the portable
+    /// [`simulate_group`], so tests can hold the AVX2 clone against it.
+    #[cfg(test)]
+    pub(crate) fn force_portable(&mut self) {
+        self.avx2 = false;
+    }
+
+    /// Whether 256-lane groups run through the AVX2 clone.
+    #[cfg(test)]
+    pub(crate) fn uses_avx2(&self) -> bool {
+        self.avx2
+    }
+
     /// The faulty word of `net` for the current group, defaulting to the
     /// broadcast good value (`values[net]`) if the net has not diverged.
-    #[inline]
+    #[inline(always)]
     fn effective<P: PackedValue>(&self, values: &[Logic], net: NetId) -> P {
         let i = net.index();
         if self.fstamp[i] == self.stamp {
@@ -348,8 +411,77 @@ impl Arena {
         }
     }
 
+    /// The word gate `gate` reads on input `pin`, from net `src`: the
+    /// group's word of `src` with the gate's branch `forces` on that pin
+    /// applied.
+    #[inline(always)]
+    fn input<P: PackedValue>(
+        &self,
+        values: &[Logic],
+        src: NetId,
+        pin: usize,
+        forces: &[(u16, u32, Logic)],
+    ) -> P {
+        let mut word: P = self.effective(values, src);
+        for &(at, lane, stuck) in forces {
+            if usize::from(at) == pin {
+                word.set_lane(lane as usize, stuck);
+            }
+        }
+        word
+    }
+
+    /// Folds `op` over the words gate `gate` reads on its inputs `fanin`,
+    /// from `init`, as they are read: no fan-in buffer.
+    #[inline(always)]
+    fn fold<P: PackedValue>(
+        &self,
+        values: &[Logic],
+        fanin: &[NetId],
+        forces: &[(u16, u32, Logic)],
+        init: P,
+        op: impl Fn(P, P) -> P,
+    ) -> P {
+        let mut acc = init;
+        for (pin, &src) in fanin.iter().enumerate() {
+            acc = op(acc, self.input(values, src, pin, forces));
+        }
+        acc
+    }
+
+    /// Evaluates combinational gate `gate` (`kind`, fan-in `fanin`) for the
+    /// group, folding its input words as they are read; an inverting kind
+    /// swaps the planes of the fold. Agrees with
+    /// [`eval_packed`](crate::eval::eval_packed).
+    #[inline(always)]
+    fn eval_gate<P: PackedValue>(
+        &self,
+        values: &[Logic],
+        gate: NetId,
+        kind: GateKind,
+        fanin: &[NetId],
+    ) -> P {
+        let forces = self.branch_forces(gate);
+        match kind {
+            GateKind::And => self.fold(values, fanin, forces, P::ALL_ONE, P::and),
+            GateKind::Nand => self.fold(values, fanin, forces, P::ALL_ONE, P::and).not(),
+            GateKind::Or => self.fold(values, fanin, forces, P::ALL_ZERO, P::or),
+            GateKind::Nor => self.fold(values, fanin, forces, P::ALL_ZERO, P::or).not(),
+            GateKind::Xor => self.fold(values, fanin, forces, P::ALL_ZERO, P::xor),
+            GateKind::Xnor => self.fold(values, fanin, forces, P::ALL_ZERO, P::xor).not(),
+            GateKind::Not => self.input::<P>(values, fanin[0], 0, forces).not(),
+            GateKind::Buf => self.input(values, fanin[0], 0, forces),
+            GateKind::Const0 => P::ALL_ZERO,
+            GateKind::Const1 => P::ALL_ONE,
+            GateKind::Input | GateKind::Dff => {
+                debug_assert!(false, "{kind} values come from the environment");
+                P::ALL_X
+            }
+        }
+    }
+
     /// Records `w` as the faulty word of `net` for the current group.
-    #[inline]
+    #[inline(always)]
     fn record<P: PackedValue>(&mut self, net: NetId, w: P) {
         let i = net.index();
         let at = i * P::WORDS;
@@ -361,7 +493,7 @@ impl Arena {
     /// first seed of a flip-flop this frame starts its word from the good
     /// value; every seed then writes its one lane straight into the planes
     /// (encoding: 0 = zero plane, 1 = one plane, X = neither).
-    #[inline]
+    #[inline(always)]
     fn seed<P: PackedValue>(&mut self, values: &[Logic], ff: NetId, lane: usize, v: Logic) {
         let i = ff.index();
         if self.fstamp[i] != self.stamp {
@@ -376,6 +508,7 @@ impl Arena {
 
     /// Schedules the fanout of every seeded flip-flop whose word diverged
     /// from the good value, once per flip-flop however many lanes it seeds.
+    #[inline(always)]
     fn schedule_seeded<P: PackedValue>(&mut self, lev: &Levelization, values: &[Logic]) {
         let mut seeded = std::mem::take(&mut self.seeded);
         for &ff in &seeded {
@@ -390,6 +523,7 @@ impl Arena {
     /// Seeds flip-flop `ff` from entry `k` of the packed carry: one blend
     /// of the good word and the carried faulty word over the carried lanes
     /// still in `carry`. Returns whether any lane diverged.
+    #[inline(always)]
     fn seed_carried<P: PackedValue>(
         &mut self,
         values: &[Logic],
@@ -416,6 +550,7 @@ impl Arena {
 
     /// Appends flip-flop `dff_idx`'s faulty D word `w`, diverged in lanes
     /// `diff`, to the packed carry.
+    #[inline(always)]
     fn push_carry<P: PackedValue>(&mut self, dff_idx: usize, w: P, diff: P::Mask) {
         let at = self.carry_zero.len();
         self.carry_dffs.push(dff_idx as u32);
@@ -427,6 +562,7 @@ impl Arena {
 
     /// Calls `f(dff index, lane, faulty value)` for every carried lane in
     /// `keep`, in flip-flop order and then lane order.
+    #[inline(always)]
     fn for_each_carried<P: PackedValue>(
         &self,
         keep: P::Mask,
@@ -477,23 +613,23 @@ impl Arena {
     }
 
     /// Schedules every combinational consumer of `net` via the CSR fanout
-    /// edges: each edge carries its precomputed level, so this is one
-    /// contiguous read and a guarded bucket push per consumer.
+    /// edges: each edge carries its consumer's schedule position, so this
+    /// is one contiguous read and one bit set per consumer.
+    #[inline(always)]
     fn schedule_fanout(&mut self, lev: &Levelization, net: NetId) {
-        for &FanoutEdge { gate, level } in lev.comb_fanout(net) {
-            self.schedule(gate, level);
+        for edge in lev.comb_fanout(net) {
+            self.schedule(edge.pos as usize);
         }
     }
 
-    #[inline]
-    fn schedule(&mut self, gate: NetId, level: u32) {
-        if self.queued[gate.index()] != self.stamp {
-            self.queued[gate.index()] = self.stamp;
-            debug_assert!(level >= 1, "combinational gates are level >= 1");
-            self.buckets[level as usize].push(gate);
-            self.sched_lo = self.sched_lo.min(level);
-            self.sched_hi = self.sched_hi.max(level);
-        }
+    /// Schedules the combinational gate at schedule position `pos`. Setting
+    /// a bit twice schedules the gate once.
+    #[inline(always)]
+    fn schedule(&mut self, pos: usize) {
+        let w = pos / 64;
+        self.sched[w] |= 1u64 << (pos % 64);
+        self.lo_word = self.lo_word.min(w);
+        self.hi_word = self.hi_word.max(w);
     }
 }
 
@@ -566,6 +702,7 @@ fn publish_forcing(
 /// Seeds every lane's faulty flip-flop state from the shared copy-on-write
 /// table (a window's first frame), then schedules the fanout of each
 /// diverged flip-flop once.
+#[inline(always)]
 fn seed_from_table<P: PackedValue>(
     ctx: &GroupCtx<'_>,
     group: &[FaultId],
@@ -584,6 +721,7 @@ fn seed_from_table<P: PackedValue>(
 /// Seeds a later window frame from the previous frame's packed carry, for
 /// the lanes in `carry`, and schedules the fanout of each flip-flop that
 /// diverged. The scan that follows overwrites the carry with this frame's.
+#[inline(always)]
 fn seed_from_carry<P: PackedValue>(
     circuit: &Circuit,
     lev: &Levelization,
@@ -601,15 +739,16 @@ fn seed_from_carry<P: PackedValue>(
 
 /// Propagates one group through one good-machine frame whose carried
 /// faulty flip-flop state is already seeded and scheduled: injects the
-/// (already published) stem and branch forces, sweeps the touched level
-/// band event-driven, detects at primary outputs, and scans the flip-flops
-/// into the arena's packed carry.
+/// (already published) stem and branch forces, sweeps the schedule bitmap
+/// event-driven, detects at primary outputs, and scans the flip-flops into
+/// the arena's packed carry.
 ///
 /// `live` masks the lanes being simulated: events, detections, and
 /// flip-flop effects of dead lanes are suppressed, mirroring one-vector
 /// steps, where a dropped fault leaves the group. (Lane values are
 /// independent, so letting a dead lane keep propagating cannot perturb any
 /// live lane.) A window's first frame runs every group lane live.
+#[inline(always)]
 fn run_frame<P: GroupWidth>(
     circuit: &Circuit,
     lev: &Levelization,
@@ -651,32 +790,29 @@ fn run_frame<P: GroupWidth>(
             i += 1;
         }
         if circuit.kind(gate).is_combinational() {
-            arena.schedule(gate, lev.level(gate));
+            arena.schedule(lev.comb_pos(gate));
         }
     }
 
-    // Event-driven propagation over the touched level band only. The fanin
-    // buffer is taken out of the arena for the duration of the sweep so the
-    // borrow checker can see it is disjoint from the stamped tables; gate
-    // kinds and fan-in slices come from the schedule-ordered CSR.
-    let mut fanin = std::mem::take(P::fanin(arena));
-    let mut level = arena.sched_lo as usize;
-    while level <= arena.sched_hi as usize {
-        let mut gates = std::mem::take(&mut arena.buckets[level]);
-        for &gate in &gates {
-            arena.queued[gate.index()] = 0;
+    // Event-driven propagation: one forward scan over the touched words of
+    // the schedule bitmap. Fanout always lands at a higher position, so
+    // each word is re-read after every evaluation (a consumer may have set
+    // a higher bit in it), and each gate is evaluated once, after all of
+    // its fan-ins. Gate kinds and fan-in slices come from the
+    // schedule-ordered CSR record at the bit's position.
+    let mut w = arena.lo_word;
+    while w <= arena.hi_word {
+        loop {
+            let bits = arena.sched[w];
+            if bits == 0 {
+                break;
+            }
+            arena.sched[w] = bits & (bits - 1);
+            let (gate, kind, fanin) = lev.comb_record(w * 64 + bits.trailing_zeros() as usize);
             out.gate_evals += 1;
-            let kind = lev.comb_kind(gate);
-            debug_assert!(kind.is_combinational());
-            fanin.clear();
-            for &src in lev.comb_fanin(gate) {
-                fanin.push(arena.effective(values, src));
-            }
+            // What the original per-gate fan-in `Vec` would have held.
             reused += (fanin.len() * std::mem::size_of::<P>()) as u64;
-            for &(pin, lane, stuck) in arena.branch_forces(gate) {
-                fanin[pin as usize].set_lane(lane as usize, stuck);
-            }
-            let mut word = eval_packed(kind, &fanin);
+            let mut word: P = arena.eval_gate(values, gate, kind, fanin);
             for &(lane, stuck) in arena.stem_forces(gate) {
                 word.set_lane(lane as usize, stuck);
             }
@@ -686,19 +822,18 @@ fn run_frame<P: GroupWidth>(
                 out.faulty_events += diff_lanes;
                 // Every diverged lane beyond the first rode this one packed
                 // evaluation: that is the scheduling work the shared
-                // per-group queue amortized away.
+                // per-group schedule amortized away.
                 out.events_amortized += diff_lanes.saturating_sub(1);
                 arena.record(gate, word);
                 arena.schedule_fanout(lev, gate);
             }
         }
-        // Fanout is strictly higher-level, so nothing was appended to this
-        // bucket while we iterated; put it back empty with its capacity.
-        gates.clear();
-        arena.buckets[level] = gates;
-        level += 1;
+        w += 1;
     }
-    *P::fanin(arena) = fanin;
+    debug_assert!(
+        arena.sched.iter().all(|&bits| bits == 0),
+        "the sweep leaves the schedule bitmap empty"
+    );
 
     // Detection at primary outputs: strict binary difference. The
     // per-output masks double as the diagnosis syndrome. An output the
@@ -757,6 +892,7 @@ fn run_frame<P: GroupWidth>(
 /// A stable counting sort regroups the flip-flop-ordered carry by lane, so
 /// each lane's entries stay in flip-flop order as the sparse state
 /// requires.
+#[inline(always)]
 fn materialize_new_ff<P: PackedValue>(
     ctx: &GroupCtx<'_>,
     group: &[FaultId],
@@ -832,6 +968,7 @@ fn materialize_new_ff<P: PackedValue>(
 /// Every per-frame outcome is bit-identical to what a one-frame window per
 /// vector would have produced — except `gate_evals`/`scratch_bytes`, which
 /// (as with lane widths) depend on how the work was batched.
+#[inline(always)]
 pub(crate) fn simulate_group<P: GroupWidth>(
     ctx: &GroupCtx<'_>,
     frames: &[GoodFrame<'_>],

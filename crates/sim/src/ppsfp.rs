@@ -214,15 +214,20 @@ impl Ppsfp {
                 stamp = stamp.wrapping_add(2);
                 let forced = P::broadcast(fault.stuck);
 
-                // Inject. Fanout edges carry their consumer's level baked
-                // into the CSR, so scheduling never chases a level lookup.
+                // Inject.
                 match fault.site {
                     FaultSite::Stem(net) => {
                         fval[net.index()] = forced;
                         fstamp[net.index()] = stamp;
                         if forced.any_diff(good[net.index()]).and(block_mask).any() {
-                            for &FanoutEdge { gate, level } in self.lev.comb_fanout(net) {
-                                schedule(&mut buckets, &mut queued, stamp, gate, level);
+                            for &FanoutEdge { gate, .. } in self.lev.comb_fanout(net) {
+                                schedule(
+                                    &mut buckets,
+                                    &mut queued,
+                                    stamp,
+                                    gate,
+                                    self.lev.level(gate),
+                                );
                             }
                         }
                     }
@@ -263,8 +268,14 @@ impl Ppsfp {
                         if out != old {
                             fval[gate.index()] = out;
                             fstamp[gate.index()] = stamp;
-                            for &FanoutEdge { gate: next, level } in self.lev.comb_fanout(gate) {
-                                schedule(&mut buckets, &mut queued, stamp, next, level);
+                            for &FanoutEdge { gate: next, .. } in self.lev.comb_fanout(gate) {
+                                schedule(
+                                    &mut buckets,
+                                    &mut queued,
+                                    stamp,
+                                    next,
+                                    self.lev.level(next),
+                                );
                             }
                         }
                     }

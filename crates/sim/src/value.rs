@@ -17,10 +17,11 @@
 //!
 //! The planes come in two widths behind the [`PackedValue`] trait:
 //! [`Pv64`] (one 64-bit word per plane, the PROOFS original) and [`Pv256`]
-//! (four words per plane, written so the per-word loops autovectorize —
-//! with an explicit AVX2 gate-evaluation path selected once at runtime on
-//! x86-64). Which width the fault simulator uses is an execution detail
-//! chosen via [`SimBackend`]; results are bit-identical across widths.
+//! (four words per plane, written so the per-word loops autovectorize; the
+//! fault simulator runs its 256-lane groups through a clone compiled with
+//! AVX2 where the host has it). Which width the fault simulator uses is an
+//! execution detail chosen via [`SimBackend`]; results are bit-identical
+//! across widths.
 
 use std::fmt;
 use std::ops::Not;
@@ -366,39 +367,38 @@ pub trait PackedValue: Copy + Eq + fmt::Debug + Default + Send + Sync + 'static 
     /// Stores the value into structure-of-arrays plane storage.
     fn store_planes(self, zero: &mut [u64], one: &mut [u64]);
 
-    /// Evaluates a gate over packed fanin words.
+    /// Evaluates a gate over packed fanin words: the width-generic fold
+    /// every backend shares.
     ///
     /// `Input` and `Dff` gates are *not* evaluated here — their values come
     /// from the test vector and the state store respectively; passing them
-    /// panics in debug builds and returns X otherwise. Implementations may
-    /// override this with a vectorized path but must stay bit-identical to
-    /// the default.
+    /// panics in debug builds and returns X otherwise.
     #[inline]
     fn eval_gate(kind: GateKind, fanin: &[Self]) -> Self {
-        eval_gate_portable(kind, fanin)
+        match kind {
+            GateKind::And => fanin.iter().copied().fold(Self::ALL_ONE, Self::and),
+            GateKind::Nand => fanin.iter().copied().fold(Self::ALL_ONE, Self::and).not(),
+            GateKind::Or => fanin.iter().copied().fold(Self::ALL_ZERO, Self::or),
+            GateKind::Nor => fanin.iter().copied().fold(Self::ALL_ZERO, Self::or).not(),
+            GateKind::Xor => fanin.iter().copied().fold(Self::ALL_ZERO, Self::xor),
+            GateKind::Xnor => fanin.iter().copied().fold(Self::ALL_ZERO, Self::xor).not(),
+            GateKind::Not => fanin[0].not(),
+            GateKind::Buf => fanin[0],
+            GateKind::Const0 => Self::ALL_ZERO,
+            GateKind::Const1 => Self::ALL_ONE,
+            GateKind::Input | GateKind::Dff => {
+                debug_assert!(false, "{kind} values come from the environment");
+                Self::ALL_X
+            }
+        }
     }
 }
 
-/// The width-generic gate evaluation fold shared by every backend (and the
-/// body the AVX2 path recompiles with 256-bit registers enabled).
-#[inline]
-pub(crate) fn eval_gate_portable<P: PackedValue>(kind: GateKind, fanin: &[P]) -> P {
-    match kind {
-        GateKind::And => fanin.iter().copied().fold(P::ALL_ONE, P::and),
-        GateKind::Nand => fanin.iter().copied().fold(P::ALL_ONE, P::and).not(),
-        GateKind::Or => fanin.iter().copied().fold(P::ALL_ZERO, P::or),
-        GateKind::Nor => fanin.iter().copied().fold(P::ALL_ZERO, P::or).not(),
-        GateKind::Xor => fanin.iter().copied().fold(P::ALL_ZERO, P::xor),
-        GateKind::Xnor => fanin.iter().copied().fold(P::ALL_ZERO, P::xor).not(),
-        GateKind::Not => fanin[0].not(),
-        GateKind::Buf => fanin[0],
-        GateKind::Const0 => P::ALL_ZERO,
-        GateKind::Const1 => P::ALL_ONE,
-        GateKind::Input | GateKind::Dff => {
-            debug_assert!(false, "{kind} values come from the environment");
-            P::ALL_X
-        }
-    }
+/// The all-ones word if `b`, else zero: a plane word of a broadcast value,
+/// built without a branch.
+#[inline(always)]
+fn splat(b: bool) -> u64 {
+    0u64.wrapping_sub(u64::from(b))
 }
 
 // ---------------------------------------------------------------------------
@@ -439,10 +439,9 @@ impl Pv64 {
     /// A word with every slot set to `v`.
     #[inline]
     pub fn broadcast(v: Logic) -> Pv64 {
-        match v {
-            Logic::Zero => Pv64::ALL_ZERO,
-            Logic::One => Pv64::ALL_ONE,
-            Logic::X => Pv64::ALL_X,
+        Pv64 {
+            zero: splat(v == Logic::Zero),
+            one: splat(v == Logic::One),
         }
     }
 
@@ -650,10 +649,9 @@ impl fmt::Display for Pv64 {
 
 /// A packed word of 256 three-valued values: four 64-bit words per plane.
 ///
-/// The per-word loops are written so the compiler autovectorizes them; on
-/// x86-64 hosts with AVX2 the gate-evaluation fold additionally dispatches
-/// (once, at first use) to a clone of the same code compiled with 256-bit
-/// vector registers enabled. Both paths are bit-identical to [`Pv64`]
+/// The per-word loops are written so the compiler autovectorizes them; the
+/// fault simulator's 256-lane groups additionally run in a clone compiled
+/// with AVX2 on hosts that have it. Both are bit-identical to [`Pv64`]
 /// semantics in every lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Pv256 {
@@ -695,10 +693,9 @@ impl PackedValue for Pv256 {
 
     #[inline]
     fn broadcast(v: Logic) -> Pv256 {
-        match v {
-            Logic::Zero => Pv256::ALL_ZERO,
-            Logic::One => Pv256::ALL_ONE,
-            Logic::X => Pv256::ALL_X,
+        Pv256 {
+            zero: [splat(v == Logic::Zero); 4],
+            one: [splat(v == Logic::One); 4],
         }
     }
 
@@ -820,16 +817,6 @@ impl PackedValue for Pv256 {
         zero[..4].copy_from_slice(&self.zero);
         one[..4].copy_from_slice(&self.one);
     }
-
-    #[inline]
-    fn eval_gate(kind: GateKind, fanin: &[Pv256]) -> Pv256 {
-        #[cfg(target_arch = "x86_64")]
-        if avx2::available() {
-            // SAFETY: `available` checked AVX2 support at runtime.
-            return unsafe { avx2::eval_gate(kind, fanin) };
-        }
-        eval_gate_portable(kind, fanin)
-    }
 }
 
 impl fmt::Display for Pv256 {
@@ -839,32 +826,6 @@ impl fmt::Display for Pv256 {
             write!(f, "{}", self.get_lane(i))?;
         }
         Ok(())
-    }
-}
-
-/// The explicit AVX2 gate-evaluation path: the exact portable fold,
-/// recompiled with the `avx2` target feature so the `[u64; 4]` plane
-/// operations lower to single 256-bit vector instructions. Selected once at
-/// runtime via `is_x86_feature_detected!`; hosts without AVX2 keep the
-/// portable (still autovectorizable) path.
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::{eval_gate_portable, Pv256};
-    use gatest_netlist::GateKind;
-    use std::sync::OnceLock;
-
-    /// Whether the running CPU supports AVX2 (detected once).
-    pub(super) fn available() -> bool {
-        static AVX2: OnceLock<bool> = OnceLock::new();
-        *AVX2.get_or_init(|| is_x86_feature_detected!("avx2"))
-    }
-
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 support (see [`available`]).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn eval_gate(kind: GateKind, fanin: &[Pv256]) -> Pv256 {
-        eval_gate_portable(kind, fanin)
     }
 }
 
@@ -880,8 +841,8 @@ mod avx2 {
 /// lanes of work it carries ([`SimBackend::for_lanes`]) and, for a
 /// fault-simulation step, from the circuit's shape as well
 /// ([`SimBackend::for_step`]); `Scalar64` and `Wide256` pin one width for
-/// every pass. [`Pv256`]'s gate evaluation additionally uses AVX2 when the
-/// host supports it.
+/// every pass. The fault simulator's 256-lane groups additionally use AVX2
+/// when the host supports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimBackend {
     /// One 64-bit word per plane ([`Pv64`]) — 64 faults per group.
@@ -905,7 +866,10 @@ pub enum SimBackend {
 /// replaces three or more 64-lane groups. Measured on s298, s344, s1423 and
 /// s5378 (sampled steps from one checkpoint, one pinned vCPU), a 256-lane
 /// step took 1.25–1.42× the 64-lane time at 48–64 faults, 0.89–1.33× at
-/// 96, 0.77–1.07× at 128, and 0.45–0.81× from 160 faults up.
+/// 96, 0.77–1.07× at 128, and 0.45–0.81× from 160 faults up. With AVX2
+/// running whole 256-lane groups, s298, s344 and s1423 read 1.17–1.23× at
+/// 48–64, 0.88–1.13× at 96, 0.80–1.10× at 128, and 0.65–0.75× at 160
+/// (DESIGN.md §18).
 pub const AUTO_NARROW_MAX_LANES: usize = 2 * Pv64::LANES;
 
 /// The most gates ([`Circuit::num_gates`]) per flip-flop or primary output
@@ -917,8 +881,9 @@ pub const AUTO_NARROW_MAX_LANES: usize = 2 * Pv64::LANES;
 /// time: 0.69–0.97 on circuits with 11–21 gates per flip-flop or output
 /// (s298 … s5378, s35932, and synthetic 1.5k/10k-gate circuits with many
 /// flip-flops), 0.96–1.02 at 26, and 0.96–1.20 from 34 up (s1488, s1494,
-/// the synthetic 10k–100k-gate scale circuits). DESIGN.md §18 has the
-/// table.
+/// the synthetic 10k–100k-gate scale circuits). Re-measured with AVX2
+/// running whole 256-lane groups, only s1488 still loses above 32 (1.09)
+/// and s1494 ties; DESIGN.md §18 has both tables.
 pub const AUTO_WIDE_MAX_GATES_PER_SWEEP: usize = 32;
 
 impl SimBackend {
@@ -945,7 +910,7 @@ impl SimBackend {
     /// width itself, and for `Auto` [`SimBackend::Wide256`] when the work
     /// fills more than two 64-lane words (see [`AUTO_NARROW_MAX_LANES`]),
     /// [`SimBackend::Scalar64`] otherwise. AVX2-vs-portable is decided
-    /// separately, per gate evaluation, inside [`Pv256`].
+    /// separately, once per 256-lane fault group.
     pub fn for_lanes(self, lanes: usize) -> SimBackend {
         match self {
             SimBackend::Auto if lanes > AUTO_NARROW_MAX_LANES => SimBackend::Wide256,

@@ -10,10 +10,11 @@ use gatest_core::{FaultSample, GatestConfig, TestGenerator};
 use gatest_netlist::benchmarks;
 use gatest_netlist::generate::{CircuitProfile, SyntheticGenerator};
 use gatest_netlist::levelize::Levelization;
-use gatest_netlist::Circuit;
+use gatest_netlist::{Circuit, GateKind};
 use gatest_sim::eval::eval_scalar;
 use gatest_sim::{
-    Fault, FaultId, FaultList, FaultSim, FaultSite, FaultStatus, Logic, SimBackend, StepReport,
+    Fault, FaultId, FaultList, FaultSim, FaultSite, FaultStatus, GoodSim, Logic, SimBackend,
+    StepReport,
 };
 
 /// Simulates the good and single-fault machines independently, gate by
@@ -291,6 +292,78 @@ proptest! {
                     fault.display(&circuit)
                 );
             }
+        }
+    }
+
+    /// The good machine's bit-plane sweep agrees with an `eval_scalar`
+    /// sweep written here, on random synthetic circuits: 20 frames from
+    /// all-X, with every input drawn from 0, 1 and X. Every net value, the
+    /// latched next state, and each frame's `events`, `ffs_set` and
+    /// `ffs_changed` must match.
+    #[test]
+    fn good_machine_matches_eval_scalar_on_random_circuits(
+        seed in any::<u64>(),
+        inputs in 2usize..=8,
+        dffs in 1usize..=12,
+        gates in 10usize..=60,
+    ) {
+        let profile = CircuitProfile {
+            name: format!("good_{seed:016x}"),
+            inputs,
+            outputs: 2,
+            dffs,
+            gates,
+            seq_depth: (dffs as u32).min(3),
+        };
+        let circuit = Arc::new(SyntheticGenerator::new(seed).generate(&profile));
+        let lev = Levelization::new(&circuit);
+        let mut sim = GoodSim::new(Arc::clone(&circuit));
+        // All X, but for the constants.
+        let mut values: Vec<Logic> = circuit
+            .net_ids()
+            .map(|id| match circuit.kind(id) {
+                GateKind::Const0 => Logic::Zero,
+                GateKind::Const1 => Logic::One,
+                _ => Logic::X,
+            })
+            .collect();
+        let mut next = vec![Logic::X; circuit.num_dffs()];
+        let mut rng = gatest_ga::Rng::new(seed ^ 0x600d);
+        for frame in 0..20 {
+            let vector: Vec<Logic> = (0..circuit.num_inputs())
+                .map(|_| [Logic::Zero, Logic::One, Logic::X][(rng.next_u64() % 3) as usize])
+                .collect();
+            let report = sim.apply(&vector);
+
+            let before = values.clone();
+            for (i, &ff) in circuit.dffs().iter().enumerate() {
+                values[ff.index()] = next[i];
+            }
+            for (i, &pi) in circuit.inputs().iter().enumerate() {
+                values[pi.index()] = vector[i];
+            }
+            for &gate in lev.schedule() {
+                let kind = circuit.kind(gate);
+                if kind.is_combinational() {
+                    let fanin: Vec<Logic> =
+                        circuit.fanin(gate).iter().map(|&n| values[n.index()]).collect();
+                    values[gate.index()] = eval_scalar(kind, &fanin);
+                }
+            }
+            let events = values.iter().zip(&before).filter(|(a, b)| a != b).count() as u64;
+            let (mut ffs_set, mut ffs_changed) = (0, 0);
+            for (i, &ff) in circuit.dffs().iter().enumerate() {
+                let d = values[circuit.fanin(ff)[0].index()];
+                ffs_set += usize::from(d.is_known());
+                ffs_changed += usize::from(d != values[ff.index()]);
+                next[i] = d;
+            }
+
+            prop_assert_eq!(sim.values(), values.as_slice(), "values at frame {}", frame);
+            prop_assert_eq!(sim.next_states(), next.as_slice(), "next state at frame {}", frame);
+            prop_assert_eq!(report.events, events, "events at frame {}", frame);
+            prop_assert_eq!(report.ffs_set, ffs_set, "ffs_set at frame {}", frame);
+            prop_assert_eq!(report.ffs_changed, ffs_changed, "ffs_changed at frame {}", frame);
         }
     }
 }
