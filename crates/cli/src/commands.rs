@@ -910,13 +910,12 @@ pub fn summarize_trace(text: &str) -> Result<String, Box<dyn Error>> {
                     let cf = |name: &str| c.get(name).and_then(Json::as_u64).unwrap_or(0);
                     let (hits, misses) = (cf("cache_hits"), cf("cache_misses"));
                     let lookups = hits + misses;
-                    if lookups + cf("dedup_skips") + cf("prefix_frames_avoided") > 0 {
+                    if lookups + cf("dedup_skips") > 0 {
                         let _ = write!(
                             footer,
-                            "\ncache: {hits}/{lookups} hits ({:.1}%), {} dedup skips, {} prefix frames saved",
+                            "\ncache: {hits}/{lookups} hits ({:.1}%), {} dedup skips",
                             100.0 * hits as f64 / lookups.max(1) as f64,
                             cf("dedup_skips"),
-                            cf("prefix_frames_avoided"),
                         );
                     }
                     // Zero on scalar runs and absent (so zero) in old
@@ -1037,9 +1036,11 @@ mod tests {
         assert!(summary.contains("9 events (1 fault detections)"));
         assert!(summary.contains("finished: 7/26 detected, 2 vectors, 16 GA evaluations, 0.50s"));
         assert!(
-            summary.contains("cache: 6/16 hits (37.5%), 3 dedup skips, 40 prefix frames saved"),
+            summary.contains("cache: 6/16 hits (37.5%), 3 dedup skips\n"),
             "{summary}"
         );
+        // An older trace's prefix-sharing tally is not reported.
+        assert!(!summary.contains("prefix"), "{summary}");
     }
 
     #[test]

@@ -31,12 +31,11 @@
 //! its summary reflects the whole run.
 //!
 //! `--eval-cache N` bounds the epoch-keyed fitness cache (default 4096
-//! entries); `off` (or `0`) disables the whole memoization layer — cache,
-//! batch dedup, and prefix-sharing sequence evaluation — restoring the
-//! uncached evaluation path exactly. `--paranoid-cache` recomputes every
-//! memoized score and asserts bit-equality (debug aid, slow). Both are
-//! runtime-only: they never change results, only how much simulation is
-//! spent producing them.
+//! entries); `off` (or `0`) disables the whole memoization layer — cache
+//! and batch dedup — so every candidate is simulated. `--paranoid-cache`
+//! recomputes every memoized score and asserts bit-equality (debug aid,
+//! slow). Both are runtime-only: they never change results, only how much
+//! simulation is spent producing them.
 //! gatest serve    [--addr HOST:PORT] [--state-dir DIR] [--slice-ticks N]
 //!                 [--queue-depth N] [--runners N] [--port-file FILE]
 //!                 [--result-ttl-secs S]
@@ -146,7 +145,7 @@ fn usage() -> String {
     s.push_str("output, 64 otherwise; scalar64/wide256 pin one width); results\n");
     s.push_str("are bit-identical at every workers/sim-width combination\n");
     s.push_str("\nmemoization (atpg): --eval-cache N bounds the fitness cache\n");
-    s.push_str("(default 4096; `off` disables cache, dedup, and prefix sharing);\n");
+    s.push_str("(default 4096; `off` disables the cache and dedup);\n");
     s.push_str("--paranoid-cache recomputes every memoized score and asserts\n");
     s.push_str("bit-equality; results\n");
     s.push_str("are bit-identical with memoization on or off\n");

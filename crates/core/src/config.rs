@@ -112,15 +112,15 @@ pub struct GatestConfig {
     pub sim_width: SimBackend,
     /// Capacity (in entries) of the epoch-keyed fitness cache, the heart of
     /// the memoization layer in front of candidate evaluation. `0` disables
-    /// the whole layer (cache, batch dedup and prefix-sharing sequence
-    /// evaluation) — every candidate is then re-simulated, which is useful
-    /// for A/B comparisons. Memoized scores are bit-identical to recomputed ones by
-    /// construction, so this knob changes runtime only, never results, and
-    /// it is excluded from the checkpoint config digest.
+    /// the whole layer (cache and batch dedup) — every candidate is then
+    /// re-simulated, which is useful for A/B comparisons. Memoized scores
+    /// are bit-identical to recomputed ones by construction, so this knob
+    /// changes runtime only, never results, and it is excluded from the
+    /// checkpoint config digest.
     pub eval_cache_entries: usize,
-    /// Debug mode: recompute every memoized (cached, deduplicated, or
-    /// prefix-shared) score with the plain flat evaluator and panic on any
-    /// bit difference. Slow; for validating the memoization layer.
+    /// Debug mode: recompute every memoized (cached or deduplicated) score
+    /// with the plain per-candidate evaluator and panic on any bit
+    /// difference. Slow; for validating the memoization layer.
     pub paranoid_cache: bool,
     /// Master random seed.
     pub seed: u64,

@@ -29,7 +29,6 @@
 //!   invocation via `Arc`.
 
 use std::collections::{HashMap, VecDeque};
-use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -107,24 +106,24 @@ pub fn decode_frame_into(chrom: &Chromosome, pis: usize, frame: usize, out: &mut
     out.extend((0..pis).map(|i| Logic::from_bool(chrom.bit(frame * pis + i))));
 }
 
-/// Decodes frames `frames` of a sequence chromosome into `scratch` and
-/// applies them to `sim` as one sampled window over `sample`, returning
-/// one report per frame.
+/// Decodes the first `frames` frames of a sequence chromosome into
+/// `scratch` and applies them to `sim` as one sampled window over
+/// `sample`, returning one report per frame.
 fn step_frames(
     sim: &mut FaultSim,
     chrom: &Chromosome,
     pis: usize,
-    frames: Range<usize>,
+    frames: usize,
     sample: &[FaultId],
     scratch: &mut Vec<Logic>,
 ) -> Vec<StepReport> {
     scratch.clear();
     scratch.extend(
-        chrom.bits()[frames.start * pis..frames.end * pis]
+        chrom.bits()[..frames * pis]
             .iter()
             .map(|&b| Logic::from_bool(b)),
     );
-    let vectors: Vec<&[Logic]> = (0..frames.len())
+    let vectors: Vec<&[Logic]> = (0..frames)
         .map(|f| &scratch[f * pis..(f + 1) * pis])
         .collect();
     sim.step_sampled(&vectors, sample)
@@ -179,144 +178,9 @@ pub fn evaluate_candidate(
             scale,
             pis,
         } => phase4(
-            &step_frames(sim, chrom, *pis, 0..*frames, sample, scratch),
+            &step_frames(sim, chrom, *pis, *frames, sample, scratch),
             *scale,
         ),
-    }
-}
-
-/// Scores a batch of sequence candidates by sharing their common vector
-/// prefixes.
-///
-/// The batch is walked as a prefix trie over decoded frames: at each depth
-/// the still-live candidates are partitioned by their next frame, an O(1)
-/// copy-on-write [`Checkpoint`] is taken when the partition branches, and
-/// each distinct frame is simulated once for its whole subtree. Candidates
-/// sharing a k-frame prefix therefore pay for those k frames once instead
-/// of once each; the frames *not* simulated are recorded as
-/// `prefix_frames_avoided`. A trie node that holds a single candidate runs
-/// that candidate's remaining frames as one sampled window.
-///
-/// Bit-identical to calling [`evaluate_candidate`] per candidate: each
-/// leaf's per-frame [`StepReport`]s are exactly the flat path's, because
-/// restoring a checkpoint reproduces simulator state exactly and each
-/// candidate's evaluation is independent of the others.
-///
-/// Falls back to the flat per-candidate loop for non-sequence jobs.
-pub fn evaluate_sequences_shared(
-    sim: &mut FaultSim,
-    ctx: &EvalContext,
-    batch: &[Chromosome],
-    scratch: &mut Vec<Logic>,
-    counters: Option<&SimCounters>,
-) -> Vec<f64> {
-    let EvalJob::Sequence {
-        frames,
-        sample,
-        scale,
-        pis,
-    } = &ctx.job
-    else {
-        return batch
-            .iter()
-            .map(|c| evaluate_candidate(sim, ctx, c, scratch))
-            .collect();
-    };
-    if batch.is_empty() {
-        return Vec::new();
-    }
-    sim.restore(&ctx.checkpoint);
-    let mut walk = PrefixWalk {
-        batch,
-        frames: *frames,
-        pis: *pis,
-        sample,
-        scale: *scale,
-        reports: Vec::with_capacity(*frames),
-        scores: vec![0.0f64; batch.len()],
-        frames_simulated: 0,
-        scratch,
-    };
-    let group: Vec<usize> = (0..batch.len()).collect();
-    walk.descend(sim, &group, 0);
-    if let Some(c) = counters {
-        let flat = (batch.len() * *frames) as u64;
-        c.record_prefix_frames_avoided(flat - walk.frames_simulated);
-    }
-    walk.scores
-}
-
-/// Depth-first state for [`evaluate_sequences_shared`].
-struct PrefixWalk<'a> {
-    batch: &'a [Chromosome],
-    frames: usize,
-    pis: usize,
-    sample: &'a [FaultId],
-    scale: FitnessScale,
-    /// Per-frame reports along the current trie path.
-    reports: Vec<StepReport>,
-    scores: Vec<f64>,
-    frames_simulated: u64,
-    scratch: &'a mut Vec<Logic>,
-}
-
-impl PrefixWalk<'_> {
-    /// `true` if candidates `a` and `b` apply the same vector at `depth`.
-    fn same_frame(&self, a: usize, b: usize, depth: usize) -> bool {
-        let lo = depth * self.pis;
-        self.batch[a].bits()[lo..lo + self.pis] == self.batch[b].bits()[lo..lo + self.pis]
-    }
-
-    /// Evaluates `group` (candidates sharing their first `depth` frames)
-    /// with the simulator positioned after those frames.
-    fn descend(&mut self, sim: &mut FaultSim, group: &[usize], depth: usize) {
-        if depth == self.frames {
-            let score = phase4(&self.reports, self.scale);
-            for &i in group {
-                self.scores[i] = score;
-            }
-            return;
-        }
-        if let [only] = *group {
-            // Nothing left to share: the rest of the sequence is one window.
-            let path = self.reports.len();
-            let rest = depth..self.frames;
-            self.frames_simulated += rest.len() as u64;
-            let chrom = &self.batch[only];
-            let tail = step_frames(sim, chrom, self.pis, rest, self.sample, self.scratch);
-            self.reports.extend(tail);
-            self.scores[only] = phase4(&self.reports, self.scale);
-            self.reports.truncate(path);
-            return;
-        }
-        // Partition by the next frame, preserving first-occurrence order so
-        // the walk is deterministic. Groups are at most a population wide,
-        // so the quadratic scan is negligible next to simulation.
-        let mut subgroups: Vec<Vec<usize>> = Vec::new();
-        'candidates: for &i in group {
-            for sub in &mut subgroups {
-                if self.same_frame(sub[0], i, depth) {
-                    sub.push(i);
-                    continue 'candidates;
-                }
-            }
-            subgroups.push(vec![i]);
-        }
-        // A branch point needs a resume point for every sibling after the
-        // first; checkpoints are O(1) copy-on-write so this is cheap.
-        let fork = (subgroups.len() > 1).then(|| sim.checkpoint());
-        for (k, sub) in subgroups.iter().enumerate() {
-            if k > 0 {
-                sim.restore(fork.as_ref().expect("forked above"));
-            }
-            let chrom = &self.batch[sub[0]];
-            let frame = depth..depth + 1;
-            let report = step_frames(sim, chrom, self.pis, frame, self.sample, self.scratch);
-            self.reports.extend(report);
-            self.frames_simulated += 1;
-            self.descend(sim, sub, depth + 1);
-            self.reports.pop();
-        }
     }
 }
 
@@ -492,10 +356,8 @@ impl EvalCache {
 ///
 /// [`EvalMemo::evaluate`] answers what it can from the cache, collapses
 /// in-batch duplicates, and hands only the distinct unresolved candidates
-/// to the raw evaluator — sorted lexicographically so sequence candidates
-/// that share prefixes sit in the same pool chunk for
-/// [`evaluate_sequences_shared`]. Memoized scores are bit-identical to
-/// recomputed ones because every candidate's score depends only on the
+/// to the raw evaluator, in batch order. Memoized scores are bit-identical
+/// to recomputed ones because every candidate's score depends only on the
 /// context (checkpointed state, job) and its own bits, never on batch
 /// composition or order.
 #[derive(Debug)]
@@ -515,9 +377,9 @@ impl EvalMemo {
     /// Scores `batch`, calling `raw` at most once with the distinct
     /// candidates that neither the cache nor in-batch dedup could answer.
     ///
-    /// `raw` receives those candidates (lexicographically sorted) and must
-    /// return their scores in matching order; this function restores the
-    /// original batch order, fans duplicate scores out, records cache/dedup
+    /// `raw` receives those candidates in batch order and must return
+    /// their scores in matching order; this function places the scores
+    /// back in the batch, fans duplicate scores out, records cache/dedup
     /// counters, and files the fresh scores in the cache.
     pub fn evaluate(
         &mut self,
@@ -556,31 +418,18 @@ impl EvalMemo {
             seen.entry(fingerprints[i]).or_default().push(misses.len());
             misses.push(i);
         }
-        // Sequence jobs sort the distinct work lexicographically: scores
-        // are independent of order, and adjacent shared prefixes maximize
-        // what one pool chunk's trie walk can reuse. Vector jobs gain
-        // nothing from reordering, so they skip the sort — and when every
-        // candidate missed (the common cold-batch case) the original slice
-        // is passed straight through without cloning.
-        let sort_for_prefix = matches!(ctx.job, EvalJob::Sequence { .. });
-        let mut order: Vec<usize> = (0..misses.len()).collect();
-        if sort_for_prefix {
-            order.sort_by(|&a, &b| batch[misses[a]].bits().cmp(batch[misses[b]].bits()));
-        }
-        let raw_scores = if misses.is_empty() {
+        // With no hit and no duplicate (the common cold-batch case), misses
+        // is 0..len in order, so the original slice is passed straight
+        // through without cloning.
+        let slot_scores = if misses.is_empty() {
             Vec::new()
-        } else if !sort_for_prefix && misses.len() == batch.len() {
-            // No hits and no duplicates, so misses is 0..len in order.
+        } else if misses.len() == batch.len() {
             raw(batch)
         } else {
-            let work: Vec<Chromosome> = order.iter().map(|&k| batch[misses[k]].clone()).collect();
+            let work: Vec<Chromosome> = misses.iter().map(|&i| batch[i].clone()).collect();
             raw(&work)
         };
-        debug_assert_eq!(raw_scores.len(), misses.len());
-        let mut slot_scores = vec![0.0f64; misses.len()];
-        for (pos, &k) in order.iter().enumerate() {
-            slot_scores[k] = raw_scores[pos];
-        }
+        debug_assert_eq!(slot_scores.len(), misses.len());
         for (slot, &i) in misses.iter().enumerate() {
             scores[i] = slot_scores[slot];
             resolved[i] = true;
@@ -610,9 +459,6 @@ struct Request {
     ctx: Arc<EvalContext>,
     chunk: Vec<Chromosome>,
     offset: usize,
-    /// Score the chunk with [`evaluate_sequences_shared`] instead of the
-    /// flat per-candidate loop (sequence jobs with memoization on).
-    shared_prefix: bool,
 }
 
 /// Scores for one chunk, tagged with its position in the batch.
@@ -625,7 +471,7 @@ struct Reply {
 ///
 /// Idle workers block in [`Injector::available`] — a condvar wait parks the
 /// thread in the kernel, so a worker that never gets scheduled costs
-/// nothing. [`EvalPool::dispatch`] wakes at most `min(workers, chunks)`
+/// nothing. [`EvalPool::evaluate`] wakes at most `min(workers, chunks)`
 /// sleepers per batch; on an oversubscribed host the workers that actually
 /// run pop whatever is queued (chunks are not pinned to threads), and the
 /// rest simply stay parked.
@@ -716,22 +562,13 @@ impl EvalPool {
                         if let Some(c) = &counters {
                             c.record_pool_idle(wait.elapsed().as_nanos() as u64);
                         }
-                        let scores = if req.shared_prefix {
-                            evaluate_sequences_shared(
-                                &mut sim,
-                                &req.ctx,
-                                &req.chunk,
-                                &mut scratch,
-                                counters.as_deref(),
-                            )
-                        } else {
-                            req.chunk
-                                .iter()
-                                .map(|chrom| {
-                                    evaluate_candidate(&mut sim, &req.ctx, chrom, &mut scratch)
-                                })
-                                .collect()
-                        };
+                        let scores = req
+                            .chunk
+                            .iter()
+                            .map(|chrom| {
+                                evaluate_candidate(&mut sim, &req.ctx, chrom, &mut scratch)
+                            })
+                            .collect();
                         if reply_tx
                             .send(Reply {
                                 offset: req.offset,
@@ -775,23 +612,6 @@ impl EvalPool {
     ///
     /// Panics if a worker thread has died.
     pub fn evaluate(&self, ctx: &Arc<EvalContext>, batch: &[Chromosome]) -> Vec<f64> {
-        self.dispatch(ctx, batch, false)
-    }
-
-    /// Like [`EvalPool::evaluate`], but each worker scores its chunk with
-    /// [`evaluate_sequences_shared`], so sequence candidates sharing vector
-    /// prefixes within a chunk are simulated once per shared frame. Scores
-    /// are bit-identical to [`EvalPool::evaluate`]'s.
-    pub fn evaluate_shared_prefix(&self, ctx: &Arc<EvalContext>, batch: &[Chromosome]) -> Vec<f64> {
-        self.dispatch(ctx, batch, true)
-    }
-
-    fn dispatch(
-        &self,
-        ctx: &Arc<EvalContext>,
-        batch: &[Chromosome],
-        shared_prefix: bool,
-    ) -> Vec<f64> {
         if batch.is_empty() {
             return Vec::new();
         }
@@ -805,7 +625,6 @@ impl EvalPool {
                     ctx: Arc::clone(ctx),
                     chunk: piece.to_vec(),
                     offset: i * chunk,
-                    shared_prefix,
                 });
                 sent += 1;
             }
@@ -966,61 +785,6 @@ mod tests {
             let batch = random_batch(3, n, n as u64 + 100);
             let scores = pool.evaluate(&ctx, &batch);
             assert_eq!(scores.len(), n);
-        }
-    }
-
-    #[test]
-    fn prefix_shared_sequences_match_flat_and_save_frames() {
-        let sim = warmed_sim();
-        let frames = 5;
-        let pis = sim.good().circuit().num_inputs();
-        let ctx = sequence_ctx(&sim, frames, 1);
-        // A batch with deliberately shared prefixes: pairs differing only
-        // in their last frames, plus unrelated candidates.
-        let mut rng = Rng::new(41);
-        let mut batch = Vec::new();
-        for _ in 0..6 {
-            let base = Chromosome::random(frames * pis, &mut rng);
-            let mut twin = base.clone();
-            for b in &mut twin.bits_mut()[(frames - 1) * pis..] {
-                *b = rng.coin();
-            }
-            batch.push(base);
-            batch.push(twin);
-        }
-        batch.extend(random_batch(frames * pis, 5, 43));
-
-        let mut flat_sim = sim.clone();
-        let mut scratch = Vec::new();
-        let flat: Vec<f64> = batch
-            .iter()
-            .map(|c| evaluate_candidate(&mut flat_sim, &ctx, c, &mut scratch))
-            .collect();
-
-        let counters = Arc::new(SimCounters::new());
-        let mut trie_sim = sim.clone();
-        let shared =
-            evaluate_sequences_shared(&mut trie_sim, &ctx, &batch, &mut scratch, Some(&counters));
-        assert!(
-            flat.iter()
-                .zip(&shared)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "prefix-shared scores must be bit-identical to flat scores"
-        );
-        let avoided = counters.snapshot().prefix_frames_avoided;
-        assert!(
-            avoided >= 6 * (frames as u64 - 1),
-            "each twin pair shares frames-1 frames; avoided only {avoided}"
-        );
-
-        // The pooled shared-prefix path agrees too, at several widths.
-        for workers in [1, 3] {
-            let pool = EvalPool::new(&sim, workers);
-            let pooled = pool.evaluate_shared_prefix(&ctx, &batch);
-            assert!(flat
-                .iter()
-                .zip(&pooled)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 

@@ -31,8 +31,8 @@ use gatest_telemetry::{
 use crate::checkpoint::{config_digest, GaSnapshot, RunSnapshot, SnapshotIndividual, SnapshotPos};
 use crate::config::{FaultSample, GatestConfig};
 use crate::evalpool::{
-    decode_frame_into, decode_vector_into, evaluate_candidate, evaluate_sequences_shared,
-    EvalContext, EvalJob, EvalMemo, EvalPool,
+    decode_frame_into, decode_vector_into, evaluate_candidate, EvalContext, EvalJob, EvalMemo,
+    EvalPool,
 };
 use crate::fitness::{phase1, FitnessScale, Phase};
 
@@ -1562,12 +1562,7 @@ struct RawEval<'a> {
 }
 
 impl RawEval<'_> {
-    fn eval(
-        &mut self,
-        ctx: &Arc<EvalContext>,
-        batch: &[Chromosome],
-        shared_prefix: bool,
-    ) -> Vec<f64> {
+    fn eval(&mut self, ctx: &Arc<EvalContext>, batch: &[Chromosome]) -> Vec<f64> {
         let (is_init, pis, scale) = match &ctx.job {
             EvalJob::Vector {
                 phase, scale, pis, ..
@@ -1590,17 +1585,6 @@ impl RawEval<'_> {
                 PackedGood::Wide(p) => {
                     packed_phase1_scores(p, self.sim.good(), self.counters, batch, pis, scale)
                 }
-            }
-        } else if shared_prefix {
-            match self.pool {
-                Some(pool) => pool.evaluate_shared_prefix(ctx, batch),
-                None => evaluate_sequences_shared(
-                    self.sim,
-                    ctx,
-                    batch,
-                    self.scratch,
-                    Some(self.counters),
-                ),
             }
         } else if let Some(pool) = self.pool {
             pool.evaluate(ctx, batch)
@@ -1629,13 +1613,10 @@ struct EvalPath<'a> {
 
 /// Scores one GA batch, routing it through the memoization layer when
 /// enabled. Memoized and raw scores are bit-identical: the cache and dedup
-/// layers only share scores between bit-equal chromosomes, and the
-/// prefix-sharing trie replays the exact per-frame reports the flat loop
-/// would produce.
+/// layers only share scores between bit-equal chromosomes, and every
+/// simulated candidate is scored by [`evaluate_candidate`] (a phase-4
+/// sequence as one sampled window), serially or on a pool worker.
 fn eval_batch(path: &mut EvalPath<'_>, ctx: &Arc<EvalContext>, batch: &[Chromosome]) -> Vec<f64> {
-    // Prefix sharing rides the same knob as the cache: `--eval-cache off`
-    // restores the seed evaluation path exactly.
-    let shared_prefix = path.memo.is_some() && matches!(ctx.job, EvalJob::Sequence { .. });
     let EvalPath {
         raw,
         memo,
@@ -1646,7 +1627,7 @@ fn eval_batch(path: &mut EvalPath<'_>, ctx: &Arc<EvalContext>, batch: &[Chromoso
     let batch_start = instruments.is_some().then(Instant::now);
     let batch_span = probe.as_ref().map(|p| p.enter(SpanKind::EvalBatch));
     let scores = match memo {
-        None => raw.eval(ctx, batch, shared_prefix),
+        None => raw.eval(ctx, batch),
         Some(memo) => {
             let counters = raw.counters;
             // Cache-lookup time is the memo layer's overhead: total memoized
@@ -1657,7 +1638,7 @@ fn eval_batch(path: &mut EvalPath<'_>, ctx: &Arc<EvalContext>, batch: &[Chromoso
             let mut raw_ns = 0u64;
             let scores = memo.evaluate(ctx, batch, Some(counters), |work| {
                 let raw_start = memo_start.is_some().then(Instant::now);
-                let result = raw.eval(ctx, work, shared_prefix);
+                let result = raw.eval(ctx, work);
                 if let Some(start) = raw_start {
                     raw_ns += start.elapsed().as_nanos() as u64;
                 }
@@ -1880,6 +1861,111 @@ mod tests {
                 serial.ga_evaluations, pooled.ga_evaluations,
                 "workers={workers}"
             );
+        }
+    }
+
+    /// With memoization on, `eval_batch` simulates each distinct phase-4
+    /// candidate as one whole window: candidates that share all but their
+    /// last frame are not stepped through a shared prefix, so the
+    /// simulator steps exactly (distinct candidates) × frames frames, and
+    /// every score is bit-equal to a per-candidate `evaluate_candidate`.
+    #[test]
+    fn eval_batch_steps_every_distinct_sequence_as_one_window() {
+        let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
+        let pis = circuit.num_inputs();
+        let counters = Arc::new(SimCounters::new());
+        let mut sim = FaultSim::new(Arc::clone(&circuit));
+        sim.set_counters(Some(Arc::clone(&counters)));
+        let mut rng = Rng::new(77);
+        for _ in 0..4 {
+            let v: Vec<Logic> = (0..pis).map(|_| Logic::from_bool(rng.coin())).collect();
+            sim.step(&v);
+        }
+        let frames = 5;
+        let sample = sim.active_faults().to_vec();
+        let scale = FitnessScale {
+            faults: sample.len(),
+            flip_flops: circuit.num_dffs(),
+            nodes: circuit.num_gates(),
+        };
+        let ctx = Arc::new(EvalContext {
+            epoch: 1,
+            checkpoint: sim.checkpoint(),
+            job: EvalJob::Sequence {
+                frames,
+                sample,
+                scale,
+                pis,
+            },
+        });
+
+        // Six twin pairs that differ only in their last frame, five
+        // unrelated candidates, and one exact duplicate.
+        let mut rng = Rng::new(41);
+        let mut batch = Vec::new();
+        for _ in 0..6 {
+            let base = Chromosome::random(frames * pis, &mut rng);
+            let mut twin = base.clone();
+            let last = (frames - 1) * pis;
+            for b in &mut twin.bits_mut()[last..] {
+                *b = rng.coin();
+            }
+            if twin == base {
+                twin.bits_mut()[last] ^= true;
+            }
+            batch.push(base);
+            batch.push(twin);
+        }
+        batch.extend((0..5).map(|_| Chromosome::random(frames * pis, &mut rng)));
+        batch.push(batch[3].clone());
+        let distinct = batch
+            .iter()
+            .map(Chromosome::bits)
+            .collect::<std::collections::HashSet<_>>()
+            .len();
+        assert_eq!(distinct, 17, "the batch's shape is the test's premise");
+
+        let mut flat_sim = sim.clone();
+        flat_sim.set_counters(None);
+        let mut scratch = Vec::new();
+        let expected: Vec<f64> = batch
+            .iter()
+            .map(|c| evaluate_candidate(&mut flat_sim, &ctx, c, &mut scratch))
+            .collect();
+
+        for workers in [0usize, 3] {
+            let pool = (workers > 0).then(|| EvalPool::new(&sim, workers));
+            let mut memo = EvalMemo::new(64).expect("memoization on");
+            let mut batch_sim = sim.clone();
+            let mut path = EvalPath {
+                raw: RawEval {
+                    sim: &mut batch_sim,
+                    counters: &counters,
+                    pool: pool.as_ref(),
+                    packed: None,
+                    scratch: &mut scratch,
+                },
+                memo: Some(&mut memo),
+                paranoid: false,
+                instruments: None,
+                probe: None,
+            };
+            let before = counters.snapshot();
+            let scores = eval_batch(&mut path, &ctx, &batch);
+            let after = counters.snapshot();
+            assert!(
+                expected
+                    .iter()
+                    .zip(&scores)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "workers={workers}: scores must be bit-equal to evaluate_candidate's"
+            );
+            assert_eq!(
+                after.step_calls - before.step_calls,
+                (distinct * frames) as u64,
+                "workers={workers}: every distinct candidate steps all its frames"
+            );
+            assert_eq!(after.dedup_skips - before.dedup_skips, 1);
         }
     }
 

@@ -59,10 +59,7 @@ pub use checkpoint::{
 };
 pub use compact::{compact_test_set, CompactionStats};
 pub use config::{table1_parameters, FaultSample, GatestConfig};
-pub use evalpool::{
-    evaluate_candidate, evaluate_sequences_shared, EvalCache, EvalContext, EvalJob, EvalMemo,
-    EvalPool,
-};
+pub use evalpool::{evaluate_candidate, EvalCache, EvalContext, EvalJob, EvalMemo, EvalPool};
 pub use fitness::{FitnessScale, Phase};
 pub use gatest_telemetry as telemetry;
 pub use generator::{

@@ -180,11 +180,6 @@ pub fn telemetry_table(result: &TestGenResult) -> String {
         "cache misses", t.counters.cache_misses
     );
     let _ = writeln!(out, "{:<22} {:>10}", "dedup skips", t.counters.dedup_skips);
-    let _ = writeln!(
-        out,
-        "{:<22} {:>10}",
-        "prefix frames saved", t.counters.prefix_frames_avoided
-    );
     let _ = write!(out, "{:<22} {:>10}", "stop cause", result.stop.as_str());
     if !t.spans.is_empty() {
         let _ = write!(out, "\n{}", span_table(&t.spans));
@@ -618,12 +613,12 @@ mod tests {
             "cache hits",
             "cache misses",
             "dedup skips",
-            "prefix frames saved",
             "report records",
             "stop cause",
         ] {
             assert!(table.contains(needle), "missing `{needle}`:\n{table}");
         }
+        assert!(!table.contains("prefix frames"), "{table}");
         // Shares sum to ~100%.
         assert!(table.contains("60.0%"), "phase 2 is 300/500 ms:\n{table}");
         // evals/sec = 640 / 0.5s = 1280.

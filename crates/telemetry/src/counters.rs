@@ -51,8 +51,11 @@ pub struct SimCounters {
     /// Candidates skipped because an identical chromosome appeared earlier
     /// in the same evaluation batch (the score is shared, not resimulated).
     pub dedup_skips: AtomicU64,
-    /// Sequence-evaluation frames not simulated thanks to prefix sharing:
-    /// candidates with a common k-vector prefix pay for those frames once.
+    /// Sequence-evaluation frames once skipped by a prefix-sharing trie.
+    /// Nothing writes it any more (every phase-4 candidate is simulated as
+    /// one whole window), so it reads 0 unless reloaded from a snapshot
+    /// taken by an older build; it stays so trace readers and the
+    /// checkpoint's positional counter layout do not change.
     pub prefix_frames_avoided: AtomicU64,
     /// Fault groups simulated by a wide (more-than-64-lane) packed backend.
     /// Zero for scalar64 runs, so old traces and narrow runs render alike.
@@ -151,13 +154,6 @@ impl SimCounters {
     #[inline]
     pub fn record_dedup_skips(&self, skips: u64) {
         self.dedup_skips.fetch_add(skips, Ordering::Relaxed);
-    }
-
-    /// Records sequence frames skipped by prefix-sharing evaluation.
-    #[inline]
-    pub fn record_prefix_frames_avoided(&self, frames: u64) {
-        self.prefix_frames_avoided
-            .fetch_add(frames, Ordering::Relaxed);
     }
 
     /// Records fault groups simulated by a wide packed backend: `groups`
@@ -338,7 +334,8 @@ pub struct CounterSnapshot {
     pub cache_misses: u64,
     /// Candidates deduplicated away within evaluation batches.
     pub dedup_skips: u64,
-    /// Sequence frames skipped by prefix-sharing evaluation.
+    /// Sequence frames skipped by the removed prefix-sharing trie: 0 in
+    /// current runs (see [`SimCounters::prefix_frames_avoided`]).
     pub prefix_frames_avoided: u64,
     /// Fault groups simulated by a wide (more-than-64-lane) backend.
     pub wide_groups: u64,
@@ -486,13 +483,11 @@ mod tests {
         c.record_cache_outcome(10, 4);
         c.record_cache_outcome(5, 1);
         c.record_dedup_skips(3);
-        c.record_prefix_frames_avoided(120);
-        c.record_prefix_frames_avoided(8);
         let s = c.snapshot();
         assert_eq!(s.cache_hits, 15);
         assert_eq!(s.cache_misses, 5);
         assert_eq!(s.dedup_skips, 3);
-        assert_eq!(s.prefix_frames_avoided, 128);
+        assert_eq!(s.prefix_frames_avoided, 0);
 
         let resumed = SimCounters::new();
         resumed.load_snapshot(&s);

@@ -1,8 +1,8 @@
-//! Memoization-layer exactness: the fitness cache, batch dedup, and
-//! prefix-sharing sequence evaluation must never change what a run
-//! produces — only how much simulation is spent producing it. Every test
-//! here compares complete runs through `result_to_json`, which captures the
-//! test set, phase trace, score checksum, and evaluation counts.
+//! Memoization-layer exactness: the fitness cache and batch dedup must
+//! never change what a run produces — only how much simulation is spent
+//! producing it. Every test here compares complete runs through
+//! `result_to_json`, which captures the test set, phase trace, score
+//! checksum, and evaluation counts.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -39,8 +39,8 @@ fn run_fingerprint(
     (result_to_json(&result), score_checksum(&result))
 }
 
-/// The tentpole guarantee on s27: with memoization off (cache, batch dedup
-/// and prefix sharing all ride the cache switch) as the reference, every
+/// The tentpole guarantee on s27: with memoization off (cache and batch
+/// dedup both ride the cache switch) as the reference, every
 /// combination of cache capacity (default, tiny-evicting, off) and worker
 /// count produces the byte-identical result JSON and score checksum.
 #[test]
@@ -62,7 +62,7 @@ fn s27_memoization_is_bit_identical_across_thread_shapes() {
 }
 
 /// The same guarantee on s298 with fault sampling (sequence generation runs
-/// long there, exercising the prefix-sharing trie and epoch invalidation).
+/// long there, exercising cached sequence scores and epoch invalidation).
 #[test]
 fn s298_sampled_cache_on_equals_cache_off() {
     let sample = FaultSample::Count(60);
@@ -90,8 +90,8 @@ fn s27_seed_sweep_cached_equals_uncached() {
 
 /// `--paranoid-cache` recomputes every memoized score serially and asserts
 /// bit-equality inside the generator; a full run completing without
-/// panicking (and matching the reference) cross-checks cache, dedup, trie,
-/// pool, and packed-phase-1 paths at once.
+/// panicking (and matching the reference) cross-checks cache, dedup, pool,
+/// and packed-phase-1 paths at once.
 #[test]
 fn paranoid_mode_survives_a_full_run() {
     let (base_json, _) = run_fingerprint("s27", 5, FaultSample::Full, 1, 0);
