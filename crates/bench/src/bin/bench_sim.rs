@@ -22,6 +22,8 @@
 //! 16-frame candidates over the active list, once as one-vector
 //! `step_sampled` calls and once as sampled windows, alternating the two
 //! forms chunk by chunk, and asserts both forms report the same checksum.
+//! It scores the set in several full passes and reports each form's median
+//! pass, so one slow spell of the host cannot invert the speedup.
 //!
 //! A fourth `good` section times the good machine alone: `GoodSim::apply`
 //! frames per second on s298 and s1423, replaying a fixed random stream
@@ -60,6 +62,9 @@ const SEQUENCE_FRAMES: usize = 16;
 const SEQUENCE_CHUNK: usize = 8;
 /// The two forms the `sequence` section scores candidates in.
 const SEQUENCE_FORMS: [&str; 2] = ["serial", "window"];
+/// Full passes over the candidate set in the `sequence` section; each
+/// form's row reports its median pass (odd, so the median is one pass).
+const SEQUENCE_PASSES: usize = 5;
 /// Circuits the `good` section times the good machine on.
 const GOOD_CIRCUITS: [&str; 2] = ["s298", "s1423"];
 /// Vectors in the `good` section's fixed stream; the checksum covers one
@@ -309,8 +314,10 @@ fn width_rows(smoke: bool) -> String {
 /// `step_sampled` calls (`serial`) and once as one sampled window
 /// (`window`). The forms alternate chunk by chunk, each going first in
 /// every other chunk, and must report the same identity checksum
-/// ([`add_report`] over every frame's report); the `window` row carries
-/// `speedup_vs_serial`.
+/// ([`add_report`] over every frame's report) in every pass. Each row's
+/// `secs` and rate come from the form's median of [`SEQUENCE_PASSES`]
+/// passes, and the `window` row's `speedup_vs_serial` from the two
+/// medians.
 fn sequence_rows(smoke: bool) -> String {
     let circuit = Arc::new(benchmarks::iscas89(SEQUENCE_CIRCUIT).expect("bundled circuit"));
     let pis = circuit.num_inputs();
@@ -336,40 +343,62 @@ fn sequence_rows(smoke: bool) -> String {
                 .collect()
         })
         .collect();
-    // Per form: simulator, seconds, identity checksum.
-    let mut runs: Vec<(FaultSim, f64, u64)> = SEQUENCE_FORMS
-        .iter()
-        .map(|_| (base.clone(), 0.0, 0))
-        .collect();
-    for (c, chunk) in candidates.chunks(SEQUENCE_CHUNK).enumerate() {
-        for turn in 0..SEQUENCE_FORMS.len() {
-            let form = (turn + c) % SEQUENCE_FORMS.len();
-            let (sim, secs, sum) = &mut runs[form];
-            let start = Instant::now();
-            for (k, candidate) in (c * SEQUENCE_CHUNK..).zip(chunk) {
-                sim.restore(&cp);
-                let reports: Vec<StepReport> = if SEQUENCE_FORMS[form] == "window" {
-                    sim.step_sampled(candidate, &sample)
-                } else {
-                    candidate
-                        .iter()
-                        .flat_map(|v| sim.step_sampled(&[v], &sample))
-                        .collect()
-                };
-                for (f, report) in reports.iter().enumerate() {
-                    *sum = add_report(*sum, k * SEQUENCE_FRAMES + f, report);
+    let forms = SEQUENCE_FORMS.len();
+    let mut sims: Vec<FaultSim> = (0..forms).map(|_| base.clone()).collect();
+    // Per form: seconds of each pass, and the first pass's checksum.
+    let mut pass_secs: Vec<Vec<f64>> = vec![Vec::new(); forms];
+    let mut sums: Vec<u64> = Vec::new();
+    for pass in 0..SEQUENCE_PASSES {
+        let mut secs = vec![0.0; forms];
+        let mut pass_sums = vec![0u64; forms];
+        for (c, chunk) in candidates.chunks(SEQUENCE_CHUNK).enumerate() {
+            for turn in 0..forms {
+                let form = (turn + c) % forms;
+                let (sim, sum) = (&mut sims[form], &mut pass_sums[form]);
+                let start = Instant::now();
+                for (k, candidate) in (c * SEQUENCE_CHUNK..).zip(chunk) {
+                    sim.restore(&cp);
+                    let reports: Vec<StepReport> = if SEQUENCE_FORMS[form] == "window" {
+                        sim.step_sampled(candidate, &sample)
+                    } else {
+                        candidate
+                            .iter()
+                            .flat_map(|v| sim.step_sampled(&[v], &sample))
+                            .collect()
+                    };
+                    for (f, report) in reports.iter().enumerate() {
+                        *sum = add_report(*sum, k * SEQUENCE_FRAMES + f, report);
+                    }
                 }
+                secs[form] += start.elapsed().as_secs_f64();
             }
-            *secs += start.elapsed().as_secs_f64();
+        }
+        for (form, secs) in secs.into_iter().enumerate() {
+            pass_secs[form].push(secs);
+        }
+        if pass == 0 {
+            sums = pass_sums;
+        } else {
+            assert_eq!(
+                pass_sums, sums,
+                "{SEQUENCE_CIRCUIT}: pass {pass} changed a checksum"
+            );
         }
     }
-    let serial_rate = count as f64 / runs[0].1;
+    let median_secs: Vec<f64> = pass_secs
+        .into_iter()
+        .map(|mut secs| {
+            secs.sort_by(f64::total_cmp);
+            secs[secs.len() / 2]
+        })
+        .collect();
+    let serial_rate = count as f64 / median_secs[0];
     let mut rows = String::new();
-    for (form, (_, secs, sum)) in SEQUENCE_FORMS.into_iter().zip(&runs) {
+    for ((form, secs), sum) in SEQUENCE_FORMS.into_iter().zip(&median_secs).zip(&sums) {
         let rate = count as f64 / secs;
         let speedup = if form == "window" {
             assert_eq!(
-                *sum, runs[0].2,
+                *sum, sums[0],
                 "{SEQUENCE_CIRCUIT}: sampled windows diverged from one-vector calls"
             );
             format!(", \"speedup_vs_serial\": {:.3}", rate / serial_rate)
@@ -384,7 +413,7 @@ fn sequence_rows(smoke: bool) -> String {
             sample.len()
         ));
         eprintln!(
-            "sequence {SEQUENCE_CIRCUIT} {form}: {count} candidates x {SEQUENCE_FRAMES} frames in {secs:.2}s = {rate:.1} candidates/sec"
+            "sequence {SEQUENCE_CIRCUIT} {form}: {count} candidates x {SEQUENCE_FRAMES} frames in {secs:.2}s (median of {SEQUENCE_PASSES} passes) = {rate:.1} candidates/sec"
         );
     }
     rows

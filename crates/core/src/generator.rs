@@ -6,8 +6,10 @@
 //! it by exactly one generation, or commits its winner and moves the phase
 //! machine. Budgets, cooperative interrupts, and checkpoint writes are all
 //! checked between ticks, so a run can stop gracefully at any generation
-//! boundary and [`TestGenerator::resume`] continues it bit-identically from
-//! a [`RunSnapshot`].
+//! boundary. [`TestGenerator::run_slice`] keeps a run stopped that way in
+//! memory and continues it in place at the next call;
+//! [`TestGenerator::resume`] continues it bit-identically from a
+//! [`RunSnapshot`] in another generator or process.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -67,8 +69,9 @@ pub enum CheckpointCadence {
     Secs(f64),
 }
 
-/// External controls for [`TestGenerator::run_controlled`] and
-/// [`TestGenerator::resume`]: cooperative stopping and checkpointing.
+/// External controls for [`TestGenerator::run_controlled`],
+/// [`TestGenerator::run_slice`] and [`TestGenerator::resume`]: cooperative
+/// stopping and checkpointing.
 /// Budgets (`max_wall_secs`, `max_evals`) live in [`GatestConfig`].
 #[derive(Debug, Clone, Default)]
 pub struct RunControls {
@@ -92,8 +95,8 @@ pub struct RunControls {
     /// are written as they commit — candidate evaluations restore before
     /// commit, so only committed vectors' detections reach the stream —
     /// and the file is finalized (summary line, fsync, atomic rename)
-    /// when the leg returns. Like spans, the stream is per-leg: a resumed
-    /// run's file covers the final leg's detections only. Report I/O
+    /// when the call returns. The stream is per call: a resumed run's
+    /// file, or one slice's, covers that call's detections only. Report I/O
     /// failures never abort the run; they surface in
     /// [`TestGenResult::fault_report_error`].
     pub fault_report: Option<PathBuf>,
@@ -211,6 +214,9 @@ pub struct TestGenerator {
     instruments: Option<Arc<Instruments>>,
     /// The generator thread's lazily-registered span slot.
     probe: Option<SpanHandle>,
+    /// The run [`TestGenerator::run_slice`] stopped at a tick boundary, or
+    /// [`TestGenerator::suspend_from`] loaded, waiting for its next call.
+    suspended: Option<KeptRun>,
 }
 
 impl std::fmt::Debug for TestGenerator {
@@ -221,6 +227,7 @@ impl std::fmt::Debug for TestGenerator {
             .field("config", &self.config)
             .field("rng", &self.rng)
             .field("seq_depth", &self.seq_depth)
+            .field("suspended", &self.suspended.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -260,6 +267,18 @@ impl MachinePos {
             MachinePos::Done => None,
         }
     }
+
+    /// True in phase 1, the only phase that scores on the packed
+    /// good-machine simulator. Figure 2 never returns to it.
+    fn in_initialization(&self) -> bool {
+        matches!(
+            self,
+            MachinePos::Vectors {
+                phase: Phase::Initialization,
+                ..
+            }
+        )
+    }
 }
 
 /// The complete resumable run state: everything [`RunSnapshot`] captures,
@@ -272,7 +291,8 @@ struct MachineState {
     sequence_attempts: usize,
     phase_time: [Duration; 4],
     ga_generations: u64,
-    /// Wall clock accumulated by previous legs of an interrupted run.
+    /// Wall clock accumulated by earlier calls (legs or slices) of the
+    /// run; the time a suspended run waits between calls is not counted.
     elapsed_base: Duration,
     /// Monotone GA-invocation counter keying the fitness cache: bumped at
     /// every invocation start (each draws a fresh fault sample and
@@ -283,16 +303,21 @@ struct MachineState {
     pos: MachinePos,
 }
 
-/// Per-leg driver context: the process-local machinery (worker pool, packed
-/// phase-1 simulator, scratch buffers, schedules) that is rebuilt on every
-/// leg and deliberately kept out of [`MachineState`]/[`RunSnapshot`].
+/// Driver context: the process-local machinery (worker pool, packed
+/// phase-1 simulator, fitness cache, scratch buffers, schedules) that is
+/// deliberately kept out of [`MachineState`]/[`RunSnapshot`]. A suspended
+/// run keeps it, all but the pool, so its next slice continues warm; a run
+/// resumed from a snapshot builds a new one.
 struct DriverCtx {
+    /// The evaluation pool, present only while a call drives the run (so a
+    /// suspended run holds no threads).
     pool: Option<EvalPool>,
+    /// The packed phase-1 simulator, present while the run is in phase 1.
     packed: Option<PackedGood>,
     /// The memoization layer (fitness cache + batch dedup); `None` when
-    /// the cache is off. Process-local by design: a resumed leg starts cold
-    /// and merely re-simulates what the cache would have answered, so
-    /// results are unaffected.
+    /// the cache is off. Process-local by design: a run resumed from a
+    /// snapshot starts cold and merely re-simulates what the cache would
+    /// have answered, so results are unaffected.
     memo: Option<EvalMemo>,
     scratch: Vec<Logic>,
     seq_lens: Vec<usize>,
@@ -308,6 +333,15 @@ struct DriverCtx {
     report: Option<FaultReportWriter>,
     /// First fault-report I/O error; streaming stops once it is set.
     report_error: Option<String>,
+    /// The error from the most recent failed checkpoint write.
+    checkpoint_error: Option<String>,
+}
+
+/// A run held in memory between calls: its machine state and driver
+/// context.
+struct KeptRun {
+    m: MachineState,
+    dctx: DriverCtx,
 }
 
 impl TestGenerator {
@@ -335,6 +369,7 @@ impl TestGenerator {
             counters,
             instruments: None,
             probe: None,
+            suspended: None,
         }
     }
 
@@ -407,15 +442,59 @@ impl TestGenerator {
 
     /// Like [`TestGenerator::run_controlled`], but when the run stops early
     /// (stop flag, tick limit, or budget) the final [`RunSnapshot`] is also
-    /// returned in memory, so a scheduler can preempt the run and later hand
-    /// the snapshot to [`TestGenerator::resume_preemptible`] without a
+    /// returned in memory, so a caller can stop the run and later hand the
+    /// snapshot to [`TestGenerator::resume_preemptible`] without a
     /// filesystem round-trip. The snapshot is the same one a
     /// [`RunControls::checkpoint_path`] write would persist; a completed run
-    /// returns `None`.
+    /// returns `None`. A run this generator held suspended is discarded.
     pub fn run_preemptible(
         &mut self,
         controls: &RunControls,
     ) -> (TestGenResult, Option<RunSnapshot>) {
+        self.suspended = None;
+        let run = self.start_run();
+        self.drive(run, controls, false)
+            .expect("a drive that keeps nothing returns its result")
+    }
+
+    /// Starts a run, or continues the one this generator holds suspended,
+    /// for one call under `controls`. Returns the result when the run ends
+    /// (completed or budget exhausted), or `None` when the stop flag or the
+    /// tick limit stopped it at a tick boundary: the run then stays in the
+    /// generator, with its machine state, fitness cache and scratch (and
+    /// the packed phase-1 simulator while in phase 1), and the next call
+    /// continues it in place.
+    ///
+    /// No [`RunSnapshot`] is built unless `controls` names a checkpoint
+    /// path; [`TestGenerator::suspended_snapshot`] builds one on demand. A
+    /// suspended run holds no pool threads (the pool is rebuilt at the next
+    /// call), its simulator is rolled back to the committed state, and its
+    /// wall clock stops until the next call. Results are bit-identical to
+    /// an uninterrupted run however the run is sliced. Each call emits its
+    /// own `RunStarted`/`RunFinished` pair and writes the fault report and
+    /// checkpoints its own `controls` ask for; checkpoint and fault-report
+    /// errors of earlier calls carry over to the result that ends the run.
+    pub fn run_slice(&mut self, controls: &RunControls) -> Option<TestGenResult> {
+        let run = match self.suspended.take() {
+            Some(run) => run,
+            None => self.start_run(),
+        };
+        self.drive(run, controls, true).map(|(result, _)| result)
+    }
+
+    /// The snapshot of the run this generator holds suspended — the one
+    /// [`TestGenerator::run_preemptible`] would have returned at the same
+    /// tick boundary — or `None` when no run is suspended. Its counters
+    /// are the live ones, so they also count the rollback restore each
+    /// suspension made.
+    pub fn suspended_snapshot(&self) -> Option<RunSnapshot> {
+        self.suspended
+            .as_ref()
+            .map(|run| self.build_snapshot(&run.m, run.m.elapsed_base))
+    }
+
+    /// A fresh run: counters zeroed, the machine at Figure 1's entry.
+    fn start_run(&mut self) -> KeptRun {
         self.counters.reset();
         let phase = if self.circuit.num_dffs() == 0 {
             Phase::VectorGeneration
@@ -440,7 +519,8 @@ impl TestGenerator {
                 ga: None,
             },
         };
-        self.drive(m, controls)
+        let dctx = self.driver_ctx(&m);
+        KeptRun { m, dctx }
     }
 
     /// Continues an interrupted run from a [`RunSnapshot`], bit-identically:
@@ -464,12 +544,33 @@ impl TestGenerator {
 
     /// Like [`TestGenerator::resume`], but also returns the final
     /// [`RunSnapshot`] when the resumed leg itself stops early — the
-    /// scheduler-facing counterpart of [`TestGenerator::run_preemptible`].
+    /// snapshot-passing counterpart of [`TestGenerator::run_preemptible`].
+    /// It is [`TestGenerator::suspend_from`] followed by one drive.
     pub fn resume_preemptible(
         &mut self,
         snapshot: &RunSnapshot,
         controls: &RunControls,
     ) -> Result<(TestGenResult, Option<RunSnapshot>), ResumeError> {
+        self.suspend_from(snapshot)?;
+        let run = self.suspended.take().expect("suspend_from keeps the run");
+        Ok(self
+            .drive(run, controls, false)
+            .expect("a drive that keeps nothing returns its result"))
+    }
+
+    /// Validates a [`RunSnapshot`] and loads it as this generator's
+    /// suspended run, replacing any other, so that the next
+    /// [`TestGenerator::run_slice`] continues it. The generator must be
+    /// built over the same circuit, fault list and configuration as the
+    /// run that took the snapshot (see [`TestGenerator::resume`]); the
+    /// loaded run starts with a cold fitness cache.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ResumeError`] naming the mismatch when the snapshot was
+    /// taken under another circuit, fault list, seed or search
+    /// configuration, or carries state that does not fit them.
+    pub fn suspend_from(&mut self, snapshot: &RunSnapshot) -> Result<(), ResumeError> {
         if snapshot.circuit != self.circuit.name() {
             return Err(ResumeError::new(format!(
                 "checkpoint is for circuit {:?}, generator is for {:?}",
@@ -526,60 +627,24 @@ impl TestGenerator {
                 "checkpoint's faulty-FF state names flip-flop {dff}, the circuit has {nffs}"
             )));
         }
+        self.suspended = None;
         self.sim.import_state(state);
         self.rng = Rng::from_state(snapshot.master_rng);
         self.counters.load_snapshot(&snapshot.counters);
         let m = self.machine_from_snapshot(snapshot)?;
-        Ok(self.drive(m, controls))
+        let dctx = self.driver_ctx(&m);
+        self.suspended = Some(KeptRun { m, dctx });
+        Ok(())
     }
 
-    /// The main driver loop: check stop conditions, tick the machine, write
-    /// due checkpoints, repeat until done or stopped. An early stop also
-    /// returns the final snapshot in memory for preemptive schedulers.
-    fn drive(
-        &mut self,
-        mut m: MachineState,
-        controls: &RunControls,
-    ) -> (TestGenResult, Option<RunSnapshot>) {
-        let start = Instant::now();
-        let run_span = self.probe().map(|p| p.enter(SpanKind::Run));
-        // Under `auto` the width follows each step's fault count; report the
-        // one a step over every undetected fault starts at.
-        let backend = self
-            .sim
-            .backend()
-            .for_step(self.sim.remaining(), &self.circuit);
-        self.observer.on_event(&RunEvent::RunStarted {
-            circuit: self.circuit.name().to_string(),
-            total_faults: self.sim.fault_list().len(),
-            seed: self.config.seed,
-            backend: backend.name().to_string(),
-            lanes: backend.lanes(),
-        });
-
-        let workers = self.config.resolved_workers();
+    /// A new driver context for the run `m`, without a pool or a fault
+    /// report (each call attaches its own).
+    fn driver_ctx(&self, m: &MachineState) -> DriverCtx {
         let nffs = self.circuit.num_dffs();
         let pis = self.circuit.num_inputs();
-        let (report, report_error) = match &controls.fault_report {
-            Some(path) => match FaultReportWriter::create(path, Some(Arc::clone(&self.counters))) {
-                Ok(w) => (Some(w), None),
-                Err(e) => (
-                    None,
-                    Some(format!(
-                        "failed to create fault report at {}: {e}",
-                        path.display()
-                    )),
-                ),
-            },
-            None => (None, None),
-        };
-        let mut dctx = DriverCtx {
-            // The evaluation pool lives for the whole leg: workers clone the
-            // simulator once here and adopt per-invocation checkpoints
-            // through the shared EvalContext instead of deep-cloning per
-            // batch.
-            pool: (workers > 1).then(|| EvalPool::new(&self.sim, workers)),
-            packed: (nffs > 0).then(|| {
+        DriverCtx {
+            pool: None,
+            packed: (nffs > 0 && m.pos.in_initialization()).then(|| {
                 PackedGood::new(
                     self.sim.backend(),
                     self.config.vector_population,
@@ -600,14 +665,61 @@ impl TestGenerator {
                 MachinePos::Done => unreachable!(),
             }),
             phase_started: Instant::now(),
-            report,
-            report_error,
-        };
+            report: None,
+            report_error: None,
+            checkpoint_error: None,
+        }
+    }
+
+    /// The main driver loop for one call: check stop conditions, tick the
+    /// machine, write due checkpoints, repeat until done or stopped. With
+    /// `keep` set, a run the stop flag or the tick limit interrupted is
+    /// kept in `self.suspended` and `None` is returned; otherwise the
+    /// result comes back, with the final snapshot on an early stop.
+    fn drive(
+        &mut self,
+        run: KeptRun,
+        controls: &RunControls,
+        keep: bool,
+    ) -> Option<(TestGenResult, Option<RunSnapshot>)> {
+        let KeptRun { mut m, mut dctx } = run;
+        let start = Instant::now();
+        let run_span = self.probe().map(|p| p.enter(SpanKind::Run));
+        // Under `auto` the width follows each step's fault count; report the
+        // one a step over every undetected fault starts at.
+        let backend = self
+            .sim
+            .backend()
+            .for_step(self.sim.remaining(), &self.circuit);
+        self.observer.on_event(&RunEvent::RunStarted {
+            circuit: self.circuit.name().to_string(),
+            total_faults: self.sim.fault_list().len(),
+            seed: self.config.seed,
+            backend: backend.name().to_string(),
+            lanes: backend.lanes(),
+        });
+
+        let workers = self.config.resolved_workers();
+        // The evaluation pool lives for the whole call: workers clone the
+        // simulator once here and adopt per-invocation checkpoints through
+        // the shared EvalContext instead of deep-cloning per batch.
+        dctx.pool = (workers > 1).then(|| EvalPool::new(&self.sim, workers));
+        dctx.phase_started = Instant::now();
+        if let Some(path) = &controls.fault_report {
+            match FaultReportWriter::create(path, Some(Arc::clone(&self.counters))) {
+                Ok(w) => dctx.report = Some(w),
+                Err(e) => {
+                    dctx.report_error = Some(format!(
+                        "failed to create fault report at {}: {e}",
+                        path.display()
+                    ))
+                }
+            }
+        }
 
         let mut ticks: u64 = 0;
         let mut gens_at_cp = m.ga_generations;
         let mut last_cp = Instant::now();
-        let mut checkpoint_error: Option<String> = None;
 
         let stop = loop {
             if matches!(m.pos, MachinePos::Done) {
@@ -650,10 +762,9 @@ impl TestGenerator {
                 };
                 if due && !matches!(m.pos, MachinePos::Done) {
                     Self::flush_phase_time(&mut m, &mut dctx);
-                    if let Err(e) =
-                        self.write_checkpoint(path, &m, m.elapsed_base + start.elapsed())
-                    {
-                        checkpoint_error = Some(e);
+                    let snap = self.build_snapshot(&m, m.elapsed_base + start.elapsed());
+                    if let Err(e) = self.save_checkpoint(&snap, path) {
+                        dctx.checkpoint_error = Some(e);
                     }
                     gens_at_cp = m.ga_generations;
                     last_cp = Instant::now();
@@ -663,27 +774,19 @@ impl TestGenerator {
 
         Self::flush_phase_time(&mut m, &mut dctx);
         let elapsed = m.elapsed_base + start.elapsed();
-        // On an early stop the final snapshot is built exactly once: it is
-        // returned in memory for preemptive schedulers and, when a
-        // checkpoint path is set, persisted with the same
-        // build → save → record ordering as cadence checkpoints.
-        let final_snapshot = if stop != StopCause::Completed {
-            let snap = self.build_snapshot(&m, elapsed);
-            if let Some(path) = &controls.checkpoint_path {
-                match snap.save(path) {
-                    Ok(bytes) => self.counters.record_checkpoint_write(bytes),
-                    Err(e) => {
-                        checkpoint_error = Some(format!(
-                            "failed to write checkpoint to {}: {e}",
-                            path.display()
-                        ));
-                    }
-                }
+        let keep = keep && stop == StopCause::Interrupted;
+        // An early stop builds the final snapshot at most once: to return
+        // it in memory unless the run is kept, and to persist it when a
+        // checkpoint path is set (build → save → record, as for cadence
+        // checkpoints).
+        let final_snapshot = (stop != StopCause::Completed
+            && (!keep || controls.checkpoint_path.is_some()))
+        .then(|| self.build_snapshot(&m, elapsed));
+        if let (Some(snap), Some(path)) = (&final_snapshot, &controls.checkpoint_path) {
+            if let Err(e) = self.save_checkpoint(snap, path) {
+                dctx.checkpoint_error = Some(e);
             }
-            Some(snap)
-        } else {
-            None
-        };
+        }
         // Stopping mid-invocation can leave the simulator holding the last
         // candidate's scratch state (serial path); roll it back to the
         // invocation-start checkpoint so `detected` and `sim()` reflect the
@@ -696,7 +799,7 @@ impl TestGenerator {
         // Finalize the fault-report stream after the rollback above so the
         // summary's `detected` matches the committed test set the result
         // reports. Finalization happens on every stop cause: an interrupted
-        // leg still leaves a complete, parseable file for its own records.
+        // call still leaves a complete, parseable file for its own records.
         if let Some(w) = dctx.report.take() {
             if let Err(e) = w.finalize(
                 self.circuit.name(),
@@ -707,7 +810,6 @@ impl TestGenerator {
                     .get_or_insert(format!("failed to finalize fault report: {e}"));
             }
         }
-        let fault_report_error = dctx.report_error.take();
 
         // Close the run span before snapshotting so its timing is counted;
         // spans are process-local, so (like the fitness cache) a resumed
@@ -718,12 +820,33 @@ impl TestGenerator {
             .as_ref()
             .map(|i| i.spans.snapshot())
             .unwrap_or_default();
-        let snapshot = TelemetrySnapshot {
+        let telemetry = TelemetrySnapshot {
             phase_time: m.phase_time,
             ga_generations: m.ga_generations,
             counters: self.counters.snapshot(),
             spans,
         };
+        let finished = RunEvent::RunFinished {
+            detected: self.sim.detected_count(),
+            total_faults: self.sim.fault_list().len(),
+            vectors: m.test_set.len(),
+            ga_evaluations: m.ga_evaluations,
+            elapsed_secs: elapsed.as_secs_f64(),
+            budget_exhausted: stop == StopCause::BudgetExhausted,
+            snapshot: Box::new(telemetry.clone()),
+        };
+        if keep {
+            self.observer.on_event(&finished);
+            // A run past phase 1 never needs the packed simulator again.
+            // (The simulator's arena stays: rebuilding it every slice cost
+            // more than its memory is worth.)
+            if !m.pos.in_initialization() {
+                dctx.packed = None;
+            }
+            m.elapsed_base = elapsed;
+            self.suspended = Some(KeptRun { m, dctx });
+            return None;
+        }
         let result = TestGenResult {
             circuit: self.circuit.name().to_string(),
             total_faults: self.sim.fault_list().len(),
@@ -735,20 +858,12 @@ impl TestGenerator {
             sequence_attempts: m.sequence_attempts,
             phase_trace: m.phase_trace,
             stop,
-            checkpoint_error,
-            fault_report_error,
-            telemetry: snapshot.clone(),
+            checkpoint_error: dctx.checkpoint_error,
+            fault_report_error: dctx.report_error,
+            telemetry,
         };
-        self.observer.on_event(&RunEvent::RunFinished {
-            detected: result.detected,
-            total_faults: result.total_faults,
-            vectors: result.vectors(),
-            ga_evaluations: result.ga_evaluations,
-            elapsed_secs: elapsed.as_secs_f64(),
-            budget_exhausted: stop == StopCause::BudgetExhausted,
-            snapshot: Box::new(snapshot),
-        });
-        (result, final_snapshot)
+        self.observer.on_event(&finished);
+        Some((result, final_snapshot))
     }
 
     /// One machine tick: start an invocation, evolve one generation, or
@@ -1277,13 +1392,7 @@ impl TestGenerator {
 
     /// Writes one checkpoint file and counts it; failures are reported, not
     /// fatal.
-    fn write_checkpoint(
-        &self,
-        path: &Path,
-        m: &MachineState,
-        elapsed: Duration,
-    ) -> Result<(), String> {
-        let snap = self.build_snapshot(m, elapsed);
+    fn save_checkpoint(&self, snap: &RunSnapshot, path: &Path) -> Result<(), String> {
         match snap.save(path) {
             Ok(bytes) => {
                 self.counters.record_checkpoint_write(bytes);
@@ -1862,6 +1971,45 @@ mod tests {
                 "workers={workers}"
             );
         }
+    }
+
+    /// A suspended run holds no pool threads: the pool lives only while a
+    /// call drives the run, and each slice rebuilds it. Pooled slices still
+    /// end exactly where the serial uninterrupted run does.
+    #[test]
+    fn suspended_runs_drop_the_pool_and_stay_bit_identical() {
+        let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
+        let config = |workers: usize| {
+            let mut config = GatestConfig::for_circuit(&circuit)
+                .with_seed(21)
+                .with_workers(workers)
+                .with_max_evals(3_000);
+            config.fault_sample = FaultSample::Count(60);
+            config
+        };
+        let serial = TestGenerator::new(Arc::clone(&circuit), config(1)).run();
+        let mut pooled = TestGenerator::new(Arc::clone(&circuit), config(2));
+        let controls = RunControls {
+            max_ticks: Some(5),
+            ..RunControls::default()
+        };
+        let mut suspensions = 0;
+        let result = loop {
+            match pooled.run_slice(&controls) {
+                Some(result) => break result,
+                None => {
+                    let run = pooled.suspended.as_ref().expect("kept");
+                    assert!(run.dctx.pool.is_none(), "a suspended run holds no pool");
+                    suspensions += 1;
+                }
+            }
+        };
+        assert!(suspensions > 10, "{suspensions}");
+        assert!(result.budget_exhausted());
+        assert_eq!(
+            crate::report::result_to_json(&result),
+            crate::report::result_to_json(&serial)
+        );
     }
 
     /// With memoization on, `eval_batch` simulates each distinct phase-4

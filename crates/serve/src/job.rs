@@ -12,7 +12,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use gatest_core::{FaultSample, GatestConfig, RunSnapshot};
+use gatest_core::{FaultSample, GatestConfig, RunSnapshot, TestGenerator};
 use gatest_netlist::Circuit;
 use gatest_telemetry::json::{quote, Json};
 use gatest_telemetry::{Instruments, SimCounters};
@@ -168,8 +168,9 @@ pub enum JobState {
     Queued,
     /// A runner thread is executing a slice of it right now.
     Running,
-    /// Stopped at a generation-tick boundary with its snapshot held in
-    /// memory; waiting for its next slice (or for drain persistence).
+    /// Stopped at a generation-tick boundary with its generator suspended
+    /// in memory (or, after a restart, its checkpoint reloaded); waiting
+    /// for its next slice (or for drain persistence).
     Preempted,
     /// Finished; its deterministic result JSON is available.
     Done,
@@ -234,8 +235,12 @@ pub struct Job {
     pub seq: u64,
     /// Scheduler slices executed so far.
     pub slices: u64,
-    /// The in-memory checkpoint between slices (state Preempted), taken at
-    /// a generation-tick boundary by the core's preemptible driver.
+    /// The job's generator between slices (state Preempted), its run
+    /// suspended at a generation-tick boundary. Drain persists its
+    /// snapshot; cancel drops it.
+    pub generator: Option<Box<TestGenerator>>,
+    /// A checkpoint reloaded from the state dir, kept until the job's
+    /// first claim in this process rehydrates it into a generator.
     pub snapshot: Option<RunSnapshot>,
     /// The exact `result_to_json` bytes once Done.
     pub result_json: Option<String>,
@@ -253,8 +258,9 @@ pub struct Job {
     /// Per-job metrics bundle, rendered under a `job="<id>"` label in
     /// `/metrics` so concurrent jobs never share a series.
     pub instruments: Arc<Instruments>,
-    /// Simulator counters of the latest slice's generator (checkpoint
-    /// carry-over makes them cumulative across slices).
+    /// Simulator counters of the job's generator, cumulative across
+    /// slices (one generator runs them all; a restart reloads them from
+    /// the checkpoint).
     pub counters: Option<Arc<SimCounters>>,
     /// When the job was admitted (for completion-latency metrics).
     pub submitted: Instant,
@@ -276,6 +282,7 @@ impl Job {
             state: JobState::Queued,
             seq,
             slices: 0,
+            generator: None,
             snapshot: None,
             result_json: None,
             error: None,

@@ -5,11 +5,11 @@
 //! A long-lived daemon that accepts ATPG jobs (circuit + config + budgets +
 //! priority) over a hand-rolled HTTP/JSONL API, runs many jobs on a shared
 //! runner budget via a fair scheduler that preempts at generation-tick
-//! boundaries, and streams per-job telemetry back as JSONL. The checkpoint
-//! machinery is the enabler: a preemption is a checkpoint held in memory, a
-//! drain is a checkpoint written to disk, and a restart is a resume — all
-//! paths the standalone CLI's kill/resume sweep already proves
-//! bit-identical. **A job's result is byte-identical to the same
+//! boundaries, and streams per-job telemetry back as JSONL. A preemption
+//! suspends the job's generator in memory at a tick boundary, a drain
+//! writes each suspended run's checkpoint to disk, and a restart resumes
+//! from it — the same boundaries the standalone CLI's kill/resume sweep
+//! proves bit-identical. **A job's result is byte-identical to the same
 //! circuit/config/seed run standalone via `gatest atpg`**, no matter how
 //! often it was preempted or whether the server restarted mid-job; CI
 //! enforces exactly that.
@@ -18,8 +18,8 @@
 //!
 //! * [`job`] — [`JobSpec`](job::JobSpec) wire format and the per-job state
 //!   machine (queued → running → preempted* → done/failed/cancelled);
-//! * [`scheduler`] — priority + round-robin slice scheduling over the
-//!   core's preemptible driver;
+//! * [`scheduler`] — priority + round-robin slice scheduling over
+//!   `TestGenerator::run_slice`;
 //! * [`server`] — shared state, admission control, graceful drain, and
 //!   state-directory persistence;
 //! * [`http`] — the `std::net` request handling (same dependency-free

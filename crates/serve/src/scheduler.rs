@@ -1,23 +1,27 @@
 //! The fair preemptive scheduler.
 //!
 //! Jobs run in *slices*: a runner thread claims the best runnable job,
-//! executes up to `slice_ticks` generator ticks of it through the core's
-//! preemptible driver, and either finishes it or re-enqueues it with its
-//! in-memory [`RunSnapshot`]. Selection is priority-descending with FIFO
-//! order inside a priority class; a preempted job re-enters at the back of
-//! its class, so equal-priority jobs round-robin one slice each.
+//! executes up to `slice_ticks` generator ticks of it with
+//! [`TestGenerator::run_slice`], and either finishes it or re-enqueues it
+//! with its generator suspended in memory. Selection is priority-descending
+//! with FIFO order inside a priority class; a preempted job re-enters at
+//! the back of its class, so equal-priority jobs round-robin one slice
+//! each.
 //!
-//! Preemption is the checkpoint machinery with the filesystem cut out:
-//! every slice boundary is a generation-tick boundary, the same points the
-//! kill-at-every-tick sweep in `tests/checkpoint_resume.rs` proves
-//! bit-identical — so a job's final result is byte-identical no matter how
-//! many times it was preempted or which runner executed each slice.
+//! Preemption is in-memory suspension: every slice boundary is a
+//! generation-tick boundary, and the job's generator keeps its run there —
+//! machine state, fitness cache, packed phase-1 simulator, span slots —
+//! until its next slice continues it in place. No [`RunSnapshot`] is built
+//! between slices; one is built only when drain persists the job, and a
+//! restarted server rehydrates it with [`TestGenerator::suspend_from`]. A
+//! job's final result is byte-identical no matter how many times it was
+//! preempted, drained or restarted, or which runner executed each slice.
 
 use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 
-use gatest_core::{RunControls, RunSnapshot, StopCause, TestGenResult, TestGenerator};
+use gatest_core::{RunControls, RunSnapshot, TestGenResult, TestGenerator};
 use gatest_netlist::Circuit;
 use gatest_telemetry::json::event_to_json;
 use gatest_telemetry::{Instruments, MetricsObserver, MultiObserver, RunEvent, RunObserver};
@@ -27,7 +31,8 @@ use crate::job::JobSpec;
 /// Default generator ticks per scheduler slice. A tick is one GA generation
 /// (or an invocation start/commit), so this preempts every few invocations
 /// — fine-grained enough for fair interleaving, coarse enough that the
-/// per-slice generator rebuild stays in the noise.
+/// per-slice cost of suspending and continuing a generator stays in the
+/// noise.
 pub const DEFAULT_SLICE_TICKS: u64 = 64;
 
 /// An observer buffering every event as a JSONL line for the events
@@ -45,9 +50,13 @@ impl RunObserver for EventBuffer {
 pub struct SliceClaim {
     /// Job id, for reporting the outcome back.
     pub id: u64,
-    /// The job's spec (cheap clone; configs are rebuilt per slice).
+    /// The job's spec (cheap clone), for building its generator.
     pub spec: JobSpec,
-    /// The snapshot to resume from; `None` on the job's first slice.
+    /// The job's suspended generator; `None` on its first slice in this
+    /// process.
+    pub generator: Option<Box<TestGenerator>>,
+    /// A checkpoint reloaded from the state dir, rehydrated when there is
+    /// no generator yet.
     pub snapshot: Option<RunSnapshot>,
     /// Raised by cancel or drain to end the slice at the next tick.
     pub stop: Arc<AtomicBool>,
@@ -61,9 +70,9 @@ pub struct SliceClaim {
 pub enum SliceOutcome {
     /// The run reached a terminal state (`Completed` or `BudgetExhausted`).
     Finished(Box<TestGenResult>),
-    /// The slice was interrupted at a tick boundary; here is the snapshot
-    /// to continue from.
-    Preempted(Box<RunSnapshot>),
+    /// The slice stopped at a tick boundary; here is the generator holding
+    /// the suspended run.
+    Preempted(Box<TestGenerator>),
     /// The slice could not run (bad circuit, resume mismatch).
     Error(String),
 }
@@ -122,57 +131,50 @@ pub fn pick_next(candidates: impl IntoIterator<Item = (u8, u64, u64)>) -> Option
         .map(|(_, _, id)| id)
 }
 
-/// Executes one slice: rebuilds the generator (fresh, or from the claimed
-/// snapshot — the same path the CI-proven kill/resume sweep exercises) and
-/// drives it for at most `slice_ticks` ticks.
+/// Executes one slice: takes the claim's suspended generator, or builds
+/// one (rehydrating a reloaded checkpoint with
+/// [`TestGenerator::suspend_from`]), and runs it for at most `slice_ticks`
+/// ticks with [`TestGenerator::run_slice`].
 ///
-/// The claim's `counters` handle is returned alongside so the caller can
-/// expose the slice's simulator counters in `/metrics`.
+/// The generator's `counters` handle is returned alongside so the caller
+/// can expose the job's simulator counters in `/metrics`.
 pub fn run_slice(
-    claim: &SliceClaim,
+    claim: SliceClaim,
     circuits: &CircuitCache,
     slice_ticks: u64,
 ) -> (SliceOutcome, Option<Arc<gatest_telemetry::SimCounters>>) {
-    let circuit = match circuits.load(&claim.spec.circuit) {
-        Ok(c) => c,
-        Err(e) => return (SliceOutcome::Error(e), None),
+    let mut generator = match claim.generator {
+        Some(generator) => generator,
+        None => {
+            let circuit = match circuits.load(&claim.spec.circuit) {
+                Ok(c) => c,
+                Err(e) => return (SliceOutcome::Error(e), None),
+            };
+            let config = claim.spec.config(&circuit);
+            let observer = MultiObserver::new(vec![
+                Arc::new(EventBuffer(Arc::clone(&claim.events))),
+                Arc::new(MetricsObserver::new(Arc::clone(&claim.instruments))),
+            ]);
+            let mut generator = TestGenerator::new(circuit, config)
+                .with_observer(Arc::new(observer))
+                .with_instruments(Arc::clone(&claim.instruments));
+            if let Some(snapshot) = &claim.snapshot {
+                if let Err(e) = generator.suspend_from(snapshot) {
+                    return (SliceOutcome::Error(e.to_string()), None);
+                }
+            }
+            Box::new(generator)
+        }
     };
-    let config = claim.spec.config(&circuit);
-    let observer = MultiObserver::new(vec![
-        Arc::new(EventBuffer(Arc::clone(&claim.events))),
-        Arc::new(MetricsObserver::new(Arc::clone(&claim.instruments))),
-    ]);
-    let mut generator = TestGenerator::new(circuit, config)
-        .with_observer(Arc::new(observer))
-        .with_instruments(Arc::clone(&claim.instruments));
     let controls = RunControls {
-        stop: Some(Arc::clone(&claim.stop)),
-        checkpoint_path: None,
-        checkpoint_every: None,
+        stop: Some(claim.stop),
         max_ticks: Some(slice_ticks.max(1)),
-        fault_report: None,
-    };
-    let outcome = match &claim.snapshot {
-        None => Ok(generator.run_preemptible(&controls)),
-        Some(snapshot) => generator
-            .resume_preemptible(snapshot, &controls)
-            .map_err(|e| e.to_string()),
+        ..RunControls::default()
     };
     let counters = Arc::clone(generator.telemetry_counters());
-    let outcome = match outcome {
-        Err(e) => SliceOutcome::Error(e),
-        Ok((result, snapshot)) => match result.stop {
-            StopCause::Completed | StopCause::BudgetExhausted => {
-                SliceOutcome::Finished(Box::new(result))
-            }
-            StopCause::Interrupted => match snapshot {
-                Some(snap) => SliceOutcome::Preempted(Box::new(snap)),
-                // Unreachable in practice: an interrupted drive always
-                // builds its final snapshot. Fail loudly rather than lose
-                // the job's progress silently.
-                None => SliceOutcome::Error("interrupted slice returned no snapshot".into()),
-            },
-        },
+    let outcome = match generator.run_slice(&controls) {
+        Some(result) => SliceOutcome::Finished(Box::new(result)),
+        None => SliceOutcome::Preempted(generator),
     };
     (outcome, Some(counters))
 }

@@ -8,11 +8,12 @@
 //!
 //! **Drain protocol** (SIGTERM): stop admitting, raise every in-flight
 //! slice's stop flag, let runners park the interrupted jobs as `Preempted`
-//! with their in-memory snapshots, then persist everything to the state
-//! directory — `queue.jsonl` manifest, `job-<id>.ck` checkpoints (the same
-//! versioned format `gatest atpg --checkpoint` writes), `job-<id>.result.json`
-//! exact result bytes. A restart with the same `--state-dir` reloads the
-//! manifest and continues every unfinished job bit-identically.
+//! with their generators suspended in memory, then persist everything to
+//! the state directory — `queue.jsonl` manifest, `job-<id>.ck` checkpoints
+//! built from each suspended generator (the same versioned format `gatest
+//! atpg --checkpoint` writes), `job-<id>.result.json` exact result bytes.
+//! A restart with the same `--state-dir` reloads the manifest and continues
+//! every unfinished job bit-identically.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -275,6 +276,7 @@ impl ServerState {
         match job.state {
             JobState::Queued | JobState::Preempted => {
                 job.state = JobState::Cancelled;
+                job.generator = None;
                 job.snapshot = None;
                 job.slice_stop = None;
                 self.metrics.cancelled.inc();
@@ -311,6 +313,7 @@ impl ServerState {
                 let claim = SliceClaim {
                     id,
                     spec: job.spec.clone(),
+                    generator: job.generator.take(),
                     snapshot: job.snapshot.take(),
                     stop,
                     events: Arc::clone(&job.events),
@@ -374,14 +377,13 @@ impl ServerState {
                     job.error = Some(message);
                     self.metrics.failed.inc();
                 }
-                SliceOutcome::Preempted(snapshot) => {
+                SliceOutcome::Preempted(generator) => {
                     if job.cancel_requested {
                         job.state = JobState::Cancelled;
-                        job.snapshot = None;
                         self.metrics.cancelled.inc();
                     } else {
                         job.state = JobState::Preempted;
-                        job.snapshot = Some(*snapshot);
+                        job.generator = Some(generator);
                         job.seq = next_seq;
                         self.metrics.preemptions.inc();
                     }
@@ -535,8 +537,9 @@ impl Drop for Server {
 /// A runner thread: claim, slice, report, repeat — until drain/shutdown.
 fn runner_loop(state: &Arc<ServerState>) {
     while let Some(claim) = state.claim_next() {
-        let (outcome, counters) = run_slice(&claim, &state.circuits, state.slice_ticks);
-        state.complete_slice(claim.id, outcome, counters);
+        let id = claim.id;
+        let (outcome, counters) = run_slice(claim, &state.circuits, state.slice_ticks);
+        state.complete_slice(id, outcome, counters);
     }
 }
 
@@ -562,10 +565,13 @@ fn persist_state(state: &ServerState, dir: &Path) -> std::io::Result<()> {
         table.next_id, table.next_seq
     ));
     for job in table.jobs.values() {
-        let mut has_snapshot = false;
-        if let Some(snapshot) = &job.snapshot {
+        // A suspended generator's snapshot is built here, the only place
+        // the server needs one; a reloaded job no slice has claimed yet
+        // still holds the checkpoint it was loaded from.
+        let built = job.generator.as_ref().and_then(|g| g.suspended_snapshot());
+        let snapshot = built.as_ref().or(job.snapshot.as_ref());
+        if let Some(snapshot) = snapshot {
             snapshot.save(&checkpoint_path(dir, job.id))?;
-            has_snapshot = true;
         }
         if let Some(result) = &job.result_json {
             std::fs::write(result_path(dir, job.id), result)?;
@@ -582,7 +588,7 @@ fn persist_state(state: &ServerState, dir: &Path) -> std::io::Result<()> {
             job.seq,
             quote(job.state.as_str()),
             job.slices,
-            has_snapshot,
+            snapshot.is_some(),
             job.result_json.is_some(),
             job.spec.to_json(),
         ));
@@ -796,6 +802,30 @@ mod tests {
                 .any(|l| l.starts_with("gatest_serve_jobs_evicted_total") && l.ends_with(" 1")),
             "{metrics}"
         );
+    }
+
+    /// Cancel drops a suspended job's generator with the job's run.
+    #[test]
+    fn cancelling_a_suspended_job_drops_its_generator() {
+        let state = ServerState::new(&ServerConfig::default());
+        let spec = JobSpec {
+            circuit: "s27".into(),
+            ..JobSpec::default()
+        };
+        let id = state.submit(spec).unwrap();
+        let claim = state.claim_next().expect("the job is runnable");
+        let (outcome, counters) = run_slice(claim, &state.circuits, 1);
+        assert!(matches!(outcome, SliceOutcome::Preempted(_)));
+        state.complete_slice(id, outcome, counters);
+        {
+            let table = state.table.lock().unwrap();
+            assert_eq!(table.jobs[&id].state, JobState::Preempted);
+            assert!(table.jobs[&id].generator.is_some(), "suspended in memory");
+        }
+        assert_eq!(state.cancel(id), Some(JobState::Cancelled));
+        let table = state.table.lock().unwrap();
+        assert!(table.jobs[&id].generator.is_none(), "generator dropped");
+        assert_eq!(state.metrics.cancelled.get(), 1);
     }
 
     #[test]

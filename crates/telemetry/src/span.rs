@@ -297,6 +297,13 @@ impl SpanCollector {
         SpanHandle { slot }
     }
 
+    /// Registered per-thread slots. Each holds a 256-record ring and lives
+    /// as long as the collector, so a long-lived collector (a serve job's)
+    /// should see a fixed number of them.
+    pub fn slots(&self) -> usize {
+        self.threads.lock().unwrap().len()
+    }
+
     /// Spans dropped because they nested deeper than the tracked maximum.
     pub fn dropped(&self) -> u64 {
         self.threads
@@ -528,6 +535,7 @@ mod tests {
         let snap = collector.snapshot();
         assert_eq!(snap.get("sim_step", None).unwrap().count, 40);
         assert_eq!(snap.total_incl_ns("sim_step"), snap.nodes[0].incl_ns);
+        assert_eq!(collector.slots(), 4, "one slot per handle() call");
     }
 
     #[test]

@@ -7,10 +7,12 @@
 #     byte-compares every served result against the same flags run through
 #     plain `gatest atpg --result-json` — the serving contract is that the
 #     daemon never changes a single result byte;
-#   * then starts a second daemon with a state directory, SIGTERMs it
-#     mid-job, and verifies the drain protocol end to end: the manifest and
-#     checkpoint land on disk, a restarted daemon resumes the job, and the
-#     final result is still byte-identical to the standalone run.
+#   * then starts a second daemon with a state directory and two jobs,
+#     SIGTERMs it once one of them waits `preempted` (its generator
+#     suspended in memory), and verifies the drain protocol end to end: the
+#     manifest and both checkpoints land on disk, a restarted daemon
+#     resumes both jobs, and both final results are still byte-identical to
+#     the standalone runs.
 #
 # The daemon picks its own free port (--addr 127.0.0.1:0 + --port-file), so
 # the script is safe to run concurrently with anything.
@@ -117,13 +119,18 @@ server_pid=$!
 addr="$(wait_port "$tmpdir/port")"
 
 long_id="$(submit "$addr" '{"circuit":"s1423","seed":2,"sample":60}')"
+side_id="$(submit "$addr" '{"circuit":"s298","seed":5,"sample":80}')"
 
-# Wait until the job is demonstrably mid-run, then SIGTERM the daemon.
+# Wait until both jobs have had a slice and one of them waits preempted
+# (suspended in memory, not running), then SIGTERM the daemon.
 i=0
-until curl -s "http://$addr/jobs/$long_id" | grep -Eq '"state":"(running|preempted)"'; do
+until states="$(curl -s "http://$addr/jobs")" &&
+    ! echo "$states" | grep -q '"state":"queued"' &&
+    echo "$states" | grep -q '"state":"preempted"'; do
     i=$((i + 1))
     if [ "$i" -gt 100 ]; then
-        echo "FAIL: job $long_id never started running" >&2
+        echo "FAIL: jobs $long_id and $side_id never took turns" >&2
+        echo "$states" >&2
         exit 1
     fi
     sleep 0.1
@@ -135,7 +142,8 @@ server_pid=""
 test -f "$statedir/queue.jsonl"
 grep -q '"state":"preempted"' "$statedir/queue.jsonl"
 test -f "$statedir/job-$long_id.ck"
-echo "ok   SIGTERM drained: manifest + checkpoint persisted mid-job"
+test -f "$statedir/job-$side_id.ck"
+echo "ok   SIGTERM drained: manifest + both checkpoints persisted mid-job"
 
 # Restart over the same state dir: the job must resume and complete.
 : > "$tmpdir/port"
@@ -146,10 +154,14 @@ server_pid=$!
 addr="$(wait_port "$tmpdir/port")"
 
 fetch_result "$addr" "$long_id" "$tmpdir/serve-long.json"
+fetch_result "$addr" "$side_id" "$tmpdir/serve-side.json"
 target/release/gatest atpg s1423 --seed 2 --sample 60 \
     --result-json "$tmpdir/plain-long.json" --out /dev/null -q
+target/release/gatest atpg s298 --seed 5 --sample 80 \
+    --result-json "$tmpdir/plain-side.json" --out /dev/null -q
 cmp "$tmpdir/serve-long.json" "$tmpdir/plain-long.json"
-echo "ok   drained job resumed on restart, result byte-identical"
+cmp "$tmpdir/serve-side.json" "$tmpdir/plain-side.json"
+echo "ok   both drained jobs resumed on restart, results byte-identical"
 
 kill -TERM "$server_pid"
 wait "$server_pid"

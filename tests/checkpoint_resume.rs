@@ -507,3 +507,138 @@ fn cadence_checkpoints_are_resumable_too() {
     assert_eq!(fingerprint(&resumed), fingerprint(&baseline));
     let _ = std::fs::remove_file(&ck);
 }
+
+/// Runs `generator` to the end in `max_ticks`-tick slices on the one
+/// generator, returning the result and the number of suspensions.
+fn run_in_slices(
+    generator: &mut TestGenerator,
+    max_ticks: u64,
+) -> (gatest_core::TestGenResult, u64) {
+    let controls = RunControls {
+        max_ticks: Some(max_ticks),
+        ..RunControls::default()
+    };
+    let mut suspensions = 0u64;
+    loop {
+        match generator.run_slice(&controls) {
+            Some(result) => return (result, suspensions),
+            None => {
+                suspensions += 1;
+                assert!(suspensions < 100_000, "slices never finished the run");
+            }
+        }
+    }
+}
+
+/// In-memory suspension at every tick: one generator run in one-tick
+/// slices ends exactly where the uninterrupted run does, and because the
+/// suspended run keeps its fitness cache, it simulates exactly as much —
+/// the work counters match the uninterrupted run's. A run chained through
+/// snapshots instead starts every leg cold and simulates more.
+#[test]
+fn s27_suspended_at_every_tick_finishes_bit_identically_with_a_warm_cache() {
+    let baseline = s27_generator(3).run();
+    let mut generator = s27_generator(3);
+    let (sliced, suspensions) = run_in_slices(&mut generator, 1);
+    assert!(suspensions > 50, "only {suspensions} suspensions");
+    assert_eq!(fingerprint(&sliced), fingerprint(&baseline));
+    let (want, got) = (&baseline.telemetry.counters, &sliced.telemetry.counters);
+    assert_eq!(got.step_calls, want.step_calls, "step_calls");
+    assert_eq!(got.gate_evals, want.gate_evals, "gate_evals");
+    assert_eq!(got.good_events, want.good_events, "good_events");
+    assert_eq!(got.faulty_events, want.faulty_events, "faulty_events");
+    assert!(
+        generator.suspended_snapshot().is_none(),
+        "a finished run is not kept"
+    );
+
+    let one_tick = RunControls {
+        max_ticks: Some(1),
+        ..RunControls::default()
+    };
+    let (mut leg, mut snapshot) = s27_generator(3).run_preemptible(&one_tick);
+    while let Some(snap) = snapshot {
+        (leg, snapshot) = s27_generator(3)
+            .resume_preemptible(&snap, &one_tick)
+            .unwrap();
+    }
+    assert_eq!(fingerprint(&leg), fingerprint(&baseline));
+    assert!(
+        leg.telemetry.counters.step_calls > want.step_calls,
+        "cold legs re-simulate what the cache would have answered"
+    );
+}
+
+/// The drain path: the snapshot of a suspended run equals the one
+/// `run_preemptible` returns at the same tick boundary (timings and
+/// counters aside), and a fresh generator resumed from it finishes
+/// bit-identically — as does the suspended run itself.
+#[test]
+fn s298_suspended_snapshots_resume_bit_identically() {
+    let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
+    let make = || {
+        let mut config = GatestConfig::for_circuit(&circuit).with_seed(21);
+        config.fault_sample = FaultSample::Count(60);
+        TestGenerator::new(Arc::clone(&circuit), config)
+    };
+    let expected = fingerprint(&make().run());
+    let untimed = |mut snap: RunSnapshot| {
+        snap.elapsed_ns = 0;
+        snap.phase_time_ns = [0; 4];
+        snap.counters = CounterSnapshot::default();
+        snap
+    };
+    for k in [1, 7, 53, 317] {
+        let controls = RunControls {
+            max_ticks: Some(k),
+            ..RunControls::default()
+        };
+        let mut suspended = make();
+        assert!(suspended.run_slice(&controls).is_none(), "tick {k}");
+        let snap = suspended.suspended_snapshot().expect("a suspended run");
+        let (_, preempted) = make().run_preemptible(&controls);
+        assert_eq!(
+            untimed(snap.clone()),
+            untimed(preempted.expect("an early stop returns its snapshot")),
+            "tick {k}"
+        );
+        let resumed = make().resume(&snap, &RunControls::default()).unwrap();
+        assert_eq!(fingerprint(&resumed), expected, "resumed at tick {k}");
+        if k == 53 {
+            let (continued, _) = run_in_slices(&mut suspended, u64::MAX);
+            assert_eq!(fingerprint(&continued), expected, "continued at tick {k}");
+        }
+    }
+}
+
+/// A restart: a slice that stops a kept run still writes the checkpoint
+/// its controls ask for, and that checkpoint, loaded with `suspend_from`
+/// into a fresh generator, becomes a suspended run like any other that
+/// slices continue to the uninterrupted result.
+#[test]
+fn suspend_from_then_slices_match_the_uninterrupted_run() {
+    let baseline = s27_generator(11).run();
+    let ck = temp_path("s27-suspend-from");
+    let mut first = s27_generator(11);
+    let stopped = first.run_slice(&RunControls {
+        checkpoint_path: Some(ck.clone()),
+        max_ticks: Some(40),
+        ..RunControls::default()
+    });
+    assert!(stopped.is_none(), "40 ticks do not finish s27");
+    let snap = RunSnapshot::load(&ck).unwrap();
+    let _ = std::fs::remove_file(&ck);
+    let kept = first.suspended_snapshot().expect("the run is kept");
+    assert_eq!((&snap.test_set, &snap.sim), (&kept.test_set, &kept.sim));
+
+    let mut generator = s27_generator(11);
+    generator.suspend_from(&snap).unwrap();
+    let reloaded = generator.suspended_snapshot().expect("loaded as suspended");
+    assert_eq!((&reloaded.pos, &reloaded.sim), (&snap.pos, &snap.sim));
+    let (result, suspensions) = run_in_slices(&mut generator, 3);
+    assert!(suspensions > 0);
+    assert_eq!(fingerprint(&result), fingerprint(&baseline));
+
+    let err = s27_generator(4).suspend_from(&snap).unwrap_err();
+    assert!(err.to_string().contains("seed"), "{err}");
+}

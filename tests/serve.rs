@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use gatest_core::report::result_to_json;
 use gatest_core::TestGenerator;
 use gatest_serve::{
-    run_slice, CircuitCache, JobSpec, Server, ServerConfig, SliceClaim, SliceOutcome,
+    run_slice, CircuitCache, JobSpec, JobState, Server, ServerConfig, SliceClaim, SliceOutcome,
 };
 use gatest_telemetry::json::{parse_json, Json};
 use gatest_telemetry::Instruments;
@@ -31,26 +31,36 @@ fn standalone_bytes(spec: &JobSpec) -> String {
 }
 
 /// Drives one job to completion through the scheduler's slice executor,
-/// handing the in-memory snapshot from each preempted slice to the next —
-/// exactly what the runner threads do, minus the concurrency.
-fn run_sliced(spec: &JobSpec, circuits: &CircuitCache, slice_ticks: u64) -> (String, u64) {
-    let mut snapshot = None;
+/// handing the suspended generator from each preempted slice to the next —
+/// exactly what the runner threads do, minus the concurrency. Returns the
+/// result bytes, the slice count and the job's instruments.
+fn run_sliced(
+    spec: &JobSpec,
+    circuits: &CircuitCache,
+    slice_ticks: u64,
+) -> (String, u64, Arc<Instruments>) {
+    let instruments = Instruments::new();
+    let events = Arc::new(Mutex::new(Vec::new()));
+    let mut generator = None;
     let mut slices = 0u64;
     loop {
         let claim = SliceClaim {
             id: 1,
             spec: spec.clone(),
-            snapshot: snapshot.take(),
+            generator: generator.take(),
+            snapshot: None,
             stop: Arc::new(AtomicBool::new(false)),
-            events: Arc::new(Mutex::new(Vec::new())),
-            instruments: Instruments::new(),
+            events: Arc::clone(&events),
+            instruments: Arc::clone(&instruments),
         };
-        let (outcome, _) = run_slice(&claim, circuits, slice_ticks);
+        let (outcome, _) = run_slice(claim, circuits, slice_ticks);
         slices += 1;
         assert!(slices < 100_000, "slice loop did not terminate");
         match outcome {
-            SliceOutcome::Finished(result) => return (result_to_json(&result) + "\n", slices),
-            SliceOutcome::Preempted(snap) => snapshot = Some(*snap),
+            SliceOutcome::Finished(result) => {
+                return (result_to_json(&result) + "\n", slices, instruments)
+            }
+            SliceOutcome::Preempted(suspended) => generator = Some(suspended),
             SliceOutcome::Error(e) => panic!("slice failed at slice_ticks={slice_ticks}: {e}"),
         }
     }
@@ -70,7 +80,7 @@ fn slice_width_never_changes_the_result() {
     let baseline = standalone_bytes(&spec);
     let circuits = CircuitCache::default();
     for slice_ticks in [1, 2, 3, 5, 64] {
-        let (bytes, slices) = run_sliced(&spec, &circuits, slice_ticks);
+        let (bytes, slices, _) = run_sliced(&spec, &circuits, slice_ticks);
         if slice_ticks == 1 {
             assert!(slices > 1, "one-tick slices must actually preempt");
         }
@@ -94,8 +104,30 @@ fn budget_exhaustion_is_slice_invariant() {
     };
     let baseline = standalone_bytes(&spec);
     let circuits = CircuitCache::default();
-    let (bytes, _) = run_sliced(&spec, &circuits, 2);
+    let (bytes, _, _) = run_sliced(&spec, &circuits, 2);
     assert_eq!(bytes, baseline);
+}
+
+/// A job keeps one generator across its slices, so its instruments hold
+/// the generator's and the simulator's span slots and no more, however
+/// many slices it runs. Each slot keeps a 256-record ring for the job's
+/// lifetime, so a slot count that grew with slices would grow the job's
+/// memory with it.
+#[test]
+fn span_slots_do_not_grow_with_slices() {
+    let spec = JobSpec {
+        circuit: "s27".into(),
+        seed: 3,
+        ..JobSpec::default()
+    };
+    let (bytes, slices, instruments) = run_sliced(&spec, &CircuitCache::default(), 1);
+    assert!(slices >= 20, "the premise needs many slices, got {slices}");
+    assert_eq!(bytes, standalone_bytes(&spec));
+    assert_eq!(
+        instruments.spans.slots(),
+        2,
+        "{slices} slices must share the generator's and the simulator's slots"
+    );
 }
 
 // ---------------------------------------------------------------- HTTP --
@@ -323,6 +355,78 @@ fn drain_and_restart_resume_bit_identically() {
         body, baseline,
         "drain + restart + resume must not change a single byte"
     );
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Drain persists a suspended job, not only the one whose slice it stops:
+/// with two jobs on one runner and one-tick slices, one job is always
+/// waiting as `preempted`, its generator suspended in memory. Both must
+/// reach the state dir as checkpoints, and a restarted server must finish
+/// both with bytes identical to their standalone runs.
+#[test]
+fn drain_persists_suspended_jobs_and_restart_finishes_them() {
+    let specs = [
+        JobSpec {
+            circuit: "s298".into(),
+            seed: 5,
+            sample: 80,
+            ..JobSpec::default()
+        },
+        JobSpec {
+            circuit: "s298".into(),
+            seed: 7,
+            sample: 60,
+            ..JobSpec::default()
+        },
+    ];
+    let baselines: Vec<String> = specs.iter().map(standalone_bytes).collect();
+    let dir: PathBuf = std::env::temp_dir().join(format!(
+        "gatest-serve-suspended-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServerConfig {
+        state_dir: Some(dir.clone()),
+        slice_ticks: 1,
+        runners: 1,
+        ..ServerConfig::default()
+    };
+
+    let mut server = Server::start(config.clone()).expect("first server starts");
+    let addr = server.local_addr();
+    let ids: Vec<u64> = specs.iter().map(|s| submit(addr, &s.to_json())).collect();
+    wait_for(Duration::from_secs(120), || {
+        let table = server.state().table.lock().unwrap();
+        let jobs: Vec<_> = ids.iter().map(|id| &table.jobs[id]).collect();
+        jobs.iter().all(|j| j.slices >= 1)
+            && jobs
+                .iter()
+                .any(|j| j.state == JobState::Preempted && j.generator.is_some())
+    });
+    server.drain().expect("drain persists state");
+    drop(server);
+    for id in &ids {
+        assert!(
+            dir.join(format!("job-{id}.ck")).exists(),
+            "job {id}'s checkpoint persisted"
+        );
+    }
+
+    let server = Server::start(config).expect("second server starts");
+    let addr = server.local_addr();
+    for (id, baseline) in ids.iter().zip(&baselines) {
+        wait_for(Duration::from_secs(240), || {
+            job_field(addr, *id, "state").as_str() == Some("done")
+        });
+        let (status, body) = get(addr, &format!("/jobs/{id}/result"));
+        assert!(status.contains("200"), "job {id} result: {status}");
+        assert_eq!(
+            &body, baseline,
+            "job {id}: drain + restart must not change a single byte"
+        );
+    }
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
