@@ -4,6 +4,10 @@
 //! fitness evaluations per second on s1423, at worker counts 1, 4, and 8.
 //! Candidates are phase-2 vectors scored against a 100-fault sample from a
 //! warmed mid-run simulator state — the same work the GA's inner loop does.
+//! Serial rows score each 64-candidate batch with one
+//! `evaluate_candidates` call, as the generator does, and the `slots`
+//! section times that batch both ways, interleaved: one candidate per
+//! fault group, and two candidates per 256-lane group.
 //!
 //! Prints a JSON document to stdout; `scripts/bench_eval.sh` redirects it to
 //! `BENCH_eval.json` so the performance trajectory is tracked across PRs.
@@ -15,11 +19,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gatest_core::{
-    evaluate_candidate, EvalContext, EvalJob, EvalMemo, EvalPool, FitnessScale, Phase,
+    evaluate_candidates, EvalContext, EvalJob, EvalMemo, EvalPool, FitnessScale, Phase,
 };
 use gatest_ga::{Chromosome, Rng};
 use gatest_netlist::benchmarks;
-use gatest_sim::{FaultSim, Logic};
+use gatest_sim::{FaultSim, Logic, SimBackend};
 use gatest_telemetry::json::parse_json;
 use gatest_telemetry::{Instruments, SimCounters};
 
@@ -31,8 +35,8 @@ const SAMPLE: usize = 100;
 const CACHE_DISTINCT: usize = 8;
 /// Bumped whenever the document shape changes; `--validate` requires it.
 /// 2 added provenance (`git_revision`, `timestamp`) and the `overhead`
-/// section.
-const SCHEMA_VERSION: u64 = 2;
+/// section; 3 the `slots` section.
+const SCHEMA_VERSION: u64 = 3;
 
 /// `--NAME VALUE` from the args, else the `env` variable, else `"unknown"`.
 /// Benchmarks never read the clock or the repo themselves — provenance is
@@ -115,8 +119,8 @@ fn main() {
             let mut serial = sim.clone();
             let mut scratch = Vec::new();
             for _ in 0..batches {
-                for c in &batch {
-                    checksum += evaluate_candidate(&mut serial, &ctx, c, &mut scratch);
+                for score in evaluate_candidates(&mut serial, &ctx, &batch, &mut scratch) {
+                    checksum += score;
                 }
             }
         } else {
@@ -141,11 +145,77 @@ fn main() {
 
     let cache = cache_section(&sim, &ctx, pis, batches);
     let overhead = overhead_section(&sim, &ctx, &batch, batches);
+    let slots = slots_section(&sim, &ctx, &batch, batches);
 
     println!(
-        "{{\n  \"bench\": \"eval_throughput\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"git_revision\": \"{git_revision}\",\n  \"timestamp\": \"{timestamp}\",\n  \"circuit\": \"{CIRCUIT}\",\n  \"mode\": \"{}\",\n  \"host_cpus\": {host_cpus},\n  \"batch\": {BATCH},\n  \"fault_sample\": {SAMPLE},\n  \"score_checksum\": {checksum:.6},\n  \"results\": [\n{rows}\n  ],\n  \"cache\": {cache},\n  \"overhead\": {overhead}\n}}",
+        "{{\n  \"bench\": \"eval_throughput\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"git_revision\": \"{git_revision}\",\n  \"timestamp\": \"{timestamp}\",\n  \"circuit\": \"{CIRCUIT}\",\n  \"mode\": \"{}\",\n  \"host_cpus\": {host_cpus},\n  \"batch\": {BATCH},\n  \"fault_sample\": {SAMPLE},\n  \"score_checksum\": {checksum:.6},\n  \"results\": [\n{rows}\n  ],\n  \"cache\": {cache},\n  \"overhead\": {overhead},\n  \"slots\": [\n{slots}\n  ]\n}}",
         if smoke { "smoke" } else { "full" }
     );
+}
+
+/// The fault-group layout workload: the serial loop's batch scored with one
+/// `evaluate_candidates` call per batch, by a simulator pinned to 64-lane
+/// groups (one candidate per group, two groups per 100-fault candidate) and
+/// by one under `auto` (two candidates per 256-lane group). The two sides
+/// alternate batch by batch, which side goes first flipping each batch, so
+/// host drift hits both alike. Each side's scores, summed candidate by
+/// candidate, must equal the serial row's bit for bit. Returns the two
+/// `"slots"` rows.
+fn slots_section(
+    sim: &FaultSim,
+    ctx: &Arc<EvalContext>,
+    batch: &[Chromosome],
+    batches: usize,
+) -> String {
+    let mut sides: Vec<(&str, FaultSim)> = [
+        ("alone", SimBackend::Scalar64),
+        ("slotted", SimBackend::Auto),
+    ]
+    .into_iter()
+    .map(|(layout, backend)| {
+        let mut sim = sim.clone();
+        sim.set_backend(backend);
+        (layout, sim)
+    })
+    .collect();
+    let mut secs = [0.0f64; 2];
+    let mut sums = [0.0f64; 2];
+    let mut scratch = Vec::new();
+    for round in 0..batches {
+        for k in 0..2 {
+            let side = if round % 2 == 0 { k } else { 1 - k };
+            let start = Instant::now();
+            let scores = evaluate_candidates(&mut sides[side].1, ctx, batch, &mut scratch);
+            secs[side] += start.elapsed().as_secs_f64();
+            for score in scores {
+                sums[side] += score;
+            }
+        }
+    }
+    assert_eq!(
+        sums[0].to_bits(),
+        sums[1].to_bits(),
+        "slotted scores must be bit-identical to scores computed alone"
+    );
+    let evals = batches * batch.len();
+    let rows: Vec<String> = sides
+        .iter()
+        .zip(secs)
+        .zip(sums)
+        .map(|(((layout, sim), secs), sum)| {
+            let per_group = sim.backend().score_slots(SAMPLE, sim.circuit());
+            eprintln!(
+                "slots {layout}: {per_group} candidate(s) per group, {evals} evals in {secs:.2}s = {:.0} evals/sec",
+                evals as f64 / secs
+            );
+            format!(
+                "    {{\"layout\": \"{layout}\", \"candidates_per_group\": {per_group}, \"evals\": {evals}, \"secs\": {secs:.4}, \"evals_per_sec\": {:.0}, \"score_sum\": {:.6}}}",
+                evals as f64 / secs,
+                sum
+            )
+        })
+        .collect();
+    rows.join(",\n")
 }
 
 /// The instrumentation-overhead workload: the serial evaluation loop run
@@ -180,8 +250,8 @@ fn overhead_section(
     let mut run_plain = |n: usize| {
         let start = Instant::now();
         for _ in 0..n {
-            for c in batch {
-                plain_sum += evaluate_candidate(&mut plain_sim, ctx, c, &mut plain_scratch);
+            for score in evaluate_candidates(&mut plain_sim, ctx, batch, &mut plain_scratch) {
+                plain_sum += score;
             }
         }
         start.elapsed().as_secs_f64()
@@ -189,8 +259,8 @@ fn overhead_section(
     let mut run_instr = |n: usize| {
         let start = Instant::now();
         for _ in 0..n {
-            for c in batch {
-                instr_sum += evaluate_candidate(&mut instr_sim, ctx, c, &mut instr_scratch);
+            for score in evaluate_candidates(&mut instr_sim, ctx, batch, &mut instr_scratch) {
+                instr_sum += score;
             }
         }
         start.elapsed().as_secs_f64()
@@ -269,18 +339,14 @@ fn cache_section(sim: &FaultSim, ctx: &Arc<EvalContext>, pis: usize, batches: us
 
     let mut serial = sim.clone();
     let mut scratch = Vec::new();
-    let baseline_scores: Vec<f64> = batch
-        .iter()
-        .map(|c| evaluate_candidate(&mut serial, ctx, c, &mut scratch))
-        .collect();
+    let baseline_scores = evaluate_candidates(&mut serial, ctx, &batch, &mut scratch);
     let start = Instant::now();
     let mut baseline_sum = 0.0f64;
     for _ in 0..batches {
         // Per-batch sums, matching the memoized loop's accumulation order,
         // so the bit-equality assertion below compares identical reductions.
-        baseline_sum += batch
+        baseline_sum += evaluate_candidates(&mut serial, ctx, &batch, &mut scratch)
             .iter()
-            .map(|c| evaluate_candidate(&mut serial, ctx, c, &mut scratch))
             .sum::<f64>();
     }
     let baseline_secs = start.elapsed().as_secs_f64();
@@ -291,9 +357,7 @@ fn cache_section(sim: &FaultSim, ctx: &Arc<EvalContext>, pis: usize, batches: us
     let mut memo_sum = 0.0f64;
     for round in 0..batches {
         let scores = memo.evaluate(ctx, &batch, Some(&counters), |work| {
-            work.iter()
-                .map(|c| evaluate_candidate(&mut serial, ctx, c, &mut scratch))
-                .collect()
+            evaluate_candidates(&mut serial, ctx, work, &mut scratch)
         });
         memo_sum += scores.iter().sum::<f64>();
         if round == 0 {
@@ -411,6 +475,31 @@ fn validate(path: &str) -> Result<String, String> {
             .get(key)
             .and_then(|v| v.as_f64())
             .ok_or_else(|| format!("overhead section missing numeric `{key}`"))?;
+    }
+    let slots = field("slots")?
+        .as_array()
+        .ok_or("`slots` is not an array")?;
+    let layouts: Vec<&str> = slots
+        .iter()
+        .filter_map(|row| row.get("layout").and_then(|v| v.as_str()))
+        .collect();
+    if layouts != ["alone", "slotted"] {
+        return Err(format!(
+            "`slots` rows are {layouts:?}, expected [\"alone\", \"slotted\"]"
+        ));
+    }
+    for (i, row) in slots.iter().enumerate() {
+        for key in [
+            "candidates_per_group",
+            "evals",
+            "secs",
+            "evals_per_sec",
+            "score_sum",
+        ] {
+            row.get(key)
+                .and_then(|v| v.as_f64())
+                .ok_or_else(|| format!("slots[{i}] missing numeric `{key}`"))?;
+        }
     }
     let speedup = cache.get("speedup").and_then(|v| v.as_f64()).unwrap_or(0.0);
     let frac = overhead

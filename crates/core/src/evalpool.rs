@@ -4,12 +4,16 @@
 //! The GA's runtime is dominated by candidate fitness evaluation, so this
 //! module owns that hot path end to end:
 //!
-//! * [`evaluate_candidate`] is the *single* scoring routine — restore the
-//!   simulator to the generation's checkpoint, decode the chromosome into a
-//!   reusable scratch buffer, run the phase-appropriate simulation, and
-//!   apply the phase's fitness function. Serial evaluation and every pool
-//!   worker call the same function, so pooled scores are bit-identical to
-//!   serial scores by construction.
+//! * [`evaluate_candidates`] is the *single* scoring routine — restore the
+//!   simulator to the generation's checkpoint once, decode the batch into a
+//!   reusable scratch buffer, score every candidate in one
+//!   [`FaultSim::score`] call (which writes nothing back, so no candidate
+//!   needs a restore of its own, and candidates may share fault groups),
+//!   and apply the phase's fitness function. Serial evaluation and every
+//!   pool worker call the same function, and a candidate's score never
+//!   depends on its company, so pooled scores are bit-identical to serial
+//!   scores by construction. [`evaluate_candidate`] is its one-candidate
+//!   form.
 //! * [`EvalPool`] keeps a fixed set of worker threads alive for the whole
 //!   run, each owning one `FaultSim` clone. Work arrives through one shared
 //!   injector queue of (checkpoint, job, chromosome-chunk) requests and
@@ -35,8 +39,9 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use gatest_ga::Chromosome;
-use gatest_sim::{Checkpoint, FaultId, FaultSim, Logic, StepReport};
-use gatest_telemetry::SimCounters;
+use gatest_netlist::Circuit;
+use gatest_sim::{Checkpoint, FaultId, FaultSim, Logic, SimBackend};
+use gatest_telemetry::{SimCounters, SpanHandle};
 
 use crate::fitness::{phase1, phase2, phase3, phase4, FitnessScale, Phase};
 
@@ -91,6 +96,21 @@ impl EvalContext {
             EvalJob::Sequence { .. } => 4,
         }
     }
+
+    /// How many candidates of this context share a fault group when scored
+    /// together ([`SimBackend::score_slots`]); 1 in phase 1, which runs no
+    /// fault groups.
+    fn score_slots(&self, backend: SimBackend, circuit: &Circuit) -> usize {
+        match &self.job {
+            EvalJob::Vector {
+                phase: Phase::Initialization,
+                ..
+            } => 1,
+            EvalJob::Vector { sample, .. } | EvalJob::Sequence { sample, .. } => {
+                backend.score_slots(sample.len(), circuit)
+            }
+        }
+    }
 }
 
 /// Decodes the first `pis` chromosome bits into `out` (cleared first).
@@ -106,54 +126,45 @@ pub fn decode_frame_into(chrom: &Chromosome, pis: usize, frame: usize, out: &mut
     out.extend((0..pis).map(|i| Logic::from_bool(chrom.bit(frame * pis + i))));
 }
 
-/// Decodes the first `frames` frames of a sequence chromosome into
-/// `scratch` and applies them to `sim` as one sampled window over
-/// `sample`, returning one report per frame.
-fn step_frames(
-    sim: &mut FaultSim,
-    chrom: &Chromosome,
-    pis: usize,
-    frames: usize,
-    sample: &[FaultId],
-    scratch: &mut Vec<Logic>,
-) -> Vec<StepReport> {
-    scratch.clear();
-    scratch.extend(
-        chrom.bits()[..frames * pis]
-            .iter()
-            .map(|&b| Logic::from_bool(b)),
-    );
-    let vectors: Vec<&[Logic]> = (0..frames)
-        .map(|f| &scratch[f * pis..(f + 1) * pis])
-        .collect();
-    sim.step_sampled(&vectors, sample)
-}
-
-/// Scores one candidate: restore to the context's checkpoint, simulate per
-/// the job, apply the phase's fitness function. `scratch` is a reusable
-/// decode buffer — passing the same buffer across calls avoids one `Vec`
-/// allocation per candidate per frame.
+/// Scores a batch of candidates: restores `sim` to the context's
+/// checkpoint, decodes the batch into `scratch` (reused across calls), and
+/// applies the phase's fitness function to what the simulation reports.
+///
+/// Phases 2–4 score the whole batch in one [`FaultSim::score`] call: every
+/// candidate runs from the checkpoint, several may share one fault group,
+/// and the simulator is left at the checkpoint, so one restore serves the
+/// batch. Phase 1 (two good-machine frames per candidate) restores before
+/// each candidate.
 ///
 /// This is the only scoring routine in the crate: the serial path and every
-/// [`EvalPool`] worker call it, which is what makes pooled evaluation
+/// [`EvalPool`] worker call it, and each score depends only on the context
+/// and its own chromosome, which is what makes pooled evaluation
 /// bit-identical to serial evaluation.
-pub fn evaluate_candidate(
+pub fn evaluate_candidates(
     sim: &mut FaultSim,
     ctx: &EvalContext,
-    chrom: &Chromosome,
+    batch: &[Chromosome],
     scratch: &mut Vec<Logic>,
-) -> f64 {
+) -> Vec<f64> {
+    if batch.is_empty() {
+        return Vec::new();
+    }
     sim.restore(&ctx.checkpoint);
-    match &ctx.job {
+    let (sample, scale, pis, frames) = match &ctx.job {
         EvalJob::Vector {
-            phase,
-            sample,
+            phase: Phase::Initialization,
             scale,
             pis,
+            ..
         } => {
-            decode_vector_into(chrom, *pis, scratch);
-            match phase {
-                Phase::Initialization => {
+            return batch
+                .iter()
+                .enumerate()
+                .map(|(i, chrom)| {
+                    if i > 0 {
+                        sim.restore(&ctx.checkpoint);
+                    }
+                    decode_vector_into(chrom, *pis, scratch);
                     // Two-frame hold: with deep synchronous-reset
                     // structures, the payoff of a good initialization
                     // vector often appears one frame later (anchors must
@@ -162,26 +173,58 @@ pub fn evaluate_candidate(
                     // winning vector is committed for both frames.
                     sim.step_good_only(scratch);
                     phase1(&sim.step_good_only(scratch), *scale)
-                }
-                Phase::VectorGeneration => {
-                    phase2(&sim.step_sampled(&[&scratch], sample)[0], *scale)
-                }
-                Phase::StalledVectorGeneration => {
-                    phase3(&sim.step_sampled(&[&scratch], sample)[0], *scale)
-                }
-                Phase::SequenceGeneration => unreachable!("sequences use EvalJob::Sequence"),
-            }
+                })
+                .collect();
         }
+        EvalJob::Vector {
+            sample, scale, pis, ..
+        } => (sample, *scale, *pis, 1),
         EvalJob::Sequence {
             frames,
             sample,
             scale,
             pis,
-        } => phase4(
-            &step_frames(sim, chrom, *pis, *frames, sample, scratch),
-            *scale,
-        ),
+        } => (sample, *scale, *pis, *frames),
+    };
+    let bits = frames * pis;
+    scratch.clear();
+    for chrom in batch {
+        scratch.extend(chrom.bits()[..bits].iter().map(|&b| Logic::from_bool(b)));
     }
+    let vectors: Vec<&[Logic]> = (0..batch.len() * frames)
+        .map(|v| &scratch[v * pis..(v + 1) * pis])
+        .collect();
+    let windows: Vec<&[&[Logic]]> = (0..batch.len())
+        .map(|c| &vectors[c * frames..(c + 1) * frames])
+        .collect();
+    sim.score(&windows, sample)
+        .iter()
+        .map(|reports| match &ctx.job {
+            EvalJob::Vector {
+                phase: Phase::VectorGeneration,
+                ..
+            } => phase2(&reports[0], scale),
+            EvalJob::Vector {
+                phase: Phase::StalledVectorGeneration,
+                ..
+            } => phase3(&reports[0], scale),
+            EvalJob::Vector { .. } => unreachable!("sequences use EvalJob::Sequence"),
+            EvalJob::Sequence { .. } => phase4(reports, scale),
+        })
+        .collect()
+}
+
+/// Scores one candidate on its own: [`evaluate_candidates`] over a batch
+/// of one. `--paranoid-cache` re-scores every candidate this way, so its
+/// check also holds scores computed in shared fault groups against scores
+/// computed alone.
+pub fn evaluate_candidate(
+    sim: &mut FaultSim,
+    ctx: &EvalContext,
+    chrom: &Chromosome,
+    scratch: &mut Vec<Logic>,
+) -> f64 {
+    evaluate_candidates(sim, ctx, std::slice::from_ref(chrom), scratch)[0]
 }
 
 /// A bounded LRU cache of candidate fitness scores, keyed by
@@ -521,6 +564,12 @@ pub struct EvalPool {
     injector: Arc<Injector>,
     reply_rx: Receiver<Reply>,
     counters: Option<Arc<SimCounters>>,
+    /// The workers' span handles, one per worker when instrumented.
+    spans: Vec<SpanHandle>,
+    /// The base simulator's backend and circuit, for the slot count a
+    /// context's candidates score at.
+    backend: SimBackend,
+    circuit: Arc<Circuit>,
 }
 
 impl std::fmt::Debug for EvalPool {
@@ -538,7 +587,25 @@ impl EvalPool {
     ///
     /// Panics if `workers` is 0.
     pub fn new(base: &FaultSim, workers: usize) -> Self {
+        Self::with_spans(base, workers, Vec::new())
+    }
+
+    /// [`EvalPool::new`], with worker `i` recording its spans into
+    /// `spans[i]`, a slot an earlier pool's worker registered. When `base`
+    /// is instrumented, workers beyond `spans` register a slot each.
+    /// [`EvalPool::spans`] hands them all to the next pool, so a run that
+    /// builds a pool per call registers its workers' slots once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers` is 0.
+    pub fn with_spans(base: &FaultSim, workers: usize, mut spans: Vec<SpanHandle>) -> Self {
         assert!(workers > 0, "a pool needs at least one worker");
+        if let Some(instruments) = base.instruments() {
+            while spans.len() < workers {
+                spans.push(instruments.spans.handle());
+            }
+        }
         let counters = base.counters().cloned();
         let (reply_tx, reply_rx) = channel::<Reply>();
         let injector = Arc::new(Injector {
@@ -549,9 +616,12 @@ impl EvalPool {
             available: Condvar::new(),
         });
         let workers = (0..workers)
-            .map(|_| {
+            .map(|i| {
                 let injector = Arc::clone(&injector);
                 let mut sim = base.clone();
+                if let Some(handle) = spans.get(i) {
+                    sim.set_span_handle(handle.clone());
+                }
                 let reply_tx = reply_tx.clone();
                 let counters = counters.clone();
                 let handle = std::thread::spawn(move || {
@@ -562,13 +632,8 @@ impl EvalPool {
                         if let Some(c) = &counters {
                             c.record_pool_idle(wait.elapsed().as_nanos() as u64);
                         }
-                        let scores = req
-                            .chunk
-                            .iter()
-                            .map(|chrom| {
-                                evaluate_candidate(&mut sim, &req.ctx, chrom, &mut scratch)
-                            })
-                            .collect();
+                        let scores =
+                            evaluate_candidates(&mut sim, &req.ctx, &req.chunk, &mut scratch);
                         if reply_tx
                             .send(Reply {
                                 offset: req.offset,
@@ -590,6 +655,9 @@ impl EvalPool {
             injector,
             reply_rx,
             counters,
+            spans,
+            backend: base.backend(),
+            circuit: Arc::clone(base.circuit()),
         }
     }
 
@@ -598,15 +666,23 @@ impl EvalPool {
         self.workers.len()
     }
 
+    /// The workers' span handles (empty when uninstrumented), for the next
+    /// pool of the same run ([`EvalPool::with_spans`]).
+    pub fn spans(&self) -> &[SpanHandle] {
+        &self.spans
+    }
+
     /// Scores a batch against a shared context, in input order.
     ///
     /// The batch is split into up to [`CHUNKS_PER_WORKER`] chunks per
     /// worker, pushed onto the shared injector queue; replies are placed
     /// back by offset. One big contiguous chunk per worker (the old split)
     /// made the whole batch wait on its slowest chunk — candidate costs are
-    /// uneven, since a restore's copy-on-write traffic and a step's event
-    /// count depend on the chromosome — so finer chunks pulled from a
-    /// shared queue keep the dispatch granularity ahead of the stragglers.
+    /// uneven, since a step's event count depends on the chromosome — so
+    /// finer chunks pulled from a shared queue keep the dispatch granularity
+    /// ahead of the stragglers. Chunks are whole multiples of the
+    /// candidates one fault group carries ([`SimBackend::score_slots`]), so
+    /// a chunk never splits a group a serial batch would fill.
     ///
     /// # Panics
     ///
@@ -616,7 +692,10 @@ impl EvalPool {
             return Vec::new();
         }
         let chunks = (self.workers.len() * CHUNKS_PER_WORKER).min(batch.len());
-        let chunk = batch.len().div_ceil(chunks);
+        let chunk = batch
+            .len()
+            .div_ceil(chunks)
+            .next_multiple_of(ctx.score_slots(self.backend, &self.circuit));
         let mut sent = 0usize;
         {
             let mut state = self.injector.queue.lock().expect("injector lock poisoned");

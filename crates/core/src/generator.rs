@@ -33,8 +33,8 @@ use gatest_telemetry::{
 use crate::checkpoint::{config_digest, GaSnapshot, RunSnapshot, SnapshotIndividual, SnapshotPos};
 use crate::config::{FaultSample, GatestConfig};
 use crate::evalpool::{
-    decode_frame_into, decode_vector_into, evaluate_candidate, EvalContext, EvalJob, EvalMemo,
-    EvalPool,
+    decode_frame_into, decode_vector_into, evaluate_candidate, evaluate_candidates, EvalContext,
+    EvalJob, EvalMemo, EvalPool,
 };
 use crate::fitness::{phase1, FitnessScale, Phase};
 
@@ -312,6 +312,9 @@ struct DriverCtx {
     /// The evaluation pool, present only while a call drives the run (so a
     /// suspended run holds no threads).
     pool: Option<EvalPool>,
+    /// The pool workers' span handles, kept between calls so each call's
+    /// new pool records into the slots the first one registered.
+    worker_spans: Vec<SpanHandle>,
     /// The packed phase-1 simulator, present while the run is in phase 1.
     packed: Option<PackedGood>,
     /// The memoization layer (fitness cache + batch dedup); `None` when
@@ -644,6 +647,7 @@ impl TestGenerator {
         let pis = self.circuit.num_inputs();
         DriverCtx {
             pool: None,
+            worker_spans: Vec::new(),
             packed: (nffs > 0 && m.pos.in_initialization()).then(|| {
                 PackedGood::new(
                     self.sim.backend(),
@@ -702,8 +706,11 @@ impl TestGenerator {
         let workers = self.config.resolved_workers();
         // The evaluation pool lives for the whole call: workers clone the
         // simulator once here and adopt per-invocation checkpoints through
-        // the shared EvalContext instead of deep-cloning per batch.
-        dctx.pool = (workers > 1).then(|| EvalPool::new(&self.sim, workers));
+        // the shared EvalContext instead of deep-cloning per batch. They
+        // record into the span slots the run's first pool registered.
+        dctx.pool = (workers > 1).then(|| {
+            EvalPool::with_spans(&self.sim, workers, std::mem::take(&mut dctx.worker_spans))
+        });
         dctx.phase_started = Instant::now();
         if let Some(path) = &controls.fault_report {
             match FaultReportWriter::create(path, Some(Arc::clone(&self.counters))) {
@@ -788,14 +795,17 @@ impl TestGenerator {
             }
         }
         // Stopping mid-invocation can leave the simulator holding the last
-        // candidate's scratch state (serial path); roll it back to the
-        // invocation-start checkpoint so `detected` and `sim()` reflect the
-        // committed test set only. After the final checkpoint write so the
-        // extra restore never skews resumed-vs-uninterrupted counters.
+        // phase-1 candidate's good machine (the serial phase-1 path steps
+        // it); roll it back to the invocation-start checkpoint so `detected`
+        // and `sim()` reflect the committed test set only. After the final
+        // checkpoint write so the extra restore never skews
+        // resumed-vs-uninterrupted counters.
         if let Some(ga) = m.pos.active_ga() {
             self.sim.restore(&ga.ctx.checkpoint);
         }
-        drop(dctx.pool.take());
+        if let Some(pool) = dctx.pool.take() {
+            dctx.worker_spans = pool.spans().to_vec();
+        }
         // Finalize the fault-report stream after the rollback above so the
         // summary's `detected` matches the committed test set the result
         // reports. Finalization happens on every stop cause: an interrupted
@@ -1698,10 +1708,7 @@ impl RawEval<'_> {
         } else if let Some(pool) = self.pool {
             pool.evaluate(ctx, batch)
         } else {
-            batch
-                .iter()
-                .map(|c| evaluate_candidate(self.sim, ctx, c, self.scratch))
-                .collect()
+            evaluate_candidates(self.sim, ctx, batch, self.scratch)
         }
     }
 }
@@ -1723,8 +1730,10 @@ struct EvalPath<'a> {
 /// Scores one GA batch, routing it through the memoization layer when
 /// enabled. Memoized and raw scores are bit-identical: the cache and dedup
 /// layers only share scores between bit-equal chromosomes, and every
-/// simulated candidate is scored by [`evaluate_candidate`] (a phase-4
-/// sequence as one sampled window), serially or on a pool worker.
+/// simulated candidate is scored by [`evaluate_candidates`] (a phase-4
+/// sequence as one window, several candidates to a fault group), serially
+/// or on a pool worker. `--paranoid-cache` re-scores each candidate alone
+/// with [`evaluate_candidate`].
 fn eval_batch(path: &mut EvalPath<'_>, ctx: &Arc<EvalContext>, batch: &[Chromosome]) -> Vec<f64> {
     let EvalPath {
         raw,
@@ -2114,6 +2123,100 @@ mod tests {
                 "workers={workers}: every distinct candidate steps all its frames"
             );
             assert_eq!(after.dedup_skips - before.dedup_skips, 1);
+        }
+    }
+
+    /// `eval_batch` scores candidates that share 256-lane fault groups —
+    /// two to a group with 100-fault samples, four with 60-fault ones —
+    /// bit-equal to `evaluate_candidate` scoring each alone, serially and on
+    /// a 3-worker pool, for one-vector (phase 2) and sequence (phase 4)
+    /// jobs. A serial batch restores the simulator once.
+    #[test]
+    fn eval_batch_scores_slotted_candidates_as_each_alone() {
+        let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
+        let pis = circuit.num_inputs();
+        let counters = Arc::new(SimCounters::new());
+        let mut sim = FaultSim::new(Arc::clone(&circuit));
+        sim.set_counters(Some(Arc::clone(&counters)));
+        let mut rng = Rng::new(78);
+        for _ in 0..4 {
+            let v: Vec<Logic> = (0..pis).map(|_| Logic::from_bool(rng.coin())).collect();
+            sim.step(&v);
+        }
+        for (faults, slots) in [(100, 2), (60, 4)] {
+            assert_eq!(sim.backend().score_slots(faults, &circuit), slots);
+            let sample = sim.active_faults()[..faults].to_vec();
+            let scale = FitnessScale {
+                faults,
+                flip_flops: circuit.num_dffs(),
+                nodes: circuit.num_gates(),
+            };
+            for frames in [1, 4] {
+                let job = if frames == 1 {
+                    EvalJob::Vector {
+                        phase: Phase::VectorGeneration,
+                        sample: sample.clone(),
+                        scale,
+                        pis,
+                    }
+                } else {
+                    EvalJob::Sequence {
+                        frames,
+                        sample: sample.clone(),
+                        scale,
+                        pis,
+                    }
+                };
+                let ctx = Arc::new(EvalContext {
+                    epoch: 1,
+                    checkpoint: sim.checkpoint(),
+                    job,
+                });
+                let batch: Vec<Chromosome> = (0..15)
+                    .map(|_| Chromosome::random(frames * pis, &mut rng))
+                    .collect();
+                let mut alone_sim = sim.clone();
+                alone_sim.set_counters(None);
+                let mut scratch = Vec::new();
+                let alone: Vec<f64> = batch
+                    .iter()
+                    .map(|c| evaluate_candidate(&mut alone_sim, &ctx, c, &mut scratch))
+                    .collect();
+                for workers in [0usize, 3] {
+                    let pool = (workers > 0).then(|| EvalPool::new(&sim, workers));
+                    let mut batch_sim = sim.clone();
+                    let mut path = EvalPath {
+                        raw: RawEval {
+                            sim: &mut batch_sim,
+                            counters: &counters,
+                            pool: pool.as_ref(),
+                            packed: None,
+                            scratch: &mut scratch,
+                        },
+                        memo: None,
+                        paranoid: false,
+                        instruments: None,
+                        probe: None,
+                    };
+                    let before = counters.snapshot();
+                    let scores = eval_batch(&mut path, &ctx, &batch);
+                    let after = counters.snapshot();
+                    assert!(
+                        alone
+                            .iter()
+                            .zip(&scores)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{faults} faults, {frames} frames, workers={workers}"
+                    );
+                    assert!(
+                        after.wide_groups > before.wide_groups,
+                        "{faults} faults, {frames} frames, workers={workers}: slotted groups ran"
+                    );
+                    if workers == 0 {
+                        assert_eq!(after.checkpoint_restores - before.checkpoint_restores, 1);
+                    }
+                }
+            }
         }
     }
 

@@ -37,9 +37,10 @@ use gatest_netlist::Circuit;
 use gatest_telemetry::{Instruments, SimCounters, SpanHandle, SpanKind};
 
 use crate::fault::{FaultId, FaultList, FaultModel, FaultStatus};
-use crate::good_sim::{GoodSim, GoodSimState, GoodStepReport};
+use crate::good_sim::{advance, GoodSim, GoodSimState, GoodStepReport};
 use crate::group::{
-    Arena, FaultyFfState, GoodFrame, GroupCtx, GroupOutcome, GroupWidth, OutcomeSlots,
+    Arena, FaultyFfState, GoodFrame, GroupCtx, GroupOutcome, GroupWidth, OutcomeSlots, SlotFrames,
+    WindowKind,
 };
 use crate::value::{LaneMask, Logic, Pv256, Pv64, SimBackend};
 
@@ -208,14 +209,18 @@ pub struct FaultSim {
 }
 
 /// The simulator's execution scratch: the propagation arena (built by the
-/// first step) and per-width outcome slots. Nothing here outlives a step's
-/// meaning, so a clone starts empty and builds its own on demand.
+/// first step), per-width outcome slots, and the good frames a score
+/// computes. Nothing here outlives a step's meaning, so a clone starts
+/// empty and builds its own on demand.
 #[derive(Debug, Default)]
 struct Engine {
     /// The simulator's own propagation arena, shared by both widths.
     arena: Option<Arena>,
     /// Per-frame outcome slots, reused across steps.
     slots: OutcomeSlots,
+    /// The good frames of the candidates one scored group carries: per
+    /// candidate, per frame, the net values and then the next state.
+    good: Vec<Logic>,
 }
 
 impl Clone for Engine {
@@ -358,6 +363,14 @@ impl FaultSim {
         self.instruments.as_ref()
     }
 
+    /// Adopts `handle` as this simulator's span slot, so a clone driven
+    /// from a new thread can record into a slot an earlier clone registered
+    /// instead of registering one of its own. The handle must not be driven
+    /// from another thread at the same time.
+    pub fn set_span_handle(&mut self, handle: SpanHandle) {
+        self.probe = Some(handle);
+    }
+
     /// This simulator's span handle, registering a per-thread slot with the
     /// collector on first use. `None` when uninstrumented.
     fn probe(&mut self) -> Option<SpanHandle> {
@@ -418,6 +431,9 @@ impl FaultSim {
     /// lists a fault an earlier vector detected, that fault is simulated
     /// again from the good state and may be detected, and reported, again;
     /// its status stamps the latest detecting vector.
+    ///
+    /// [`FaultSim::score`] returns the same reports without advancing the
+    /// simulator; this is the reference it is held against.
     ///
     /// # Panics
     ///
@@ -515,16 +531,18 @@ impl FaultSim {
             });
         }
         self.vectors_applied += vectors.len() as u32;
-        let frames: Vec<GoodFrame<'_>> = snapshots
+        let frames: Vec<SlotFrames<'_, 1>> = snapshots
             .iter()
-            .map(|s| GoodFrame {
-                values: s.values(),
-                next_state: s.next_state(),
+            .map(|s| {
+                [GoodFrame {
+                    values: s.values(),
+                    next_state: s.next_state(),
+                }]
             })
-            .chain([GoodFrame {
+            .chain([[GoodFrame {
                 values: self.good.values(),
                 next_state: self.good.next_states(),
-            }])
+            }]])
             .collect();
 
         // The width match is the per-step backend dispatch; everything
@@ -534,8 +552,8 @@ impl FaultSim {
         let lanes = width.lanes();
         let ngroups = targets.len().div_ceil(lanes) as u64;
         let run_groups = match width {
-            SimBackend::Scalar64 => run_groups::<Pv64>,
-            _ => run_groups::<Pv256>,
+            SimBackend::Scalar64 => run_groups::<Pv64, 1>,
+            _ => run_groups::<Pv256, 1>,
         };
         let (scratch_bytes, events_amortized) = run_groups(
             &self.circuit,
@@ -546,11 +564,15 @@ impl FaultSim {
             &self.empty_ff,
             before.as_deref(),
             targets,
-            sample.is_none(),
+            if sample.is_none() {
+                WindowKind::Full
+            } else {
+                WindowKind::Sampled
+            },
             &frames,
             &mut self.engine,
             probe.as_ref(),
-            &mut reports,
+            std::slice::from_mut(&mut reports),
         );
         if let Some(counters) = &self.counters {
             for report in &reports {
@@ -585,6 +607,181 @@ impl FaultSim {
                 .retain(|f| matches!(status[f.index()], FaultStatus::Undetected));
         }
         reports
+    }
+
+    /// Scores candidate windows over `sample` from the simulator's current
+    /// state, and changes nothing: candidate `c`'s reports are the ones
+    /// `step_sampled(candidates[c], sample)` would return from this state —
+    /// every field but `gate_evals` — while the good machine, the detection
+    /// status, the active list, the faulty flip-flop state and
+    /// `vectors_applied` stay as they are. So a caller that scores a GA
+    /// batch from a checkpoint need not restore between candidates.
+    ///
+    /// Each candidate's good frames are computed in reused scratch. Where
+    /// the sample fits two 64-lane words, consecutive candidates share
+    /// 256-lane fault groups, each in its own word-aligned slot
+    /// ([`SimBackend::score_slots`]); a group's `gate_evals` are reported
+    /// on its first candidate's frames. A candidate left alone runs at
+    /// [`SimBackend::for_step`]'s width, as for `step_sampled`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the candidates differ in length, or if any vector's length
+    /// differs from `circuit.num_inputs()`.
+    pub fn score<V: AsRef<[Logic]>>(
+        &mut self,
+        candidates: &[&[V]],
+        sample: &[FaultId],
+    ) -> Vec<Vec<StepReport>> {
+        let frames = candidates.first().map_or(0, |c| c.len());
+        assert!(
+            candidates.iter().all(|c| c.len() == frames),
+            "every scored candidate must have the same number of vectors"
+        );
+        let mut reports: Vec<Vec<StepReport>> = vec![Vec::new(); candidates.len()];
+        if frames == 0 {
+            return reports;
+        }
+        let probe = self.probe();
+        let _step_span = probe.as_ref().map(|p| p.enter(SpanKind::SimStep));
+        let slots = self.backend.score_slots(sample.len(), &self.circuit);
+        let alone = self.backend.for_step(sample.len(), &self.circuit);
+        let mut good = std::mem::take(&mut self.engine.good);
+        let (mut scratch_bytes, mut events_amortized) = (0, 0);
+        let mut start = 0;
+        while start < candidates.len() {
+            let used = slots.min(candidates.len() - start);
+            let group_reports = &mut reports[start..start + used];
+            self.good_frames(&candidates[start..start + used], &mut good, group_reports);
+            let score_group = match (used, slots, alone) {
+                (1, _, SimBackend::Scalar64) => Self::score_group::<Pv64, 1>,
+                (1, ..) => Self::score_group::<Pv256, 1>,
+                (_, 2, _) => Self::score_group::<Pv256, 2>,
+                _ => Self::score_group::<Pv256, 4>,
+            };
+            let (bytes, amortized) =
+                score_group(self, &good, frames, sample, probe.as_ref(), group_reports);
+            scratch_bytes += bytes;
+            events_amortized += amortized;
+            start += used;
+        }
+        self.engine.good = good;
+        if let Some(counters) = &self.counters {
+            for report in reports.iter().flatten() {
+                counters.record_step(report.gate_evals, report.good_events, report.faulty_events);
+            }
+            counters.record_scratch_reuse(scratch_bytes);
+            counters.record_events_amortized(events_amortized);
+        }
+        for report in reports.iter_mut().flatten() {
+            report.newly_detected.sort_unstable();
+            report.newly_detected.dedup();
+        }
+        reports
+    }
+
+    /// Computes the good frames of `candidates` into `good`, from the
+    /// simulator's good machine, which it leaves untouched: candidate `c`'s
+    /// frame `f` holds the net values and then the next state, at
+    /// `(c * frames + f) * (nets + flip-flops)`. Pushes each frame's
+    /// good-machine report fields to the candidate's `reports`.
+    fn good_frames<V: AsRef<[Logic]>>(
+        &self,
+        candidates: &[&[V]],
+        good: &mut Vec<Logic>,
+        reports: &mut [Vec<StepReport>],
+    ) {
+        let (values, next_state) = (self.good.values(), self.good.next_states());
+        let nets = values.len();
+        let frame_len = nets + next_state.len();
+        let window_len = candidates[0].len() * frame_len;
+        good.resize(candidates.len() * window_len, Logic::X);
+        for ((candidate, window), reports) in candidates
+            .iter()
+            .zip(good.chunks_exact_mut(window_len))
+            .zip(reports)
+        {
+            window[..nets].copy_from_slice(values);
+            window[nets..frame_len].copy_from_slice(next_state);
+            for (f, vector) in candidate.iter().enumerate() {
+                let vector = vector.as_ref();
+                assert_eq!(
+                    vector.len(),
+                    self.circuit.num_inputs(),
+                    "vector length must match the primary input count"
+                );
+                let at = f * frame_len;
+                if f > 0 {
+                    window.copy_within(at - frame_len..at, at);
+                }
+                let (values, next_state) = window[at..at + frame_len].split_at_mut(nets);
+                let good_report = advance(
+                    &self.circuit,
+                    self.good.levelization(),
+                    values,
+                    next_state,
+                    vector,
+                );
+                reports.push(StepReport {
+                    good_events: good_report.events,
+                    gate_evals: self.comb_gates,
+                    good: good_report,
+                    ..StepReport::default()
+                });
+            }
+        }
+    }
+
+    /// Scores the candidates whose good frames [`FaultSim::good_frames`]
+    /// left in `good` against `sample`, in `K`-slot groups of width `P`
+    /// (one slot per candidate), merging into their `reports`. Returns
+    /// `(scratch_bytes, events_amortized)`.
+    fn score_group<P: GroupWidth, const K: usize>(
+        &mut self,
+        good: &[Logic],
+        frames: usize,
+        sample: &[FaultId],
+        probe: Option<&SpanHandle>,
+        reports: &mut [Vec<StepReport>],
+    ) -> (u64, u64) {
+        let nets = self.circuit.num_gates();
+        let frame_len = nets + self.circuit.num_dffs();
+        // Unused slots replay the first candidate's frames; no lane of
+        // theirs carries a fault, so they only ever hold good values.
+        let slot_frames: Vec<SlotFrames<'_, K>> = (0..frames)
+            .map(|f| {
+                std::array::from_fn(|slot| {
+                    let slot = if slot < reports.len() { slot } else { 0 };
+                    let at = (slot * frames + f) * frame_len;
+                    GoodFrame {
+                        values: &good[at..at + nets],
+                        next_state: &good[at + nets..at + frame_len],
+                    }
+                })
+            })
+            .collect();
+        let before = (self.faults.model() == FaultModel::Transition).then(|| self.good.values());
+        if let Some(counters) = &self.counters {
+            if P::LANES > 64 {
+                let groups = sample.len().div_ceil(P::LANES / K);
+                counters.record_backend_groups(P::LANES as u64, (groups * frames) as u64);
+            }
+        }
+        run_groups::<P, K>(
+            &self.circuit,
+            self.good.levelization(),
+            &self.faults,
+            &mut self.faulty_ff,
+            &mut self.ff_entries,
+            &self.empty_ff,
+            before,
+            sample,
+            WindowKind::Score,
+            &slot_frames,
+            &mut self.engine,
+            probe,
+            reports,
+        )
     }
 
     /// Saves the complete simulator state (good machine, faulty machines,
@@ -756,15 +953,18 @@ impl FaultSim {
     }
 }
 
-/// Replays every `P::LANES`-fault group of `targets` across `frames` and
-/// merges each group's per-frame outcomes into `reports` before simulating
-/// the next group. `before` is the good state ahead of the first frame, for
-/// transition lists; `drop_detected` masks detected faults out of later
-/// frames (full-list windows; see
+/// Replays every `P::LANES / K`-fault group of `targets` across `frames`
+/// and merges each group's per-frame outcomes into `reports` before
+/// simulating the next group. `reports` holds one report list per slot a
+/// group fills: with one slot the window's own, with several the scored
+/// candidates', slot `s`'s lanes merging into `reports[s]` and each group's
+/// `gate_evals` into `reports[0]`. `before` is the good state ahead of the
+/// first frame, for transition lists; `kind` says how detected lanes carry
+/// on and whether the window's faulty-FF state is written back (see
 /// [`simulate_group`](crate::group::simulate_group)).
 ///
 /// Returns `(scratch_bytes, events_amortized)`. The merge walks
-/// groups **in group order**, and lane order within a group is fault
+/// groups **in group order**, and lane order within a slot is fault
 /// order, so `newly_detected` and every report field except `gate_evals`
 /// come out identical at every lane width; `po_detections` is additionally
 /// sorted per frame into `(fault, po)` order because its emission order
@@ -773,7 +973,7 @@ impl FaultSim {
 /// faults' state — so a group is merged as soon as it is simulated, and
 /// the outcome slots hold one group's frames at a time.
 #[allow(clippy::too_many_arguments)]
-fn run_groups<P: GroupWidth>(
+fn run_groups<P: GroupWidth, const K: usize>(
     circuit: &Circuit,
     lev: &Levelization,
     faults: &FaultList,
@@ -782,11 +982,11 @@ fn run_groups<P: GroupWidth>(
     empty_ff: &FaultyFfState,
     before: Option<&[Logic]>,
     targets: &[FaultId],
-    drop_detected: bool,
-    frames: &[GoodFrame<'_>],
+    kind: WindowKind,
+    frames: &[SlotFrames<'_, K>],
     engine: &mut Engine,
     probe: Option<&SpanHandle>,
-    reports: &mut [StepReport],
+    reports: &mut [Vec<StepReport>],
 ) -> (u64, u64) {
     let arena = engine.arena.get_or_insert_with(|| Arena::new(circuit, lev));
     let outcomes = P::outcomes(&mut engine.slots);
@@ -794,9 +994,11 @@ fn run_groups<P: GroupWidth>(
         outcomes.resize_with(frames.len(), GroupOutcome::default);
     }
     let outcomes = &mut outcomes[..frames.len()];
+    let stride = P::LANES / K;
+    let used = reports.len();
     let mut scratch_bytes = 0u64;
     let mut events_amortized = 0u64;
-    for group in targets.chunks(P::LANES) {
+    for group in targets.chunks(stride) {
         let ctx = GroupCtx {
             circuit,
             lev,
@@ -805,23 +1007,33 @@ fn run_groups<P: GroupWidth>(
             empty_ff,
             before,
         };
-        P::simulate(&ctx, frames, group, drop_detected, arena, outcomes);
+        P::simulate(&ctx, frames, group, used, kind, arena, outcomes);
         let _merge_span = probe.map(|p| p.enter(SpanKind::Merge));
-        for (report, out) in reports.iter_mut().zip(outcomes.iter_mut()) {
-            report.gate_evals += out.gate_evals;
-            report.faulty_events += out.faulty_events;
-            report.ff_effect_pairs += out.ff_effect_pairs;
-            report.ff_effect_faults += out.ff_effect_faults;
-            report.launched += out.launched;
+        for (f, out) in outcomes.iter_mut().enumerate() {
+            reports[0][f].gate_evals += out.gate_evals;
             scratch_bytes += out.scratch_bytes;
             events_amortized += out.events_amortized;
-            for &(lane, po) in &out.po_detections {
-                report.po_detections.push((group[lane as usize], po));
+            for (slot, reports) in reports.iter_mut().enumerate() {
+                let report = &mut reports[f];
+                report.faulty_events += out.faulty_events[slot];
+                report.ff_effect_pairs += out.ff_effect_pairs[slot];
+                report.ff_effect_faults += out.ff_effect_faults[slot];
+                report.launched += out.launched[slot];
             }
-            out.detected_mask
-                .for_each(|lane| report.newly_detected.push(group[lane]));
-            // Only the window's last frame carries new faulty-FF state
-            // (earlier frames leave `new_ff` empty, so the zip skips them).
+            for &(lane, po) in &out.po_detections {
+                let lane = lane as usize;
+                reports[lane / stride][f]
+                    .po_detections
+                    .push((group[lane % stride], po));
+            }
+            out.detected_mask.for_each(|lane| {
+                reports[lane / stride][f]
+                    .newly_detected
+                    .push(group[lane % stride])
+            });
+            // Only a writing window's last frame carries new faulty-FF
+            // state (other frames, and scores, leave `new_ff` empty, so the
+            // zip skips them).
             for (slot, &fid) in out.new_ff.iter_mut().zip(group) {
                 if let Some(entry) = slot.take() {
                     let idx = fid.index();
@@ -832,7 +1044,7 @@ fn run_groups<P: GroupWidth>(
             }
         }
     }
-    for report in reports.iter_mut() {
+    for report in reports.iter_mut().flatten() {
         report.po_detections.sort_unstable();
     }
     (scratch_bytes, events_amortized)

@@ -66,6 +66,65 @@ fn fold_gate(kind: GateKind, fanin: &[NetId], values: &[Logic]) -> Logic {
     FROM_PLANES[usize::from(zero << 1 | one)]
 }
 
+/// Advances a good machine held in `values` (one per net) and
+/// `next_state` (one per flip-flop) by one frame under `vector`: latches
+/// the flip-flops, drives the inputs, folds every combinational gate in
+/// level order, and computes the next state. [`GoodSim::apply`] runs it on
+/// its own state; a batch scorer runs it on scratch copies, so the
+/// simulator's good machine stays where it is.
+pub(crate) fn advance(
+    circuit: &Circuit,
+    lev: &Levelization,
+    values: &mut [Logic],
+    next_state: &mut [Logic],
+    vector: &[Logic],
+) -> GoodStepReport {
+    let mut events = 0u64;
+    let mut set = |slot: &mut Logic, v: Logic| {
+        events += u64::from(*slot != v);
+        *slot = v;
+    };
+
+    // Latch: flip-flop outputs take the next-state computed last frame.
+    for (i, &ff) in circuit.dffs().iter().enumerate() {
+        set(&mut values[ff.index()], next_state[i]);
+    }
+
+    // Drive primary inputs.
+    for (i, &pi) in circuit.inputs().iter().enumerate() {
+        set(&mut values[pi.index()], vector[i]);
+    }
+
+    // Evaluate combinational gates in level order, sweeping the
+    // schedule-ordered CSR: records and the fan-in arena are read
+    // contiguously, and each gate folds on bit planes.
+    for (gate, kind, fanin) in lev.comb_records() {
+        let v = fold_gate(kind, fanin, values);
+        set(&mut values[gate.index()], v);
+    }
+
+    // Compute next flip-flop state from D inputs.
+    let mut ffs_set = 0;
+    let mut ffs_changed = 0;
+    for (i, &ff) in circuit.dffs().iter().enumerate() {
+        let d = circuit.fanin(ff)[0];
+        let v = values[d.index()];
+        if v.is_known() {
+            ffs_set += 1;
+        }
+        if v != values[ff.index()] {
+            ffs_changed += 1;
+        }
+        next_state[i] = v;
+    }
+
+    GoodStepReport {
+        events,
+        ffs_set,
+        ffs_changed,
+    }
+}
+
 /// Snapshot of a [`GoodSim`]'s mutable state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GoodSimState {
@@ -175,51 +234,13 @@ impl GoodSim {
             self.circuit.num_inputs(),
             "vector length must match the primary input count"
         );
-        let mut events = 0u64;
-        let mut set = |slot: &mut Logic, v: Logic| {
-            events += u64::from(*slot != v);
-            *slot = v;
-        };
-
-        // Latch: flip-flop outputs take the next-state computed last frame.
-        let circuit = Arc::clone(&self.circuit);
-        for (i, &ff) in circuit.dffs().iter().enumerate() {
-            set(&mut self.values[ff.index()], self.next_state[i]);
-        }
-
-        // Drive primary inputs.
-        for (i, &pi) in circuit.inputs().iter().enumerate() {
-            set(&mut self.values[pi.index()], vector[i]);
-        }
-
-        // Evaluate combinational gates in level order, sweeping the
-        // schedule-ordered CSR: records and the fan-in arena are read
-        // contiguously, and each gate folds on bit planes.
-        for (gate, kind, fanin) in self.lev.comb_records() {
-            let v = fold_gate(kind, fanin, &self.values);
-            set(&mut self.values[gate.index()], v);
-        }
-
-        // Compute next flip-flop state from D inputs.
-        let mut ffs_set = 0;
-        let mut ffs_changed = 0;
-        for (i, &ff) in circuit.dffs().iter().enumerate() {
-            let d = circuit.fanin(ff)[0];
-            let v = self.values[d.index()];
-            if v.is_known() {
-                ffs_set += 1;
-            }
-            if v != self.values[ff.index()] {
-                ffs_changed += 1;
-            }
-            self.next_state[i] = v;
-        }
-
-        GoodStepReport {
-            events,
-            ffs_set,
-            ffs_changed,
-        }
+        advance(
+            &self.circuit,
+            &self.lev,
+            &mut self.values,
+            &mut self.next_state,
+            vector,
+        )
     }
 
     /// The current value of a net in this frame.

@@ -57,6 +57,15 @@
 //! every helper the group calls is inlined into it, so the plane loads,
 //! blends, folds, compares and stores of the whole group use 256-bit
 //! registers.
+//!
+//! A group may also carry several scored candidates at once
+//! ([`FaultSim::score`](crate::FaultSim::score)): its words split into `K`
+//! word-aligned slots, and each slot replays one candidate's fault sample
+//! against that candidate's own good frames ([`SlotFrames`]). Every good-value read then
+//! broadcasts, per 64-lane word, the value of the word's slot; lanes never
+//! interact, so each slot's outcome is what its candidate would get alone.
+//! `K` is a const parameter, and with `K = 1` every slot read folds back to
+//! one broadcast.
 
 use std::sync::Arc;
 
@@ -94,7 +103,7 @@ pub(crate) struct GroupCtx<'a> {
 /// One good-machine frame a group replays against: net values after the
 /// combinational settle plus the latched next state, as slices so both the
 /// live [`GoodSim`](crate::GoodSim) (a window's last frame) and stored
-/// snapshots (its earlier frames) can back it.
+/// snapshots or scratch buffers (its earlier frames) can back it.
 #[derive(Clone, Copy)]
 pub(crate) struct GoodFrame<'a> {
     /// Net values after the frame, one per net.
@@ -103,10 +112,98 @@ pub(crate) struct GoodFrame<'a> {
     pub next_state: &'a [Logic],
 }
 
+/// One window frame of a `K`-slot group: the good frame each slot replays.
+/// Slot `s` owns the group's 64-lane words `s * P::WORDS / K ..` up to the
+/// next slot's, so every word reads exactly one slot's good values.
+pub(crate) type SlotFrames<'a, const K: usize> = [GoodFrame<'a>; K];
+
+/// The most slots a group splits into: one candidate per 64-lane word of a
+/// 256-lane group.
+pub(crate) const MAX_SLOTS: usize = 4;
+
+/// The slot that owns 64-lane word `w` of a `K`-slot group at width `P`.
+#[inline(always)]
+fn slot_of_word<P: PackedValue, const K: usize>(w: usize) -> usize {
+    w * K / P::WORDS
+}
+
+/// The good word of net `i` in `frame`: the broadcast good value, or with
+/// several slots each word broadcasting its own slot's value.
+#[inline(always)]
+fn good_value<P: PackedValue, const K: usize>(frame: &SlotFrames<'_, K>, i: usize) -> P {
+    if K == 1 {
+        P::broadcast(frame[0].values[i])
+    } else {
+        P::broadcast_words(|w| frame[slot_of_word::<P, K>(w)].values[i])
+    }
+}
+
+/// The good next-state word of flip-flop `dff_idx` in `frame`, read per
+/// slot like [`good_value`].
+#[inline(always)]
+fn good_next<P: PackedValue, const K: usize>(frame: &SlotFrames<'_, K>, dff_idx: usize) -> P {
+    if K == 1 {
+        P::broadcast(frame[0].next_state[dff_idx])
+    } else {
+        P::broadcast_words(|w| frame[slot_of_word::<P, K>(w)].next_state[dff_idx])
+    }
+}
+
+/// Adds the lanes of `mask` to `counts`, per slot: one count with one slot,
+/// one popcount per word into its slot's count otherwise. Callers count
+/// into locals and add them to a [`GroupOutcome`] once per frame.
+#[inline(always)]
+fn count_per_slot<P: PackedValue, const K: usize>(mask: P::Mask, counts: &mut [u64; MAX_SLOTS]) {
+    if K == 1 {
+        counts[0] += u64::from(mask.count());
+    } else {
+        for w in 0..P::WORDS {
+            counts[slot_of_word::<P, K>(w)] += u64::from(mask.word(w).count_ones());
+        }
+    }
+}
+
+/// The lanes of a `K`-slot group that carry faults: the first `n` lanes of
+/// each of the first `used` slots.
+#[inline(always)]
+fn slot_lanes<P: PackedValue, const K: usize>(n: usize, used: usize) -> P::Mask {
+    if K == 1 {
+        return P::Mask::low(n);
+    }
+    let words = P::WORDS / K;
+    P::Mask::from_words(|w| {
+        let lanes = n.saturating_sub(w % words * 64).min(64);
+        if w / words < used {
+            <u64 as LaneMask>::low(lanes)
+        } else {
+            0
+        }
+    })
+}
+
+/// What a window does with a lane its frame detected, and with the carried
+/// faulty flip-flop state at its end.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum WindowKind {
+    /// A full-list window: a detected lane leaves the later frames, as its
+    /// dropped fault leaves the active list. The last frame materializes
+    /// the surviving lanes' state.
+    Full,
+    /// A sampled step: a detected lane restarts from the good state and
+    /// stays live, since the sample still lists its fault. The last frame
+    /// materializes the state.
+    Sampled,
+    /// A score: simulated like [`WindowKind::Sampled`], but nothing is
+    /// materialized, since the simulator keeps its state.
+    Score,
+}
+
 /// What one group simulation produced, in lane-relative terms.
 ///
-/// Lanes are indices into the group (`0..group.len()`); the simulator's
-/// merge translates them back to [`FaultId`]s. Outcomes are reused across
+/// Lanes are indices into the group: slot `s`'s fault `j` rides lane
+/// `s * P::LANES / K + j`, which with one slot is `j`. The simulator's
+/// merge translates them back to [`FaultId`]s and candidates. The counts
+/// are kept per slot (index 0 with one slot). Outcomes are reused across
 /// steps: [`GroupOutcome::reset`] clears the vectors without releasing
 /// their capacity.
 #[derive(Debug, Default, Clone)]
@@ -115,12 +212,13 @@ pub(crate) struct GroupOutcome<P: PackedValue> {
     pub detected_mask: P::Mask,
     /// `(lane, po index)` detection syndrome, in primary-output order.
     pub po_detections: Vec<(u32, u16)>,
-    /// Fault effects latched into flip-flops, as (fault, flip-flop) pairs.
-    pub ff_effect_pairs: u64,
-    /// Distinct lanes with at least one effect at a flip-flop.
-    pub ff_effect_faults: u64,
-    /// Faulty-circuit events over the group's packed machines.
-    pub faulty_events: u64,
+    /// Fault effects latched into flip-flops, as (fault, flip-flop) pairs,
+    /// per slot.
+    pub ff_effect_pairs: [u64; MAX_SLOTS],
+    /// Distinct lanes with at least one effect at a flip-flop, per slot.
+    pub ff_effect_faults: [u64; MAX_SLOTS],
+    /// Faulty-circuit events over the group's packed machines, per slot.
+    pub faulty_events: [u64; MAX_SLOTS],
     /// Lane events served by an evaluation shared with another lane: at
     /// every changed gate, all diverged lanes beyond the first ride the one
     /// packed evaluation the shared per-group schedule issued.
@@ -128,8 +226,8 @@ pub(crate) struct GroupOutcome<P: PackedValue> {
     /// Packed faulty gate re-evaluations.
     pub gate_evals: u64,
     /// Live lanes whose transition fault launched (forced its site) this
-    /// frame; always 0 for stuck-at lists.
-    pub launched: u64,
+    /// frame, per slot; always 0 for stuck-at lists.
+    pub launched: [u64; MAX_SLOTS],
     /// Estimated bytes served from reused scratch this group (telemetry).
     pub scratch_bytes: u64,
     /// Replacement sparse faulty-FF state per lane, filled on a window's
@@ -145,12 +243,12 @@ impl<P: PackedValue> GroupOutcome<P> {
     fn reset(&mut self) {
         self.detected_mask = P::Mask::EMPTY;
         self.po_detections.clear();
-        self.ff_effect_pairs = 0;
-        self.ff_effect_faults = 0;
-        self.faulty_events = 0;
+        self.ff_effect_pairs = [0; MAX_SLOTS];
+        self.ff_effect_faults = [0; MAX_SLOTS];
+        self.faulty_events = [0; MAX_SLOTS];
         self.events_amortized = 0;
         self.gate_evals = 0;
-        self.launched = 0;
+        self.launched = [0; MAX_SLOTS];
         self.scratch_bytes = 0;
         self.new_ff.clear();
     }
@@ -164,15 +262,16 @@ pub(crate) trait GroupWidth: PackedValue {
     fn outcomes(slots: &mut OutcomeSlots) -> &mut Vec<GroupOutcome<Self>>;
 
     /// Simulates one group at this width ([`simulate_group`]).
-    fn simulate(
+    fn simulate<const K: usize>(
         ctx: &GroupCtx<'_>,
-        frames: &[GoodFrame<'_>],
+        frames: &[SlotFrames<'_, K>],
         group: &[FaultId],
-        drop_detected: bool,
+        used: usize,
+        kind: WindowKind,
         arena: &mut Arena,
         outs: &mut [GroupOutcome<Self>],
     ) {
-        simulate_group(ctx, frames, group, drop_detected, arena, outs);
+        simulate_group(ctx, frames, group, used, kind, arena, outs);
     }
 }
 
@@ -189,20 +288,21 @@ impl GroupWidth for Pv256 {
 
     /// Runs the AVX2 clone of [`simulate_group`] where the arena found AVX2,
     /// the portable instance elsewhere. Both are bit-identical.
-    fn simulate(
+    fn simulate<const K: usize>(
         ctx: &GroupCtx<'_>,
-        frames: &[GoodFrame<'_>],
+        frames: &[SlotFrames<'_, K>],
         group: &[FaultId],
-        drop_detected: bool,
+        used: usize,
+        kind: WindowKind,
         arena: &mut Arena,
         outs: &mut [GroupOutcome<Pv256>],
     ) {
         #[cfg(target_arch = "x86_64")]
         if arena.avx2 {
             // SAFETY: `arena.avx2` is set only when the host supports AVX2.
-            return unsafe { simulate_group_avx2(ctx, frames, group, drop_detected, arena, outs) };
+            return unsafe { simulate_group_avx2(ctx, frames, group, used, kind, arena, outs) };
         }
-        simulate_group(ctx, frames, group, drop_detected, arena, outs);
+        simulate_group(ctx, frames, group, used, kind, arena, outs);
     }
 }
 
@@ -215,15 +315,16 @@ impl GroupWidth for Pv256 {
 /// The host must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn simulate_group_avx2(
+unsafe fn simulate_group_avx2<const K: usize>(
     ctx: &GroupCtx<'_>,
-    frames: &[GoodFrame<'_>],
+    frames: &[SlotFrames<'_, K>],
     group: &[FaultId],
-    drop_detected: bool,
+    used: usize,
+    kind: WindowKind,
     arena: &mut Arena,
     outs: &mut [GroupOutcome<Pv256>],
 ) {
-    simulate_group(ctx, frames, group, drop_detected, arena, outs);
+    simulate_group(ctx, frames, group, used, kind, arena, outs);
 }
 
 /// Reusable per-frame outcome slots, one vector per width, kept across
@@ -301,9 +402,16 @@ pub(crate) struct Arena {
     branch_range: Vec<(u32, u32)>,
     /// Forcing stamp for `branch_range`.
     branch_stamp: Vec<u32>,
-    /// Sort buffer for stem faults: `(net, lane, stuck)`.
+    /// The group's stem fault sites sorted by net: `(net, fault, stuck)`,
+    /// `fault` indexing the group.
+    stem_sites: Vec<(NetId, u32, Logic)>,
+    /// The group's branch fault sites sorted by gate: `(gate, pin, fault,
+    /// stuck)`.
+    branch_sites: Vec<(NetId, u16, u32, Logic)>,
+    /// The admitted stem forces, sorted by net: `(net, lane, stuck)`.
     stem_tmp: Vec<(NetId, u32, Logic)>,
-    /// Sort buffer for branch faults: `(gate, pin, lane, stuck)`.
+    /// The admitted branch forces, sorted by gate: `(gate, pin, lane,
+    /// stuck)`.
     branch_tmp: Vec<(NetId, u16, u32, Logic)>,
     /// Flip-flop nets seeded from the sparse per-fault state this frame.
     seeded: Vec<NetId>,
@@ -350,6 +458,8 @@ impl Arena {
             branch_entries: Vec::new(),
             branch_range: vec![(0, 0); n],
             branch_stamp: vec![0; n],
+            stem_sites: Vec::new(),
+            branch_sites: Vec::new(),
             stem_tmp: Vec::new(),
             branch_tmp: Vec::new(),
             seeded: Vec::new(),
@@ -399,15 +509,15 @@ impl Arena {
     }
 
     /// The faulty word of `net` for the current group, defaulting to the
-    /// broadcast good value (`values[net]`) if the net has not diverged.
+    /// good word ([`good_value`]) if the net has not diverged.
     #[inline(always)]
-    fn effective<P: PackedValue>(&self, values: &[Logic], net: NetId) -> P {
+    fn effective<P: PackedValue, const K: usize>(&self, good: &SlotFrames<'_, K>, net: NetId) -> P {
         let i = net.index();
         if self.fstamp[i] == self.stamp {
             let at = i * P::WORDS;
             P::load_planes(&self.fzero[at..], &self.fone[at..])
         } else {
-            P::broadcast(values[i])
+            good_value(good, i)
         }
     }
 
@@ -415,14 +525,14 @@ impl Arena {
     /// group's word of `src` with the gate's branch `forces` on that pin
     /// applied.
     #[inline(always)]
-    fn input<P: PackedValue>(
+    fn input<P: PackedValue, const K: usize>(
         &self,
-        values: &[Logic],
+        good: &SlotFrames<'_, K>,
         src: NetId,
         pin: usize,
         forces: &[(u16, u32, Logic)],
     ) -> P {
-        let mut word: P = self.effective(values, src);
+        let mut word: P = self.effective(good, src);
         for &(at, lane, stuck) in forces {
             if usize::from(at) == pin {
                 word.set_lane(lane as usize, stuck);
@@ -434,9 +544,9 @@ impl Arena {
     /// Folds `op` over the words gate `gate` reads on its inputs `fanin`,
     /// from `init`, as they are read: no fan-in buffer.
     #[inline(always)]
-    fn fold<P: PackedValue>(
+    fn fold<P: PackedValue, const K: usize>(
         &self,
-        values: &[Logic],
+        good: &SlotFrames<'_, K>,
         fanin: &[NetId],
         forces: &[(u16, u32, Logic)],
         init: P,
@@ -444,7 +554,7 @@ impl Arena {
     ) -> P {
         let mut acc = init;
         for (pin, &src) in fanin.iter().enumerate() {
-            acc = op(acc, self.input(values, src, pin, forces));
+            acc = op(acc, self.input(good, src, pin, forces));
         }
         acc
     }
@@ -454,23 +564,23 @@ impl Arena {
     /// swaps the planes of the fold. Agrees with
     /// [`eval_packed`](crate::eval::eval_packed).
     #[inline(always)]
-    fn eval_gate<P: PackedValue>(
+    fn eval_gate<P: PackedValue, const K: usize>(
         &self,
-        values: &[Logic],
+        good: &SlotFrames<'_, K>,
         gate: NetId,
         kind: GateKind,
         fanin: &[NetId],
     ) -> P {
         let forces = self.branch_forces(gate);
         match kind {
-            GateKind::And => self.fold(values, fanin, forces, P::ALL_ONE, P::and),
-            GateKind::Nand => self.fold(values, fanin, forces, P::ALL_ONE, P::and).not(),
-            GateKind::Or => self.fold(values, fanin, forces, P::ALL_ZERO, P::or),
-            GateKind::Nor => self.fold(values, fanin, forces, P::ALL_ZERO, P::or).not(),
-            GateKind::Xor => self.fold(values, fanin, forces, P::ALL_ZERO, P::xor),
-            GateKind::Xnor => self.fold(values, fanin, forces, P::ALL_ZERO, P::xor).not(),
-            GateKind::Not => self.input::<P>(values, fanin[0], 0, forces).not(),
-            GateKind::Buf => self.input(values, fanin[0], 0, forces),
+            GateKind::And => self.fold(good, fanin, forces, P::ALL_ONE, P::and),
+            GateKind::Nand => self.fold(good, fanin, forces, P::ALL_ONE, P::and).not(),
+            GateKind::Or => self.fold(good, fanin, forces, P::ALL_ZERO, P::or),
+            GateKind::Nor => self.fold(good, fanin, forces, P::ALL_ZERO, P::or).not(),
+            GateKind::Xor => self.fold(good, fanin, forces, P::ALL_ZERO, P::xor),
+            GateKind::Xnor => self.fold(good, fanin, forces, P::ALL_ZERO, P::xor).not(),
+            GateKind::Not => self.input::<P, K>(good, fanin[0], 0, forces).not(),
+            GateKind::Buf => self.input(good, fanin[0], 0, forces),
             GateKind::Const0 => P::ALL_ZERO,
             GateKind::Const1 => P::ALL_ONE,
             GateKind::Input | GateKind::Dff => {
@@ -491,13 +601,19 @@ impl Arena {
 
     /// Sets `lane` of flip-flop `ff` to the carried faulty value `v`. The
     /// first seed of a flip-flop this frame starts its word from the good
-    /// value; every seed then writes its one lane straight into the planes
+    /// word; every seed then writes its one lane straight into the planes
     /// (encoding: 0 = zero plane, 1 = one plane, X = neither).
     #[inline(always)]
-    fn seed<P: PackedValue>(&mut self, values: &[Logic], ff: NetId, lane: usize, v: Logic) {
+    fn seed<P: PackedValue, const K: usize>(
+        &mut self,
+        good: &SlotFrames<'_, K>,
+        ff: NetId,
+        lane: usize,
+        v: Logic,
+    ) {
         let i = ff.index();
         if self.fstamp[i] != self.stamp {
-            self.record(ff, P::broadcast(values[i]));
+            self.record(ff, good_value::<P, K>(good, i));
             self.seeded.push(ff);
         }
         let at = i * P::WORDS + lane / 64;
@@ -509,10 +625,14 @@ impl Arena {
     /// Schedules the fanout of every seeded flip-flop whose word diverged
     /// from the good value, once per flip-flop however many lanes it seeds.
     #[inline(always)]
-    fn schedule_seeded<P: PackedValue>(&mut self, lev: &Levelization, values: &[Logic]) {
+    fn schedule_seeded<P: PackedValue, const K: usize>(
+        &mut self,
+        lev: &Levelization,
+        good: &SlotFrames<'_, K>,
+    ) {
         let mut seeded = std::mem::take(&mut self.seeded);
         for &ff in &seeded {
-            if self.effective::<P>(values, ff) != P::broadcast(values[ff.index()]) {
+            if self.effective::<P, K>(good, ff) != good_value(good, ff.index()) {
                 self.schedule_fanout(lev, ff);
             }
         }
@@ -524,16 +644,16 @@ impl Arena {
     /// of the good word and the carried faulty word over the carried lanes
     /// still in `carry`. Returns whether any lane diverged.
     #[inline(always)]
-    fn seed_carried<P: PackedValue>(
+    fn seed_carried<P: PackedValue, const K: usize>(
         &mut self,
-        values: &[Logic],
+        good: &SlotFrames<'_, K>,
         ff: NetId,
         k: usize,
         carry: P::Mask,
     ) -> bool {
         let i = ff.index();
         let at = i * P::WORDS;
-        P::broadcast(values[i]).store_planes(&mut self.fzero[at..], &mut self.fone[at..]);
+        good_value::<P, K>(good, i).store_planes(&mut self.fzero[at..], &mut self.fone[at..]);
         let mut diverged = false;
         for w in 0..P::WORDS {
             let c = k * P::WORDS + w;
@@ -634,43 +754,76 @@ impl Arena {
 }
 
 /// Builds a group's stem/branch forcing tables from the lanes `forces`
-/// admits: advances the forcing stamp, sorts the admitted fault sites by net
-/// and publishes stamped `(start, end)` ranges over the sorted entry slices.
-/// Entry order within a net is ascending lane order (forced by the sort
-/// key), which matches the insertion order the old HashMap tables had.
-/// Returns the estimated scratch bytes served.
+/// admits, over `group`'s faults in each of the first `used` slots of
+/// `stride` lanes (`forces` sees the slot and the lane): advances the
+/// forcing stamp, sorts the admitted fault sites by net and publishes
+/// stamped `(start, end)` ranges over the sorted entry slices. Entry order
+/// within a net is ascending lane order (forced by the sort key), which
+/// matches the insertion order the old HashMap tables had. Returns the
+/// estimated scratch bytes served.
+///
+/// Every slot carries the same faults, so a group of several slots sorts
+/// its sites once, by net and fault, and lays each net's run out slot by
+/// slot; lanes grow with the slot, so the order is the same.
 fn publish_forcing(
     faults: &FaultList,
     group: &[FaultId],
+    used: usize,
+    stride: usize,
     arena: &mut Arena,
-    mut forces: impl FnMut(usize, Fault) -> bool,
+    mut forces: impl FnMut(usize, usize, Fault) -> bool,
 ) -> u64 {
     advance_stamp(
         &mut arena.force_stamp,
         [&mut arena.stem_stamp, &mut arena.branch_stamp],
     );
     let stamp = arena.force_stamp;
-    arena.stem_tmp.clear();
-    arena.branch_tmp.clear();
-    for (lane, &fid) in group.iter().enumerate() {
+    // One slot admits its lanes as it reads them, straight into the
+    // tables' sort buffers.
+    let (stem_sites, branch_sites) = if used == 1 {
+        (&mut arena.stem_tmp, &mut arena.branch_tmp)
+    } else {
+        (&mut arena.stem_sites, &mut arena.branch_sites)
+    };
+    stem_sites.clear();
+    branch_sites.clear();
+    for (j, &fid) in group.iter().enumerate() {
         let fault = faults.get(fid);
-        if !forces(lane, fault) {
+        if used == 1 && !forces(0, j, fault) {
             continue;
         }
-        let lane = lane as u32;
+        let j = j as u32;
         match fault.site {
-            FaultSite::Stem(net) => arena.stem_tmp.push((net, lane, fault.stuck)),
-            FaultSite::Branch { gate, pin } => {
-                arena.branch_tmp.push((gate, pin, lane, fault.stuck))
+            FaultSite::Stem(net) => stem_sites.push((net, j, fault.stuck)),
+            FaultSite::Branch { gate, pin } => branch_sites.push((gate, pin, j, fault.stuck)),
+        }
+    }
+    stem_sites.sort_unstable_by_key(|&(net, j, _)| (net.index(), j));
+    branch_sites.sort_unstable_by_key(|&(gate, _, j, _)| (gate.index(), j));
+    if used > 1 {
+        arena.stem_tmp.clear();
+        for run in arena.stem_sites.chunk_by(|a, b| a.0 == b.0) {
+            for slot in 0..used {
+                for &(net, j, stuck) in run {
+                    let lane = slot * stride + j as usize;
+                    if forces(slot, lane, faults.get(group[j as usize])) {
+                        arena.stem_tmp.push((net, lane as u32, stuck));
+                    }
+                }
+            }
+        }
+        arena.branch_tmp.clear();
+        for run in arena.branch_sites.chunk_by(|a, b| a.0 == b.0) {
+            for slot in 0..used {
+                for &(gate, pin, j, stuck) in run {
+                    let lane = slot * stride + j as usize;
+                    if forces(slot, lane, faults.get(group[j as usize])) {
+                        arena.branch_tmp.push((gate, pin, lane as u32, stuck));
+                    }
+                }
             }
         }
     }
-    arena
-        .stem_tmp
-        .sort_unstable_by_key(|&(net, lane, _)| (net.index(), lane));
-    arena
-        .branch_tmp
-        .sort_unstable_by_key(|&(gate, _, lane, _)| (gate.index(), lane));
     arena.stem_entries.clear();
     for i in 0..arena.stem_tmp.len() {
         let (net, lane, stuck) = arena.stem_tmp[i];
@@ -700,38 +853,43 @@ fn publish_forcing(
 }
 
 /// Seeds every lane's faulty flip-flop state from the shared copy-on-write
-/// table (a window's first frame), then schedules the fanout of each
-/// diverged flip-flop once.
+/// table (a window's first frame) — each of the first `used` slots seeds
+/// the same faults, since every slot starts from the same state — then
+/// schedules the fanout of each diverged flip-flop once.
 #[inline(always)]
-fn seed_from_table<P: PackedValue>(
+fn seed_from_table<P: PackedValue, const K: usize>(
     ctx: &GroupCtx<'_>,
     group: &[FaultId],
-    values: &[Logic],
+    used: usize,
+    good: &SlotFrames<'_, K>,
     arena: &mut Arena,
 ) {
     let dffs = ctx.circuit.dffs();
-    for (lane, &fid) in group.iter().enumerate() {
-        for &(dff_idx, v) in ctx.faulty_ff[fid.index()].iter() {
-            arena.seed::<P>(values, dffs[dff_idx as usize], lane, v);
+    let stride = P::LANES / K;
+    for slot in 0..used {
+        for (j, &fid) in group.iter().enumerate() {
+            for &(dff_idx, v) in ctx.faulty_ff[fid.index()].iter() {
+                arena.seed::<P, K>(good, dffs[dff_idx as usize], slot * stride + j, v);
+            }
         }
     }
-    arena.schedule_seeded::<P>(ctx.lev, values);
+    arena.schedule_seeded::<P, K>(ctx.lev, good);
 }
 
 /// Seeds a later window frame from the previous frame's packed carry, for
 /// the lanes in `carry`, and schedules the fanout of each flip-flop that
 /// diverged. The scan that follows overwrites the carry with this frame's.
 #[inline(always)]
-fn seed_from_carry<P: PackedValue>(
+fn seed_from_carry<P: PackedValue, const K: usize>(
     circuit: &Circuit,
     lev: &Levelization,
-    values: &[Logic],
+    good: &SlotFrames<'_, K>,
     carry: P::Mask,
     arena: &mut Arena,
 ) {
     for k in 0..arena.carry_dffs.len() {
         let ff = circuit.dffs()[arena.carry_dffs[k] as usize];
-        if arena.seed_carried::<P>(values, ff, k, carry) {
+        if arena.seed_carried::<P, K>(good, ff, k, carry) {
             arena.schedule_fanout(lev, ff);
         }
     }
@@ -749,15 +907,18 @@ fn seed_from_carry<P: PackedValue>(
 /// independent, so letting a dead lane keep propagating cannot perturb any
 /// live lane.) A window's first frame runs every group lane live.
 #[inline(always)]
-fn run_frame<P: GroupWidth>(
+fn run_frame<P: GroupWidth, const K: usize>(
     circuit: &Circuit,
     lev: &Levelization,
-    frame: GoodFrame<'_>,
+    frame: SlotFrames<'_, K>,
     live: P::Mask,
     arena: &mut Arena,
     out: &mut GroupOutcome<P>,
 ) {
-    let values = frame.values;
+    // The frame's slices, read at every good-value fallback, come in by
+    // value: a local whose address never leaves this frame's inlined code
+    // keeps them in registers across the arena's writes.
+    let good = &frame;
     let mut reused = 0u64;
 
     // Seed stem-fault injections (including faults on PIs and FF outputs,
@@ -766,7 +927,7 @@ fn run_frame<P: GroupWidth>(
     let mut i = 0;
     while i < arena.stem_tmp.len() {
         let net = arena.stem_tmp[i].0;
-        let word: P = arena.effective(values, net);
+        let word: P = arena.effective(good, net);
         let mut w = word;
         while i < arena.stem_tmp.len() && arena.stem_tmp[i].0 == net {
             let (_, lane, stuck) = arena.stem_tmp[i];
@@ -800,6 +961,11 @@ fn run_frame<P: GroupWidth>(
     // a higher bit in it), and each gate is evaluated once, after all of
     // its fan-ins. Gate kinds and fan-in slices come from the
     // schedule-ordered CSR record at the bit's position.
+    // The sweep counts faulty events in locals and adds them to the
+    // outcome once: a per-event add into the outcome's per-slot array, even
+    // at one slot, cost the 256-lane frame 5–9%.
+    let mut events = 0u64;
+    let mut slot_events = [0u64; MAX_SLOTS];
     let mut w = arena.lo_word;
     while w <= arena.hi_word {
         loop {
@@ -812,14 +978,18 @@ fn run_frame<P: GroupWidth>(
             out.gate_evals += 1;
             // What the original per-gate fan-in `Vec` would have held.
             reused += (fanin.len() * std::mem::size_of::<P>()) as u64;
-            let mut word: P = arena.eval_gate(values, gate, kind, fanin);
+            let mut word: P = arena.eval_gate(good, gate, kind, fanin);
             for &(lane, stuck) in arena.stem_forces(gate) {
                 word.set_lane(lane as usize, stuck);
             }
-            let old: P = arena.effective(values, gate);
+            let old: P = arena.effective(good, gate);
             if word != old {
-                let diff_lanes = u64::from(word.any_diff(old).and(live).count());
-                out.faulty_events += diff_lanes;
+                let diff = word.any_diff(old).and(live);
+                let diff_lanes = u64::from(diff.count());
+                events += diff_lanes;
+                if K > 1 {
+                    count_per_slot::<P, K>(diff, &mut slot_events);
+                }
                 // Every diverged lane beyond the first rode this one packed
                 // evaluation: that is the scheduling work the shared
                 // per-group schedule amortized away.
@@ -834,6 +1004,13 @@ fn run_frame<P: GroupWidth>(
         arena.sched.iter().all(|&bits| bits == 0),
         "the sweep leaves the schedule bitmap empty"
     );
+    if K == 1 {
+        out.faulty_events[0] += events;
+    } else {
+        for (total, events) in out.faulty_events.iter_mut().zip(slot_events) {
+            *total += events;
+        }
+    }
 
     // Detection at primary outputs: strict binary difference. The
     // per-output masks double as the diagnosis syndrome. An output the
@@ -842,8 +1019,8 @@ fn run_frame<P: GroupWidth>(
         if arena.fstamp[po.index()] != arena.stamp {
             continue;
         }
-        let goodw = P::broadcast(values[po.index()]);
-        let faultyw: P = arena.effective(values, po);
+        let goodw: P = good_value(good, po.index());
+        let faultyw: P = arena.effective(good, po);
         let mask = faultyw.binary_diff(goodw).and(live);
         out.detected_mask = out.detected_mask.or(mask);
         mask.for_each(|lane| out.po_detections.push((lane as u32, po_idx as u16)));
@@ -859,26 +1036,34 @@ fn run_frame<P: GroupWidth>(
     arena.carry_one.clear();
     arena.carry_mask.clear();
     let mut effect_lanes = P::Mask::EMPTY;
+    let mut pairs = [0u64; MAX_SLOTS];
     for (dff_idx, &ff) in circuit.dffs().iter().enumerate() {
         let d = circuit.fanin(ff)[0];
         let forces = arena.branch_forces(ff);
         if forces.is_empty() && arena.fstamp[d.index()] != arena.stamp {
             continue;
         }
-        let mut faultyw: P = arena.effective(values, d);
+        let mut faultyw: P = arena.effective(good, d);
         for &(pin, lane, stuck) in forces {
             debug_assert_eq!(pin, 0);
             faultyw.set_lane(lane as usize, stuck);
         }
-        let goodw = P::broadcast(frame.next_state[dff_idx]);
+        let goodw: P = good_next(good, dff_idx);
         let diff = faultyw.any_diff(goodw).and(live);
         if diff.any() {
             effect_lanes = effect_lanes.or(diff);
-            out.ff_effect_pairs += u64::from(diff.count());
+            count_per_slot::<P, K>(diff, &mut pairs);
             arena.push_carry(dff_idx, faultyw, diff);
         }
     }
-    out.ff_effect_faults += u64::from(effect_lanes.count());
+    let mut faults = [0u64; MAX_SLOTS];
+    count_per_slot::<P, K>(effect_lanes, &mut faults);
+    for (total, pairs) in out.ff_effect_pairs.iter_mut().zip(pairs).take(K) {
+        *total += pairs;
+    }
+    for (total, faults) in out.ff_effect_faults.iter_mut().zip(faults).take(K) {
+        *total += faults;
+    }
     let carried = std::mem::size_of::<(u32, P, P::Mask)>();
     reused += (arena.carry_dffs.len() * carried) as u64;
     out.scratch_bytes += reused;
@@ -939,82 +1124,107 @@ fn materialize_new_ff<P: PackedValue>(
     arena.by_lane = by_lane;
 }
 
-/// Simulates one group of at most `P::LANES` faults across a window of
-/// good-machine frames in a single pass, producing one [`GroupOutcome`] per
-/// frame.
+/// Simulates one group across a window of good-machine frames in a single
+/// pass, producing one [`GroupOutcome`] per frame. The group's faults
+/// (`group`, at most `P::LANES / K`) ride each of the first `used` of its
+/// `K` slots; slot `s` replays them against `frames[f][s]`.
 ///
 /// A stuck-at group's forcing tables are published once. A transition
 /// group's are published at every frame, with only the lanes whose good
 /// machine launches the slow edge — the fault net's good value before the
-/// frame (`ctx.before` for frame `0`) is the edge's old value and its value
-/// in the frame the new one; the live lanes among them are the frame's
-/// `launched` count. Frame `0` seeds from
-/// the shared faulty-FF table; each later frame seeds from the previous
-/// frame's packed carry, so the window never touches the copy-on-write
-/// table in between. Only the *last* frame's outcome carries `new_ff`
-/// entries.
+/// frame in the lane's slot (`ctx.before`, shared by every slot, for frame
+/// `0`) is the edge's old value and its value in the frame the new one; the
+/// live lanes among them are the frame's `launched` count. Frame `0` seeds
+/// from the shared faulty-FF table; each later frame seeds from the
+/// previous frame's packed carry, so the window never touches the
+/// copy-on-write table in between. Unless the window is a
+/// [`WindowKind::Score`], the *last* frame's outcome carries `new_ff`
+/// entries (a window that writes them runs one slot).
 ///
 /// A lane detected at frame `f` starts frame `f+1` from the good state: its
 /// carried flip-flop divergence is dropped, as the drop after a one-vector
-/// step clears it. With `drop_detected` (full-list windows) the lane is
-/// also masked out of frames `f+1..` (events, detections, and FF effects),
-/// as the dropped fault leaves the active list; because lane values are
+/// step clears it. In a [`WindowKind::Full`] window the lane is also
+/// masked out of frames `f+1..` (events, detections, and FF effects), as
+/// the dropped fault leaves the active list; because lane values are
 /// independent, its continued propagation cannot perturb live lanes.
-/// Without it (sampled windows) the lane stays live, as the sample still
-/// lists the fault, and may be detected again. Either way the window ends
-/// with the state of the lanes not detected at its last frame and clears
-/// the others.
+/// Otherwise (sampled windows and scores) the lane stays live, as the
+/// sample still lists the fault, and may be detected again. Either way the
+/// window ends with the state of the lanes not detected at its last frame
+/// and clears the others.
 ///
 /// Every per-frame outcome is bit-identical to what a one-frame window per
-/// vector would have produced — except `gate_evals`/`scratch_bytes`, which
-/// (as with lane widths) depend on how the work was batched.
+/// vector would have produced, and every slot's to what its candidate
+/// would get in a group of its own — except `gate_evals`/`scratch_bytes`/
+/// `events_amortized`, which (as with lane widths) depend on how the work
+/// was batched.
 #[inline(always)]
-pub(crate) fn simulate_group<P: GroupWidth>(
+pub(crate) fn simulate_group<P: GroupWidth, const K: usize>(
     ctx: &GroupCtx<'_>,
-    frames: &[GoodFrame<'_>],
+    frames: &[SlotFrames<'_, K>],
     group: &[FaultId],
-    drop_detected: bool,
+    used: usize,
+    kind: WindowKind,
     arena: &mut Arena,
     outs: &mut [GroupOutcome<P>],
 ) {
-    debug_assert!(group.len() <= P::LANES);
+    let stride = P::LANES / K;
+    debug_assert!(group.len() <= stride);
+    debug_assert!((1..=K).contains(&used) && K <= MAX_SLOTS);
+    debug_assert!(K == 1 || kind == WindowKind::Score);
     debug_assert_eq!(frames.len(), outs.len());
     debug_assert_eq!(
         ctx.before.is_some(),
         ctx.faults.model() == FaultModel::Transition
     );
-    let mut live = P::Mask::low(group.len());
+    let mut live = slot_lanes::<P, K>(group.len(), used);
     let mut carry = live;
     for (f, (frame, out)) in frames.iter().zip(outs.iter_mut()).enumerate() {
         out.reset();
         arena.begin_frame::<P>();
         match ctx.before {
             None if f > 0 => {}
-            None => out.scratch_bytes += publish_forcing(ctx.faults, group, arena, |_, _| true),
+            None => {
+                out.scratch_bytes +=
+                    publish_forcing(ctx.faults, group, used, stride, arena, |_, _, _| true)
+            }
             Some(before) => {
-                let prev = if f == 0 { before } else { frames[f - 1].values };
-                let mut launched = 0;
-                out.scratch_bytes += publish_forcing(ctx.faults, group, arena, |lane, fault| {
-                    let net = fault.anchor().index();
-                    let fires = prev[net] == fault.stuck && frame.values[net] == !fault.stuck;
-                    launched += u64::from(fires && live.test(lane));
-                    fires
-                });
+                let mut launched = [0; MAX_SLOTS];
+                out.scratch_bytes += publish_forcing(
+                    ctx.faults,
+                    group,
+                    used,
+                    stride,
+                    arena,
+                    |slot, lane, fault| {
+                        let net = fault.anchor().index();
+                        let prev = if f == 0 {
+                            before
+                        } else {
+                            frames[f - 1][slot].values
+                        };
+                        let fires =
+                            prev[net] == fault.stuck && frame[slot].values[net] == !fault.stuck;
+                        launched[slot] += u64::from(fires && live.test(lane));
+                        fires
+                    },
+                );
                 out.launched = launched;
             }
         }
         if f == 0 {
-            seed_from_table::<P>(ctx, group, frame.values, arena);
+            seed_from_table::<P, K>(ctx, group, used, frame, arena);
         } else {
-            seed_from_carry::<P>(ctx.circuit, ctx.lev, frame.values, carry, arena);
+            seed_from_carry::<P, K>(ctx.circuit, ctx.lev, frame, carry, arena);
         }
         run_frame(ctx.circuit, ctx.lev, *frame, live, arena, out);
         carry = live.and(out.detected_mask.invert());
-        if drop_detected {
+        if kind == WindowKind::Full {
             live = carry;
         }
     }
-    if let Some(last) = outs.last_mut() {
-        materialize_new_ff(ctx, group, carry, arena, last);
+    if kind != WindowKind::Score {
+        if let Some(last) = outs.last_mut() {
+            materialize_new_ff(ctx, group, carry, arena, last);
+        }
     }
 }

@@ -178,6 +178,8 @@ pub trait LaneMask: Copy + Eq + fmt::Debug + Default + Send + Sync + 'static {
     fn low(n: usize) -> Self;
     /// A mask with only `lane` set.
     fn bit(lane: usize) -> Self;
+    /// The mask whose word `w` is `word(w)`.
+    fn from_words(word: impl FnMut(usize) -> u64) -> Self;
     /// Word `w` of the mask (lanes `64w..64w+64`).
     fn word(self, w: usize) -> u64;
     /// Whether `lane` is set.
@@ -246,6 +248,10 @@ impl LaneMask for u64 {
         1u64 << lane
     }
     #[inline]
+    fn from_words(mut word: impl FnMut(usize) -> u64) -> u64 {
+        word(0)
+    }
+    #[inline]
     fn word(self, w: usize) -> u64 {
         debug_assert_eq!(w, 0);
         self
@@ -288,6 +294,10 @@ impl LaneMask for Mask256 {
         let mut words = [0u64; 4];
         words[lane / 64] = 1u64 << (lane % 64);
         Mask256(words)
+    }
+    #[inline]
+    fn from_words(word: impl FnMut(usize) -> u64) -> Mask256 {
+        Mask256(std::array::from_fn(word))
     }
     #[inline]
     fn word(self, w: usize) -> u64 {
@@ -337,6 +347,9 @@ pub trait PackedValue: Copy + Eq + fmt::Debug + Default + Send + Sync + 'static 
 
     /// A word with every lane set to `v`.
     fn broadcast(v: Logic) -> Self;
+    /// A word whose 64-lane word `w` holds `v(w)` in every lane: the good
+    /// word of a fault group whose words replay different good machines.
+    fn broadcast_words(v: impl Fn(usize) -> Logic) -> Self;
     /// The value in `lane`.
     fn get_lane(self, lane: usize) -> Logic;
     /// Sets `lane` to `v`.
@@ -577,6 +590,10 @@ impl PackedValue for Pv64 {
         Pv64::broadcast(v)
     }
     #[inline]
+    fn broadcast_words(v: impl Fn(usize) -> Logic) -> Pv64 {
+        Pv64::broadcast(v(0))
+    }
+    #[inline]
     fn get_lane(self, lane: usize) -> Logic {
         self.get(lane as u32)
     }
@@ -696,6 +713,15 @@ impl PackedValue for Pv256 {
         Pv256 {
             zero: [splat(v == Logic::Zero); 4],
             one: [splat(v == Logic::One); 4],
+        }
+    }
+
+    #[inline]
+    fn broadcast_words(v: impl Fn(usize) -> Logic) -> Pv256 {
+        let words: [Logic; 4] = std::array::from_fn(v);
+        Pv256 {
+            zero: words.map(|v| splat(v == Logic::Zero)),
+            one: words.map(|v| splat(v == Logic::One)),
         }
     }
 
@@ -930,6 +956,26 @@ impl SimBackend {
                 SimBackend::Scalar64
             }
             _ => self.for_lanes(faults),
+        }
+    }
+
+    /// The slots a batch scorer splits a 256-lane fault group into for
+    /// candidates that each score a sample of `faults` faults
+    /// ([`FaultSim::score`](crate::FaultSim::score)): a candidate takes
+    /// W = ⌈faults/64⌉ whole 64-lane words, so 4/W candidates fit one group
+    /// when W ≤ 2. It is 1 — one candidate per group — for larger samples,
+    /// for a pinned [`SimBackend::Scalar64`] (the reference path), and on
+    /// circuits whose shape keeps `Auto` on 64-lane groups
+    /// ([`SimBackend::for_step`]). Any two candidates that fit one group
+    /// share it: two fill a 256-lane group for less than they fill two
+    /// 64-lane groups, whatever the sample size (DESIGN.md §18).
+    pub fn score_slots(self, faults: usize, circuit: &Circuit) -> usize {
+        let words = faults.div_ceil(64);
+        if (1..=2).contains(&words) && self.for_step(Pv256::LANES, circuit) != SimBackend::Scalar64
+        {
+            Pv256::WORDS / words
+        } else {
+            1
         }
     }
 

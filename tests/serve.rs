@@ -109,25 +109,37 @@ fn budget_exhaustion_is_slice_invariant() {
 }
 
 /// A job keeps one generator across its slices, so its instruments hold
-/// the generator's and the simulator's span slots and no more, however
-/// many slices it runs. Each slot keeps a 256-record ring for the job's
-/// lifetime, so a slot count that grew with slices would grow the job's
-/// memory with it.
+/// the generator's and the simulator's span slots and, with pool workers,
+/// one slot per worker, however many slices it runs: each slice builds a
+/// new pool, whose workers record into the slots the first pool
+/// registered. Each slot keeps a 256-record ring for the job's lifetime,
+/// so a slot count that grew with slices would grow the job's memory with
+/// it.
 #[test]
 fn span_slots_do_not_grow_with_slices() {
-    let spec = JobSpec {
-        circuit: "s27".into(),
-        seed: 3,
-        ..JobSpec::default()
-    };
-    let (bytes, slices, instruments) = run_sliced(&spec, &CircuitCache::default(), 1);
-    assert!(slices >= 20, "the premise needs many slices, got {slices}");
-    assert_eq!(bytes, standalone_bytes(&spec));
-    assert_eq!(
-        instruments.spans.slots(),
-        2,
-        "{slices} slices must share the generator's and the simulator's slots"
-    );
+    for workers in [1, 2] {
+        let spec = JobSpec {
+            circuit: "s27".into(),
+            seed: 3,
+            workers,
+            ..JobSpec::default()
+        };
+        let (bytes, slices, instruments) = run_sliced(&spec, &CircuitCache::default(), 1);
+        assert!(slices >= 20, "the premise needs many slices, got {slices}");
+        assert_eq!(bytes, standalone_bytes(&spec));
+        let slots = instruments.spans.slots();
+        if workers == 1 {
+            assert_eq!(
+                slots, 2,
+                "{slices} slices must share the generator's and the simulator's slots"
+            );
+        } else {
+            assert!(
+                slots <= 2 + workers,
+                "{slices} slices with {workers} workers registered {slots} span slots"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------- HTTP --

@@ -17,6 +17,9 @@ use gatest_sim::{
     StepReport,
 };
 
+#[path = "support/scoring.rs"]
+mod scoring;
+
 /// Simulates the good and single-fault machines independently, gate by
 /// gate, frame by frame — no packing, no events, no sharing. Slow and
 /// obviously correct. Returns the 0-based index of the first frame at which
@@ -293,6 +296,46 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// `FaultSim::score` scores a batch of 1–5 candidates of 1–6 frames as
+    /// `step_sampled` scores each alone, at every width, writes nothing
+    /// back, and its first detections match the reference; samples of at
+    /// most 64, at most 128 and more than 128 faults put four, two and one
+    /// candidate in a 256-lane group (`support/scoring.rs`).
+    #[test]
+    fn scoring_matches_sampled_steps_on_random_circuits(
+        seed in any::<u64>(),
+        inputs in 2usize..=8,
+        dffs in 1usize..=12,
+        gates in 80usize..=120,
+        frames in 1usize..=6,
+        candidates in 1usize..=5,
+        small in 1usize..=64,
+        medium in 65usize..=128,
+    ) {
+        let profile = CircuitProfile {
+            name: format!("rand_{seed:016x}"),
+            inputs,
+            outputs: 2,
+            dffs,
+            gates,
+            seq_depth: (dffs as u32).min(3),
+        };
+        let circuit = Arc::new(SyntheticGenerator::new(seed).generate(&profile));
+        let mut rng = gatest_ga::Rng::new(seed ^ 0x5c0e);
+        let warmup = random_sequence(inputs, 2, rng.next_u64());
+        let batch: Vec<Vec<Vec<Logic>>> = (0..candidates)
+            .map(|_| random_sequence(inputs, frames, rng.next_u64()))
+            .collect();
+        scoring::check_scoring(
+            &circuit,
+            &FaultList::collapsed(&circuit),
+            &warmup,
+            &batch,
+            (small, medium),
+            |fault, replay| reference_detects(&circuit, fault, replay),
+        );
     }
 
     /// The good machine's bit-plane sweep agrees with an `eval_scalar`

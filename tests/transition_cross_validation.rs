@@ -16,6 +16,9 @@ use gatest_sim::{
     Fault, FaultId, FaultList, FaultSim, FaultSite, FaultStatus, Logic, SimBackend, StepReport,
 };
 
+#[path = "support/scoring.rs"]
+mod scoring;
+
 /// Scalar reference: simulate the good machine and one faulty machine side
 /// by side. A transition fault is listed as the stuck-at fault of its
 /// edge's old value on the net's stem; the faulty machine forces that value
@@ -162,6 +165,47 @@ fn without_gate_evals(report: &StepReport) -> StepReport {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `FaultSim::score` over transition-fault lists: a batch of 1–5
+    /// candidates of 1–6 frames scores as `step_sampled` scores each alone
+    /// (`launched` included), at every width, writes nothing back, and its
+    /// first detections match the reference; samples of at most 64, at most
+    /// 128 and more than 128 faults put four, two and one candidate in a
+    /// 256-lane group (`support/scoring.rs`).
+    #[test]
+    fn transition_scoring_matches_sampled_steps_on_random_circuits(
+        seed in any::<u64>(),
+        inputs in 2usize..=8,
+        dffs in 1usize..=12,
+        gates in 60usize..=100,
+        frames in 1usize..=6,
+        candidates in 1usize..=5,
+        small in 1usize..=64,
+        medium in 65usize..=128,
+    ) {
+        let profile = CircuitProfile {
+            name: format!("rand_{seed:016x}"),
+            inputs,
+            outputs: 2,
+            dffs,
+            gates,
+            seq_depth: (dffs as u32).min(3),
+        };
+        let circuit = Arc::new(SyntheticGenerator::new(seed).generate(&profile));
+        let mut rng = gatest_ga::Rng::new(seed ^ 0x5c0e);
+        let warmup = random_sequence(inputs, 3, rng.next_u64());
+        let batch: Vec<Vec<Vec<Logic>>> = (0..candidates)
+            .map(|_| random_sequence(inputs, frames, rng.next_u64()))
+            .collect();
+        scoring::check_scoring(
+            &circuit,
+            &FaultList::transition(&circuit),
+            &warmup,
+            &batch,
+            (small, medium),
+            |fault, replay| reference_detects(&circuit, fault, replay),
+        );
+    }
 
     /// Every stepping entry point agrees with the reference on random
     /// synthetic circuits over their transition-fault lists, at every
