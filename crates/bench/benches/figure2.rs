@@ -32,10 +32,7 @@ fn bench_phase_evaluations(c: &mut Criterion) {
         })
     });
     group.bench_function("phase2_sampled_100", |b| {
-        b.iter(|| {
-            sim.restore(&cp);
-            sim.step_sampled(&[&vector], &sample)
-        })
+        b.iter(|| sim.score(&[std::slice::from_ref(&vector)], &sample))
     });
     group.bench_function("phase2_full_list", |b| {
         b.iter(|| {

@@ -39,12 +39,7 @@ fn bench_sampled_steps(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("sampled", sample_size),
             &sample,
-            |b, sample| {
-                b.iter(|| {
-                    sim.restore(&cp);
-                    sim.step_sampled(&[&vector], sample)
-                })
-            },
+            |b, sample| b.iter(|| sim.score(&[std::slice::from_ref(&vector)], sample)),
         );
     }
     group.bench_function("full_list", |b| {

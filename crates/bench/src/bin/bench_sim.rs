@@ -17,13 +17,14 @@
 //! 10k-gate circuit at every width, so CI exercises the CSR adjacency and
 //! group scheduling at a size where the ISCAS89 suite cannot.
 //!
-//! A third `sequence` section times phase-4 candidate scoring: from a
-//! warmed s298 full-list checkpoint it scores a fixed set of random
-//! 16-frame candidates over the active list, once as one-vector
-//! `step_sampled` calls and once as sampled windows, alternating the two
-//! forms chunk by chunk, and asserts both forms report the same checksum.
-//! It scores the set in several full passes and reports each form's median
-//! pass, so one slow spell of the host cannot invert the speedup.
+//! A third `sequence` section times phase-4 candidate scoring as the GA
+//! runs it, through `FaultSim::score`: from a warmed s298 state it scores a
+//! fixed set of random 16-frame candidates over a 100-fault sample, once
+//! one candidate per call (`alone`) and once eight per call (`batch`, two
+//! candidates per 256-lane group), alternating the two forms chunk by
+//! chunk, and asserts both forms report the same checksum. It scores the
+//! set in several full passes and reports each form's median pass, so one
+//! slow spell of the host cannot invert the speedup.
 //!
 //! A fourth `good` section times the good machine alone: `GoodSim::apply`
 //! frames per second on s298 and s1423, replaying a fixed random stream
@@ -58,10 +59,14 @@ const WIDTH_CHUNK: usize = 50;
 const SEQUENCE_CIRCUIT: &str = "s298";
 /// Frames per candidate in the `sequence` section.
 const SEQUENCE_FRAMES: usize = 16;
-/// Candidates each form scores in turn in the `sequence` section.
+/// Faults in the `sequence` section's sample, the paper's sample size.
+const SEQUENCE_FAULTS: usize = 100;
+/// Candidates each form scores in turn in the `sequence` section, and the
+/// candidates one `batch` call scores.
 const SEQUENCE_CHUNK: usize = 8;
-/// The two forms the `sequence` section scores candidates in.
-const SEQUENCE_FORMS: [&str; 2] = ["serial", "window"];
+/// The two forms the `sequence` section scores candidates in: one
+/// candidate per `score` call, and [`SEQUENCE_CHUNK`] per call.
+const SEQUENCE_FORMS: [&str; 2] = ["alone", "batch"];
 /// Full passes over the candidate set in the `sequence` section; each
 /// form's row reports its median pass (odd, so the median is one pass).
 const SEQUENCE_PASSES: usize = 5;
@@ -75,8 +80,9 @@ const GOOD_STREAM: usize = 1000;
 /// packed-backend comparison section; 4 added the skipped-row shape for
 /// thread counts the host cannot measure meaningfully; 5 dropped the
 /// sim-thread sweep, leaving one serial `scalar64` row in `results`; 6
-/// added the `sequence` section; 7 added the `good` section.
-const SCHEMA_VERSION: u64 = 7;
+/// added the `sequence` section; 7 added the `good` section; 8 made the
+/// `sequence` forms `score` calls, `alone` and `batch`.
+const SCHEMA_VERSION: u64 = 8;
 
 /// `--NAME VALUE` from the args, else the `env` variable, else `"unknown"`.
 /// Benchmarks never read the clock or the repo themselves — provenance is
@@ -309,15 +315,15 @@ fn width_rows(smoke: bool) -> String {
 }
 
 /// The phase-4 scoring comparison: random 16-frame candidates scored over
-/// the active list of a warmed s298 checkpoint, each restored from the
-/// checkpoint first as fitness evaluation does, once as one-vector
-/// `step_sampled` calls (`serial`) and once as one sampled window
-/// (`window`). The forms alternate chunk by chunk, each going first in
-/// every other chunk, and must report the same identity checksum
-/// ([`add_report`] over every frame's report) in every pass. Each row's
-/// `secs` and rate come from the form's median of [`SEQUENCE_PASSES`]
-/// passes, and the `window` row's `speedup_vs_serial` from the two
-/// medians.
+/// a 100-fault sample of a warmed s298 state with `FaultSim::score`, which
+/// writes nothing back, once one candidate per call (`alone`, at
+/// `for_step`'s width) and once [`SEQUENCE_CHUNK`] per call (`batch`,
+/// `score_slots` candidates per 256-lane group). The forms alternate chunk
+/// by chunk, each going first in every other chunk, and must report the
+/// same identity checksum ([`add_report`] over every frame's report) in
+/// every pass. Each row's `secs` and rate come from the form's median of
+/// [`SEQUENCE_PASSES`] passes, and the `batch` row's `speedup_vs_alone`
+/// from the two medians.
 fn sequence_rows(smoke: bool) -> String {
     let circuit = Arc::new(benchmarks::iscas89(SEQUENCE_CIRCUIT).expect("bundled circuit"));
     let pis = circuit.num_inputs();
@@ -327,9 +333,18 @@ fn sequence_rows(smoke: bool) -> String {
         let v: Vec<Logic> = (0..pis).map(|_| Logic::from_bool(rng.coin())).collect();
         base.step(&v);
     }
-    let sample = base.active_faults().to_vec();
-    let lanes = SimBackend::Auto.for_step(sample.len(), &circuit).lanes();
-    let cp = base.checkpoint();
+    // A sample drawn as the generator draws one: shuffled, cut, sorted.
+    let mut sample = base.active_faults().to_vec();
+    Rng::new(5).shuffle(&mut sample);
+    sample.truncate(SEQUENCE_FAULTS);
+    sample.sort_unstable();
+    assert_eq!(sample.len(), SEQUENCE_FAULTS, "{SEQUENCE_CIRCUIT}: sample");
+    let lanes = base.backend().for_step(sample.len(), &circuit).lanes();
+    let slots = base.backend().score_slots(sample.len(), &circuit);
+    assert_eq!(
+        slots, 2,
+        "{SEQUENCE_CIRCUIT}: a batch puts two candidates in a group"
+    );
     let count = if smoke { 48 } else { 400 };
     let mut cand_rng = Rng::new(9);
     let candidates: Vec<Vec<Vec<Logic>>> = (0..count)
@@ -352,25 +367,25 @@ fn sequence_rows(smoke: bool) -> String {
         let mut secs = vec![0.0; forms];
         let mut pass_sums = vec![0u64; forms];
         for (c, chunk) in candidates.chunks(SEQUENCE_CHUNK).enumerate() {
+            let windows: Vec<&[Vec<Logic>]> = chunk.iter().map(Vec::as_slice).collect();
             for turn in 0..forms {
                 let form = (turn + c) % forms;
                 let (sim, sum) = (&mut sims[form], &mut pass_sums[form]);
                 let start = Instant::now();
-                for (k, candidate) in (c * SEQUENCE_CHUNK..).zip(chunk) {
-                    sim.restore(&cp);
-                    let reports: Vec<StepReport> = if SEQUENCE_FORMS[form] == "window" {
-                        sim.step_sampled(candidate, &sample)
-                    } else {
-                        candidate
-                            .iter()
-                            .flat_map(|v| sim.step_sampled(&[v], &sample))
-                            .collect()
-                    };
+                let scored: Vec<Vec<StepReport>> = if SEQUENCE_FORMS[form] == "batch" {
+                    sim.score(&windows, &sample)
+                } else {
+                    windows
+                        .iter()
+                        .flat_map(|&w| sim.score(&[w], &sample))
+                        .collect()
+                };
+                secs[form] += start.elapsed().as_secs_f64();
+                for (k, reports) in (c * SEQUENCE_CHUNK..).zip(&scored) {
                     for (f, report) in reports.iter().enumerate() {
                         *sum = add_report(*sum, k * SEQUENCE_FRAMES + f, report);
                     }
                 }
-                secs[form] += start.elapsed().as_secs_f64();
             }
         }
         for (form, secs) in secs.into_iter().enumerate() {
@@ -392,24 +407,25 @@ fn sequence_rows(smoke: bool) -> String {
             secs[secs.len() / 2]
         })
         .collect();
-    let serial_rate = count as f64 / median_secs[0];
+    let alone_rate = count as f64 / median_secs[0];
     let mut rows = String::new();
     for ((form, secs), sum) in SEQUENCE_FORMS.into_iter().zip(&median_secs).zip(&sums) {
         let rate = count as f64 / secs;
-        let speedup = if form == "window" {
+        let (per_call, lanes, slots, speedup) = if form == "batch" {
             assert_eq!(
                 *sum, sums[0],
-                "{SEQUENCE_CIRCUIT}: sampled windows diverged from one-vector calls"
+                "{SEQUENCE_CIRCUIT}: batched scores diverged from candidates scored alone"
             );
-            format!(", \"speedup_vs_serial\": {:.3}", rate / serial_rate)
+            let speedup = format!(", \"speedup_vs_alone\": {:.3}", rate / alone_rate);
+            (SEQUENCE_CHUNK, 256, slots, speedup)
         } else {
-            String::new()
+            (1, lanes, 1, String::new())
         };
         if !rows.is_empty() {
             rows.push_str(",\n");
         }
         rows.push_str(&format!(
-            "    {{\"circuit\": \"{SEQUENCE_CIRCUIT}\", \"form\": \"{form}\", \"frames\": {SEQUENCE_FRAMES}, \"faults\": {}, \"lanes\": {lanes}, \"candidates\": {count}, \"secs\": {secs:.4}, \"candidates_per_sec\": {rate:.1}, \"identity_checksum\": {sum}{speedup}}}",
+            "    {{\"circuit\": \"{SEQUENCE_CIRCUIT}\", \"form\": \"{form}\", \"frames\": {SEQUENCE_FRAMES}, \"faults\": {}, \"per_call\": {per_call}, \"lanes\": {lanes}, \"slots\": {slots}, \"candidates\": {count}, \"secs\": {secs:.4}, \"candidates_per_sec\": {rate:.1}, \"identity_checksum\": {sum}{speedup}}}",
             sample.len()
         ));
         eprintln!(
@@ -589,7 +605,9 @@ fn validate(path: &str) -> Result<String, String> {
         for key in [
             "frames",
             "faults",
+            "per_call",
             "lanes",
+            "slots",
             "candidates",
             "secs",
             "candidates_per_sec",
@@ -601,9 +619,9 @@ fn validate(path: &str) -> Result<String, String> {
         }
     }
     sequence[1]
-        .get("speedup_vs_serial")
+        .get("speedup_vs_alone")
         .and_then(|v| v.as_f64())
-        .ok_or("sequence[1] missing numeric `speedup_vs_serial`")?;
+        .ok_or("sequence[1] missing numeric `speedup_vs_alone`")?;
     // Like the width rows, the baseline itself proves both forms agreed.
     let sums: Vec<Option<u64>> = sequence
         .iter()

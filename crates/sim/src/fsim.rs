@@ -44,20 +44,25 @@ use crate::group::{
 };
 use crate::value::{LaneMask, Logic, Pv256, Pv64, SimBackend};
 
-/// Statistics from simulating one vector over the active fault list.
+/// Statistics from simulating one frame: over the undetected faults for a
+/// commit ([`FaultSim::step`], [`FaultSim::step_window`]), over the sample
+/// for a score ([`FaultSim::score`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StepReport {
-    /// Faults first detected by this vector.
+    /// Faults detected by this frame, in fault-id order. A commit drops
+    /// them; a score reports a sample fault at every frame that detects it.
     pub newly_detected: Vec<FaultId>,
-    /// Per-output detection syndrome for this vector: `(fault, po index)`
-    /// pairs, one for every primary output at which a newly simulated
-    /// difference appeared, sorted by `(fault, po)`. The sort canonicalizes
-    /// an order that would otherwise depend on how faults were grouped, so
-    /// reports compare equal across [`SimBackend`]s. Fault dictionaries and
-    /// diagnosis build on this.
+    /// Per-output detection syndrome for this frame: `(fault, po index)`
+    /// pairs, one for every primary output at which the faulty and good
+    /// values are both known (0 or 1) and differ, sorted by `(fault, po)`.
+    /// The sort canonicalizes an order that would otherwise depend on how
+    /// faults were grouped, so reports compare equal across
+    /// [`SimBackend`]s. Fault dictionaries and diagnosis build on this.
     pub po_detections: Vec<(FaultId, u16)>,
-    /// Fault effects latched into flip-flops by this vector, counted as
-    /// (fault, flip-flop) pairs.
+    /// Fault effects latched into flip-flops by this frame, counted as
+    /// (fault, flip-flop) pairs: the faulty D value, with a branch fault on
+    /// the flip-flop's input applied, differs from the good next state.
+    /// Any 0/1/X difference counts, X against a known value included.
     pub ff_effect_pairs: u64,
     /// Number of distinct faults with at least one effect at a flip-flop.
     pub ff_effect_faults: u64,
@@ -67,7 +72,10 @@ pub struct StepReport {
     pub launched: u64,
     /// Good-circuit events (net value changes) this frame.
     pub good_events: u64,
-    /// Faulty-circuit events, summed over all simulated faulty machines.
+    /// Faulty-circuit events, summed over the simulated faulty machines:
+    /// the combinational gates whose faulty value differs from the good
+    /// value this frame. A fault's own stem site does not count in a frame
+    /// that forces it.
     pub faulty_events: u64,
     /// Gate evaluations this frame: every good-machine combinational gate
     /// plus one per packed faulty re-evaluation. Telemetry only — this is
@@ -209,7 +217,7 @@ pub struct FaultSim {
 }
 
 /// The simulator's execution scratch: the propagation arena (built by the
-/// first step), per-width outcome slots, and the good frames a score
+/// first step), per-width outcome slots, and the good frames a window
 /// computes. Nothing here outlives a step's meaning, so a clone starts
 /// empty and builds its own on demand.
 #[derive(Debug, Default)]
@@ -218,8 +226,9 @@ struct Engine {
     arena: Option<Arena>,
     /// Per-frame outcome slots, reused across steps.
     slots: OutcomeSlots,
-    /// The good frames of the candidates one scored group carries: per
-    /// candidate, per frame, the net values and then the next state.
+    /// The good frames of a committed window, or of the candidates one
+    /// scored group carries: per candidate, per frame, the net values and
+    /// then the next state.
     good: Vec<Logic>,
 }
 
@@ -413,37 +422,7 @@ impl FaultSim {
     ///
     /// Panics if `vector.len() != circuit.num_inputs()`.
     pub fn step(&mut self, vector: &[Logic]) -> StepReport {
-        self.window(&[vector], None)
-            .pop()
-            .expect("one report per vector")
-    }
-
-    /// Applies a window of vectors simulating only `sample` (a subset of
-    /// the active faults), returning one report per vector; detected sample
-    /// faults are still dropped. Faults outside the sample keep their (now
-    /// stale) faulty state — the paper accepts this approximation to cut
-    /// fitness-evaluation cost, because candidate evaluation happens between
-    /// a checkpoint/restore pair and the winning test is re-simulated with
-    /// the full list when committed.
-    ///
-    /// A window equals one call per vector, bit for bit (every report field
-    /// except `gate_evals`, and the final state). Since the sample still
-    /// lists a fault an earlier vector detected, that fault is simulated
-    /// again from the good state and may be detected, and reported, again;
-    /// its status stamps the latest detecting vector.
-    ///
-    /// [`FaultSim::score`] returns the same reports without advancing the
-    /// simulator; this is the reference it is held against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any vector's length differs from `circuit.num_inputs()`.
-    pub fn step_sampled<V: AsRef<[Logic]>>(
-        &mut self,
-        vectors: &[V],
-        sample: &[FaultId],
-    ) -> Vec<StepReport> {
-        self.window(vectors, Some(sample))
+        self.window(&[vector]).pop().expect("one report per vector")
     }
 
     /// Applies one vector to the good machine only (no fault propagation).
@@ -480,122 +459,69 @@ impl FaultSim {
     ///
     /// Panics if any vector's length differs from `circuit.num_inputs()`.
     pub fn step_window(&mut self, vectors: &[Vec<Logic>]) -> Vec<StepReport> {
-        let reports = self.window(vectors, None);
+        let reports = self.window(vectors);
         if let Some(counters) = &self.counters {
             counters.record_commit_batch(vectors.len() as u64);
         }
         reports
     }
 
-    /// The one stepping routine behind [`FaultSim::step`],
-    /// [`FaultSim::step_sampled`] and [`FaultSim::step_window`]: applies
-    /// `vectors` as one window over `sample`, or over every undetected
-    /// fault when `sample` is `None`, and drops what it detects.
+    /// The one committing routine behind [`FaultSim::step`] and
+    /// [`FaultSim::step_window`]: applies `vectors` as one window over every
+    /// undetected fault and drops what it detects.
     ///
-    /// The good machine advances over every frame first. Earlier frames
-    /// replay against snapshots of it; the last frame reads the live good
-    /// machine, so a one-vector step takes no snapshot. A transition list
-    /// also keeps the good values from before the window, which its first
-    /// frame's launches compare against. A full-list window
-    /// masks a detected fault out of its later frames; a sampled window
-    /// keeps simulating it from the good state, as the next one-vector
-    /// call would ([`simulate_group`](crate::group::simulate_group)). Each
-    /// detected fault is stamped with the 0-based index of the latest
-    /// vector that caught it, and the groups' merge clears the state of
-    /// every fault dropped at the last frame.
-    fn window<V: AsRef<[Logic]>>(
-        &mut self,
-        vectors: &[V],
-        sample: Option<&[FaultId]>,
-    ) -> Vec<StepReport> {
+    /// [`FaultSim::good_frames`] computes the window's good frames, as for
+    /// a score, and the groups run them as a [`WindowKind::Full`] window: a
+    /// detected fault leaves its later frames, and the last frame writes
+    /// the surviving faults' state back and clears the dropped ones'. The
+    /// good machine then takes the last frame. Each detected fault is
+    /// stamped with the 0-based index of the vector that caught it.
+    fn window<V: AsRef<[Logic]>>(&mut self, vectors: &[V]) -> Vec<StepReport> {
         if vectors.is_empty() {
             return Vec::new();
         }
         let probe = self.probe();
         let _step_span = probe.as_ref().map(|p| p.enter(SpanKind::SimStep));
-        let base_vector = self.vectors_applied;
-        let before =
-            (self.faults.model() == FaultModel::Transition).then(|| self.good.values().to_vec());
-        let mut reports: Vec<StepReport> = Vec::with_capacity(vectors.len());
-        let mut snapshots: Vec<GoodSimState> = Vec::with_capacity(vectors.len() - 1);
-        for (f, vector) in vectors.iter().enumerate() {
-            if f > 0 {
-                snapshots.push(self.good.snapshot());
-            }
-            let good_report = self.good.apply(vector.as_ref());
-            reports.push(StepReport {
-                good_events: good_report.events,
-                gate_evals: self.comb_gates,
-                good: good_report,
-                ..StepReport::default()
-            });
-        }
-        self.vectors_applied += vectors.len() as u32;
-        let frames: Vec<SlotFrames<'_, 1>> = snapshots
-            .iter()
-            .map(|s| {
-                [GoodFrame {
-                    values: s.values(),
-                    next_state: s.next_state(),
-                }]
-            })
-            .chain([[GoodFrame {
-                values: self.good.values(),
-                next_state: self.good.next_states(),
-            }]])
-            .collect();
-
-        // The width match is the per-step backend dispatch; everything
-        // inside `run_groups` is monomorphized over the packed type.
-        let targets = sample.unwrap_or(&self.active);
-        let width = self.backend.for_step(targets.len(), &self.circuit);
-        let lanes = width.lanes();
-        let ngroups = targets.len().div_ceil(lanes) as u64;
-        let run_groups = match width {
-            SimBackend::Scalar64 => run_groups::<Pv64, 1>,
-            _ => run_groups::<Pv256, 1>,
+        let mut reports = vec![Vec::with_capacity(vectors.len())];
+        let mut good = std::mem::take(&mut self.engine.good);
+        self.good_frames(&[vectors], &mut good, &mut reports);
+        // The groups read the active list while the merge writes the
+        // faulty-FF table. The clone goes before the list is re-filtered,
+        // so filtering does not copy it.
+        let active = Arc::clone(&self.active);
+        let run = match self.backend.for_step(active.len(), &self.circuit) {
+            SimBackend::Scalar64 => Self::run_windows::<Pv64, 1>,
+            _ => Self::run_windows::<Pv256, 1>,
         };
-        let (scratch_bytes, events_amortized) = run_groups(
-            &self.circuit,
-            self.good.levelization(),
-            &self.faults,
-            &mut self.faulty_ff,
-            &mut self.ff_entries,
-            &self.empty_ff,
-            before.as_deref(),
-            targets,
-            if sample.is_none() {
-                WindowKind::Full
-            } else {
-                WindowKind::Sampled
-            },
-            &frames,
-            &mut self.engine,
+        let (scratch_bytes, events_amortized) = run(
+            self,
+            &good,
+            vectors.len(),
+            &active,
+            WindowKind::Full,
             probe.as_ref(),
-            std::slice::from_mut(&mut reports),
+            &mut reports,
         );
-        if let Some(counters) = &self.counters {
-            for report in &reports {
-                counters.record_step(report.gate_evals, report.good_events, report.faulty_events);
-            }
-            counters.record_scratch_reuse(scratch_bytes);
-            counters.record_events_amortized(events_amortized);
-            if lanes > 64 {
-                counters.record_backend_groups(lanes as u64, ngroups * vectors.len() as u64);
-            }
-        }
+        drop(active);
+        let nets = self.circuit.num_gates();
+        let last = (vectors.len() - 1) * (nets + self.circuit.num_dffs());
+        let (values, next_state) = good[last..].split_at(nets);
+        self.good.load(values, next_state);
+        self.engine.good = good;
+        let mut reports = reports.pop().expect("one window");
+        self.record_counters(&reports, scratch_bytes, events_amortized);
 
+        let base_vector = self.vectors_applied;
+        self.vectors_applied += vectors.len() as u32;
         let mut any_detected = false;
         for (f, report) in reports.iter_mut().enumerate() {
-            let newly = &mut report.newly_detected;
+            let newly = &report.newly_detected;
             if newly.is_empty() {
                 continue;
             }
             any_detected = true;
-            newly.sort_unstable();
-            newly.dedup();
             let status = Arc::make_mut(&mut self.status);
-            for &fault in newly.iter() {
+            for &fault in newly {
                 status[fault.index()] = FaultStatus::Detected {
                     vector: base_vector + f as u32,
                 };
@@ -609,12 +535,31 @@ impl FaultSim {
         reports
     }
 
+    /// Adds the frames of `reports` and a window's or batch's scratch
+    /// tallies to the attached counters.
+    fn record_counters<'r>(
+        &self,
+        reports: impl IntoIterator<Item = &'r StepReport>,
+        scratch_bytes: u64,
+        events_amortized: u64,
+    ) {
+        if let Some(counters) = &self.counters {
+            for report in reports {
+                counters.record_step(report.gate_evals, report.good_events, report.faulty_events);
+            }
+            counters.record_scratch_reuse(scratch_bytes);
+            counters.record_events_amortized(events_amortized);
+        }
+    }
+
     /// Scores candidate windows over `sample` from the simulator's current
-    /// state, and changes nothing: candidate `c`'s reports are the ones
-    /// `step_sampled(candidates[c], sample)` would return from this state —
-    /// every field but `gate_evals` — while the good machine, the detection
+    /// state, and changes nothing. Candidate `c`'s reports say, frame by
+    /// frame, what the sample faults do under `candidates[c]`: each fault
+    /// starts from its current faulty flip-flop state, and a fault detected
+    /// at a frame restarts from the good state at the next one, so it may
+    /// be detected, and reported, again. The good machine, the detection
     /// status, the active list, the faulty flip-flop state and
-    /// `vectors_applied` stay as they are. So a caller that scores a GA
+    /// `vectors_applied` stay as they are, so a caller that scores a GA
     /// batch from a checkpoint need not restore between candidates.
     ///
     /// Each candidate's good frames are computed in reused scratch. Where
@@ -622,7 +567,9 @@ impl FaultSim {
     /// 256-lane fault groups, each in its own word-aligned slot
     /// ([`SimBackend::score_slots`]); a group's `gate_evals` are reported
     /// on its first candidate's frames. A candidate left alone runs at
-    /// [`SimBackend::for_step`]'s width, as for `step_sampled`.
+    /// [`SimBackend::for_step`]'s width. Every report field but
+    /// `gate_evals` is the same at every width and however the candidates
+    /// are batched.
     ///
     /// # Panics
     ///
@@ -653,30 +600,27 @@ impl FaultSim {
             let used = slots.min(candidates.len() - start);
             let group_reports = &mut reports[start..start + used];
             self.good_frames(&candidates[start..start + used], &mut good, group_reports);
-            let score_group = match (used, slots, alone) {
-                (1, _, SimBackend::Scalar64) => Self::score_group::<Pv64, 1>,
-                (1, ..) => Self::score_group::<Pv256, 1>,
-                (_, 2, _) => Self::score_group::<Pv256, 2>,
-                _ => Self::score_group::<Pv256, 4>,
+            let run = match (used, slots, alone) {
+                (1, _, SimBackend::Scalar64) => Self::run_windows::<Pv64, 1>,
+                (1, ..) => Self::run_windows::<Pv256, 1>,
+                (_, 2, _) => Self::run_windows::<Pv256, 2>,
+                _ => Self::run_windows::<Pv256, 4>,
             };
-            let (bytes, amortized) =
-                score_group(self, &good, frames, sample, probe.as_ref(), group_reports);
+            let (bytes, amortized) = run(
+                self,
+                &good,
+                frames,
+                sample,
+                WindowKind::Score,
+                probe.as_ref(),
+                group_reports,
+            );
             scratch_bytes += bytes;
             events_amortized += amortized;
             start += used;
         }
         self.engine.good = good;
-        if let Some(counters) = &self.counters {
-            for report in reports.iter().flatten() {
-                counters.record_step(report.gate_evals, report.good_events, report.faulty_events);
-            }
-            counters.record_scratch_reuse(scratch_bytes);
-            counters.record_events_amortized(events_amortized);
-        }
-        for report in reports.iter_mut().flatten() {
-            report.newly_detected.sort_unstable();
-            report.newly_detected.dedup();
-        }
+        self.record_counters(reports.iter().flatten(), scratch_bytes, events_amortized);
         reports
     }
 
@@ -684,7 +628,8 @@ impl FaultSim {
     /// simulator's good machine, which it leaves untouched: candidate `c`'s
     /// frame `f` holds the net values and then the next state, at
     /// `(c * frames + f) * (nets + flip-flops)`. Pushes each frame's
-    /// good-machine report fields to the candidate's `reports`.
+    /// good-machine report fields to the candidate's `reports`. Every
+    /// window's frames come from here, committed and scored alike.
     fn good_frames<V: AsRef<[Logic]>>(
         &self,
         candidates: &[&[V]],
@@ -732,15 +677,18 @@ impl FaultSim {
         }
     }
 
-    /// Scores the candidates whose good frames [`FaultSim::good_frames`]
-    /// left in `good` against `sample`, in `K`-slot groups of width `P`
-    /// (one slot per candidate), merging into their `reports`. Returns
-    /// `(scratch_bytes, events_amortized)`.
-    fn score_group<P: GroupWidth, const K: usize>(
+    /// Runs the windows whose good frames [`FaultSim::good_frames`] left in
+    /// `good` over `targets`, in `K`-slot groups of width `P` (one slot per
+    /// window), as `kind` windows, merging into their `reports`. The good
+    /// machine has not moved yet, so its values are the good state before
+    /// the first frame. Returns `(scratch_bytes, events_amortized)`.
+    #[allow(clippy::too_many_arguments)]
+    fn run_windows<P: GroupWidth, const K: usize>(
         &mut self,
         good: &[Logic],
         frames: usize,
-        sample: &[FaultId],
+        targets: &[FaultId],
+        kind: WindowKind,
         probe: Option<&SpanHandle>,
         reports: &mut [Vec<StepReport>],
     ) -> (u64, u64) {
@@ -763,7 +711,7 @@ impl FaultSim {
         let before = (self.faults.model() == FaultModel::Transition).then(|| self.good.values());
         if let Some(counters) = &self.counters {
             if P::LANES > 64 {
-                let groups = sample.len().div_ceil(P::LANES / K);
+                let groups = targets.len().div_ceil(P::LANES / K);
                 counters.record_backend_groups(P::LANES as u64, (groups * frames) as u64);
             }
         }
@@ -775,8 +723,8 @@ impl FaultSim {
             &mut self.ff_entries,
             &self.empty_ff,
             before,
-            sample,
-            WindowKind::Score,
+            targets,
+            kind,
             &slot_frames,
             &mut self.engine,
             probe,
@@ -964,14 +912,15 @@ impl FaultSim {
 /// [`simulate_group`](crate::group::simulate_group)).
 ///
 /// Returns `(scratch_bytes, events_amortized)`. The merge walks
-/// groups **in group order**, and lane order within a slot is fault
-/// order, so `newly_detected` and every report field except `gate_evals`
-/// come out identical at every lane width; `po_detections` is additionally
-/// sorted per frame into `(fault, po)` order because its emission order
-/// (output-major within each group) genuinely depends on how faults were
-/// grouped. Groups are independent — each reads and writes only its own
-/// faults' state — so a group is merged as soon as it is simulated, and
-/// the outcome slots hold one group's frames at a time.
+/// groups **in group order**, and lane order within a slot is target
+/// order, so every report field except `gate_evals` comes out identical at
+/// every lane width; `newly_detected` and `po_detections` are sorted per
+/// frame into fault and `(fault, po)` order, because the order of the
+/// targets, and `po_detections`' emission order (output-major within each
+/// group), depend on the caller and on how faults were grouped. Groups are
+/// independent — each reads and writes only its own faults' state — so a
+/// group is merged as soon as it is simulated, and the outcome slots hold
+/// one group's frames at a time.
 #[allow(clippy::too_many_arguments)]
 fn run_groups<P: GroupWidth, const K: usize>(
     circuit: &Circuit,
@@ -1031,9 +980,9 @@ fn run_groups<P: GroupWidth, const K: usize>(
                     .newly_detected
                     .push(group[lane % stride])
             });
-            // Only a writing window's last frame carries new faulty-FF
-            // state (other frames, and scores, leave `new_ff` empty, so the
-            // zip skips them).
+            // Only a commit's last frame carries new faulty-FF state (its
+            // other frames, and scores, leave `new_ff` empty, so the zip
+            // skips them).
             for (slot, &fid) in out.new_ff.iter_mut().zip(group) {
                 if let Some(entry) = slot.take() {
                     let idx = fid.index();
@@ -1045,6 +994,7 @@ fn run_groups<P: GroupWidth, const K: usize>(
         }
     }
     for report in reports.iter_mut().flatten() {
+        report.newly_detected.sort_unstable();
         report.po_detections.sort_unstable();
     }
     (scratch_bytes, events_amortized)
@@ -1053,93 +1003,11 @@ fn run_groups<P: GroupWidth, const K: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultSite;
     use gatest_netlist::{CircuitBuilder, GateKind};
     use Logic::{One, Zero};
 
     fn s27() -> Arc<Circuit> {
         Arc::new(gatest_netlist::benchmarks::iscas89("s27").unwrap())
-    }
-
-    /// Brute-force reference: simulate good and single-fault circuits
-    /// independently with the scalar simulator, forcing the fault site.
-    pub(super) fn reference_detects(
-        circuit: &Arc<Circuit>,
-        fault: crate::fault::Fault,
-        sequence: &[Vec<Logic>],
-    ) -> bool {
-        use crate::eval::eval_scalar;
-        let lev = gatest_netlist::levelize::Levelization::new(circuit);
-        let mut gvals = vec![Logic::X; circuit.num_gates()];
-        let mut fvals = vec![Logic::X; circuit.num_gates()];
-        let mut gstate = vec![Logic::X; circuit.num_dffs()];
-        let mut fstate = vec![Logic::X; circuit.num_dffs()];
-        for vec in sequence {
-            for (vals, state) in [(&mut gvals, &gstate), (&mut fvals, &fstate)] {
-                for (i, &ff) in circuit.dffs().iter().enumerate() {
-                    vals[ff.index()] = state[i];
-                }
-                for (i, &pi) in circuit.inputs().iter().enumerate() {
-                    vals[pi.index()] = vec[i];
-                }
-            }
-            // Apply stem fault at sources for the faulty machine.
-            if let FaultSite::Stem(net) = fault.site {
-                if !circuit.kind(net).is_combinational() {
-                    fvals[net.index()] = fault.stuck;
-                }
-            }
-            for &gate in lev.schedule() {
-                let kind = circuit.kind(gate);
-                if !kind.is_combinational() {
-                    continue;
-                }
-                let gf: Vec<Logic> = circuit
-                    .fanin(gate)
-                    .iter()
-                    .map(|&n| gvals[n.index()])
-                    .collect();
-                gvals[gate.index()] = eval_scalar(kind, &gf);
-                let mut ff: Vec<Logic> = circuit
-                    .fanin(gate)
-                    .iter()
-                    .map(|&n| fvals[n.index()])
-                    .collect();
-                if let FaultSite::Branch { gate: fg, pin } = fault.site {
-                    if fg == gate {
-                        ff[pin as usize] = fault.stuck;
-                    }
-                }
-                let mut out = eval_scalar(kind, &ff);
-                if fault.site == FaultSite::Stem(gate) {
-                    out = fault.stuck;
-                }
-                fvals[gate.index()] = out;
-            }
-            for &po in circuit.outputs() {
-                let g = gvals[po.index()];
-                let f = fvals[po.index()];
-                if g.is_known() && f.is_known() && g != f {
-                    return true;
-                }
-            }
-            for (i, &ff) in circuit.dffs().iter().enumerate() {
-                gstate[i] = gvals[circuit.fanin(ff)[0].index()];
-                let d = circuit.fanin(ff)[0];
-                let mut fv = fvals[d.index()];
-                if let FaultSite::Branch { gate: fg, pin } = fault.site {
-                    if fg == ff {
-                        debug_assert_eq!(pin, 0);
-                        fv = fault.stuck;
-                    }
-                }
-                if fault.site == FaultSite::Stem(ff) {
-                    // Output stuck: state is whatever, output forced anyway.
-                }
-                fstate[i] = fv;
-            }
-        }
-        false
     }
 
     /// Deterministic pseudo-random vector sequence.
@@ -1157,30 +1025,6 @@ mod tests {
             out.push(v);
         }
         out
-    }
-
-    #[test]
-    fn agrees_with_scalar_reference_on_s27() {
-        let circuit = s27();
-        let faults = FaultList::collapsed(&circuit);
-        let seq = prng_sequence(4, 24, 7);
-
-        let mut sim = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
-        let mut detected_fast = vec![false; faults.len()];
-        for v in &seq {
-            for f in sim.step(v).newly_detected {
-                detected_fast[f.index()] = true;
-            }
-        }
-        for (id, fault) in faults.iter() {
-            let expect = reference_detects(&circuit, fault, &seq);
-            assert_eq!(
-                detected_fast[id.index()],
-                expect,
-                "fault {} mismatch",
-                fault.display(&circuit)
-            );
-        }
     }
 
     #[test]
@@ -1272,19 +1116,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_step_detects_subset() {
-        let circuit = s27();
-        let mut sim = FaultSim::new(circuit);
-        let sample: Vec<FaultId> = sim.active_faults().iter().copied().take(5).collect();
-        let before = sim.remaining();
-        let r = sim
-            .step_sampled(&[[One, One, Zero, Zero]], &sample)
-            .remove(0);
-        assert!(r.detected() <= 5);
-        assert_eq!(sim.remaining(), before - r.detected());
-    }
-
-    #[test]
     fn step_good_only_advances_state() {
         let circuit = s27();
         let mut sim = FaultSim::new(circuit);
@@ -1352,44 +1183,45 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_under_step_sampled() {
+    fn counters_accumulate_under_score() {
         let circuit = s27();
         let mut sim = FaultSim::new(circuit);
         let counters = Arc::new(SimCounters::new());
         sim.set_counters(Some(Arc::clone(&counters)));
         assert!(sim.counters().is_some());
 
+        // Six one-vector candidates over five faults: one call, whose
+        // four-slot groups report their gate evaluations on their first
+        // candidates' frames.
         let sample: Vec<FaultId> = sim.active_faults().iter().copied().take(5).collect();
-        let cp = sim.checkpoint();
-        let mut expected_gate_evals = 0u64;
-        let mut expected_good = 0u64;
-        let mut expected_faulty = 0u64;
-        for v in prng_sequence(4, 6, 31) {
-            sim.restore(&cp);
-            let r = sim.step_sampled(&[&v], &sample).remove(0);
-            expected_gate_evals += r.gate_evals;
-            expected_good += r.good_events;
-            expected_faulty += r.faulty_events;
-        }
+        let candidates: Vec<Vec<Vec<Logic>>> = prng_sequence(4, 6, 31)
+            .into_iter()
+            .map(|v| vec![v])
+            .collect();
+        let windows: Vec<&[Vec<Logic>]> = candidates.iter().map(Vec::as_slice).collect();
+        let scored = sim.score(&windows, &sample);
+        let sum = |field: fn(&StepReport) -> u64| scored.iter().flatten().map(field).sum::<u64>();
         let good_only = sim.step_good_only(&[One, Zero, One, Zero]);
+        let cp = sim.checkpoint();
+        sim.restore(&cp);
 
         let s = counters.snapshot();
         assert_eq!(s.step_calls, 6);
         assert_eq!(s.good_only_calls, 1);
-        assert_eq!(s.checkpoint_restores, 6);
+        assert_eq!(s.checkpoint_restores, 1, "scoring restores nothing");
         assert!(
             s.restore_bytes_avoided > 0,
             "every restore reports the deep-copy bytes it skipped"
         );
-        assert_eq!(s.good_events, expected_good + good_only.events);
-        assert_eq!(s.faulty_events, expected_faulty);
+        assert_eq!(s.good_events, sum(|r| r.good_events) + good_only.events);
+        assert_eq!(s.faulty_events, sum(|r| r.faulty_events));
         // The good-only step adds exactly one full combinational sweep.
-        assert_eq!(s.gate_evals, expected_gate_evals + sim.comb_gates);
+        assert_eq!(s.gate_evals, sum(|r| r.gate_evals) + sim.comb_gates);
 
         // Cloned simulators report into the same shared counters.
         let mut clone = sim.clone();
         clone.restore(&cp);
-        assert_eq!(counters.snapshot().checkpoint_restores, 7);
+        assert_eq!(counters.snapshot().checkpoint_restores, 2);
 
         sim.set_counters(None);
         sim.step_good_only(&[One, One, One, One]);
@@ -1573,10 +1405,11 @@ mod tests {
     #[test]
     fn auto_width_switches_match_scalar64_bit_for_bit() {
         // Under the default `Auto`, full-list steps (more than 128 faults)
-        // run on 256-lane groups, 100-fault sampled evaluations on 64-lane
-        // groups, and windowed commits on whatever the active list needs.
-        // Every report but gate_evals, and the final state, must match a
-        // twin pinned to scalar64.
+        // run on 256-lane groups, a 100-fault score of one candidate on
+        // 64-lane groups and of several on two-slot 256-lane groups, and
+        // windowed commits on whatever the active list needs. Every report
+        // but gate_evals, and the final state, must match a twin pinned to
+        // scalar64.
         use crate::value::AUTO_NARROW_MAX_LANES;
         let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
         let mut auto = FaultSim::new(Arc::clone(&circuit));
@@ -1599,20 +1432,23 @@ mod tests {
                 .copied()
                 .collect();
             assert_eq!(sample.len(), 100);
-            let (cp_auto, cp_pinned) = (auto.checkpoint(), pinned.checkpoint());
-            for v in &chunk[1..4] {
-                let (a, b) = (
-                    auto.step_sampled(&[v], &sample).remove(0),
-                    pinned.step_sampled(&[v], &sample).remove(0),
-                );
-                assert_eq!(
-                    without_gate_evals(a),
-                    without_gate_evals(b),
-                    "sampled {round}"
-                );
+            let one_vector: Vec<&[Vec<Logic>]> = chunk[1..4].chunks(1).collect();
+            for batch in [&one_vector[..], &[&chunk[1..4]]] {
+                let (a, b) = (auto.score(batch, &sample), pinned.score(batch, &sample));
+                assert_eq!(a.len(), b.len());
+                for (c, (a, b)) in a
+                    .into_iter()
+                    .flatten()
+                    .zip(b.into_iter().flatten())
+                    .enumerate()
+                {
+                    assert_eq!(
+                        without_gate_evals(a),
+                        without_gate_evals(b),
+                        "scored {round}.{c}"
+                    );
+                }
             }
-            auto.restore(&cp_auto);
-            pinned.restore(&cp_pinned);
 
             let (a, b) = (
                 auto.step_window(&chunk[4..]),
@@ -1649,21 +1485,26 @@ mod tests {
     fn stamp_wrap_around_matches_a_fresh_simulator() {
         // A simulator whose frame and forcing stamps are placed just below
         // the u32 wrap-around crosses them within its next windows; for
-        // both fault models and at both widths every sampled and full-list
+        // both fault models and at both widths every score and full-list
         // window must still match a simulator nowhere near the wrap. Both
         // first initialize their good machines, which uses no stamp, so
-        // transition faults launch. Then a sampled window over the faults
-        // anchored on even nets fills the stamped tables at the low stamps a
-        // wrap restarts from; after the placement, sampled windows over the
-        // faults on odd nets run first, so the even nets their cones reach
-        // still hold those stamps when the restarted ones do: a wrap that
-        // failed to clear the tables would read their stale ranges as
-        // current. Transition groups publish their forcing at every frame,
-        // so their windows cross the wrap mid-window.
+        // transition faults launch. Then a score over the faults anchored
+        // on even nets fills the stamped tables at the low stamps a wrap
+        // restarts from; after the placement, scores over the faults on
+        // odd nets run first, so the even nets their cones reach still
+        // hold those stamps when the restarted ones do: a wrap that failed
+        // to clear the tables would read their stale ranges as current.
+        // Transition groups publish their forcing at every frame, so their
+        // windows cross the wrap mid-window. Then batches of four
+        // candidates over 60 and 120 of the odd faults (four and two per
+        // 256-lane group) each run on a clone whose new arena the same
+        // even-net score filled, with both stamps placed to wrap at the
+        // batch's first advance.
         let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
         let seq = prng_sequence(circuit.num_inputs(), 28, 5);
         let zeros = vec![Zero; circuit.num_inputs()];
         let init = gatest_netlist::depth::sequential_depth(&circuit) + 2;
+        let batch: Vec<&[Vec<Logic>]> = seq[4..20].chunks(4).collect();
         for faults in [
             FaultList::collapsed(&circuit),
             FaultList::transition(&circuit),
@@ -1680,21 +1521,27 @@ mod tests {
                     .active_faults()
                     .iter()
                     .partition(|&&id| faults.get(id).anchor().index() % 2 == 0);
+                assert!(second.len() > 128, "{model:?}: two-slot samples fit");
                 for sim in [&mut fresh, &mut wrapped] {
-                    let cp = sim.checkpoint();
-                    sim.step_sampled(&seq[..4], &first);
-                    sim.restore(&cp);
+                    sim.score(&[&seq[..4]], &first);
                 }
                 place_stamp(&mut wrapped, u32::MAX - 7);
                 for (i, window) in seq[4..16].chunks(4).enumerate() {
-                    let (cp_fresh, cp_wrapped) = (fresh.checkpoint(), wrapped.checkpoint());
                     assert_eq!(
-                        fresh.step_sampled(window, &second),
-                        wrapped.step_sampled(window, &second),
-                        "{model:?} {backend} sampled window {i}"
+                        fresh.score(&[window], &second),
+                        wrapped.score(&[window], &second),
+                        "{model:?} {backend} score {i}"
                     );
-                    fresh.restore(&cp_fresh);
-                    wrapped.restore(&cp_wrapped);
+                }
+                for n in [60, 120] {
+                    let mut clone = fresh.clone();
+                    clone.score(&[&seq[..4]], &first);
+                    place_stamp(&mut clone, u32::MAX - 1);
+                    assert_eq!(
+                        fresh.score(&batch, &second[..n]),
+                        clone.score(&batch, &second[..n]),
+                        "{model:?} {backend} batch over {n} faults"
+                    );
                 }
                 for (i, window) in seq[16..].chunks(4).enumerate() {
                     assert_eq!(
@@ -1717,9 +1564,10 @@ mod tests {
         // One s298 campaign per fault model, run twice at 256 lanes: once
         // through the AVX2 clone of `simulate_group` and once through the
         // portable instance. Full-list `step_window` commits alternate with
-        // multi-frame `step_sampled` candidates between `checkpoint` and
-        // `restore`; every report field, `gate_evals` included, and the
-        // exported state must match.
+        // scores: a multi-frame candidate over every other undetected fault
+        // alone, and batches of four two-frame candidates over 60 and 120
+        // of those faults (four and two per group). Every report field,
+        // `gate_evals` included, and the exported state must match.
         let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
         let zeros = vec![Zero; circuit.num_inputs()];
         let init = gatest_netlist::depth::sequential_depth(&circuit) as usize + 2;
@@ -1741,9 +1589,12 @@ mod tests {
                     let (candidate, commit) = round.split_at(5);
                     let sample: Vec<FaultId> =
                         sim.active_faults().iter().copied().step_by(2).collect();
-                    let cp = sim.checkpoint();
-                    reports.extend(sim.step_sampled(candidate, &sample));
-                    sim.restore(&cp);
+                    reports.extend(sim.score(&[candidate], &sample).remove(0));
+                    let batch: Vec<&[Vec<Logic>]> = candidate.windows(2).collect();
+                    for n in [60, 120] {
+                        let sample = &sample[..n.min(sample.len())];
+                        reports.extend(sim.score(&batch, sample).into_iter().flatten());
+                    }
                     reports.extend(sim.step_window(commit));
                 }
                 (avx2, reports, sim.export_state())
@@ -1869,73 +1720,62 @@ mod tests {
     }
 
     #[test]
-    fn sampled_windows_report_a_re_detected_fault_at_every_detecting_frame() {
-        // The sample still lists a fault an earlier frame of the candidate
-        // detected, so the fault restarts from the good state and may be
-        // detected again; a window reports it at both frames and stamps the
-        // later vector, exactly as one-vector calls do. This pins the
-        // re-count phase-4 fitness sees today (ROADMAP item 6).
+    fn scores_report_a_re_detected_fault_at_every_detecting_frame() {
+        // A score restarts a sample fault from the good state at the frame
+        // after one that detects it, so the fault may be detected again,
+        // and the score reports it at both frames, at every width and
+        // whichever slot of a shared group the candidate rides. This pins
+        // the re-count phase-4 fitness sees today (ROADMAP item 9).
         let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
         let mut base = FaultSim::new(Arc::clone(&circuit));
         for v in prng_sequence(circuit.num_inputs(), 6, 3) {
             base.step(&v);
         }
         let sample = base.active_faults().to_vec();
-        let first_vector = base.vectors_applied();
-        // The first candidate in a fixed list that re-detects a fault.
         let frames_detecting = |reports: &[StepReport], id: FaultId| -> Vec<usize> {
             (0..reports.len())
                 .filter(|&f| reports[f].newly_detected.contains(&id))
                 .collect()
         };
+        // The first candidate in a fixed list that re-detects a fault.
         let (candidate, fault, frames) = (0..64)
             .find_map(|seed| {
                 let candidate = prng_sequence(circuit.num_inputs(), 12, 100 + seed);
-                let mut sim = base.clone();
-                let reports = sim.step_sampled(&candidate, &sample);
+                let reports = base.clone().score(&[&candidate], &sample).remove(0);
                 sample.iter().find_map(|&id| {
                     let frames = frames_detecting(&reports, id);
                     (frames.len() > 1).then(|| (candidate.clone(), id, frames))
                 })
             })
             .expect("some candidate re-detects a sample fault");
+        // A sample of at most 64 faults ending at the fault, so four
+        // candidates share a 256-lane group and the candidate rides the
+        // third slot.
+        let at = sample.iter().position(|&id| id == fault).expect("sampled");
+        let small = &sample[at.saturating_sub(59)..=at];
+        let other = prng_sequence(circuit.num_inputs(), 12, 7);
+        let batch = [&other, &other, &candidate, &other].map(Vec::as_slice);
         for backend in [SimBackend::Scalar64, SimBackend::Wide256, SimBackend::Auto] {
-            let mut windowed = base.clone();
-            let mut serial = base.clone();
-            windowed.set_backend(backend);
-            serial.set_backend(backend);
-            let window = windowed.step_sampled(&candidate, &sample);
-            let calls: Vec<StepReport> = candidate
-                .iter()
-                .flat_map(|v| serial.step_sampled(&[v], &sample))
-                .collect();
-            assert_eq!(frames_detecting(&window, fault), frames, "{backend}");
-            assert_eq!(frames_detecting(&calls, fault), frames, "{backend}");
-            let last = *frames.last().expect("two frames");
+            let mut sim = base.clone();
+            sim.set_backend(backend);
+            let alone = sim.score(&[&candidate], &sample).remove(0);
+            assert_eq!(frames_detecting(&alone, fault), frames, "{backend}");
+            let slotted = sim.score(&batch, small).remove(2);
             assert_eq!(
-                windowed.status(fault),
-                FaultStatus::Detected {
-                    vector: first_vector + last as u32
-                },
-                "{backend}"
+                frames_detecting(&slotted, fault),
+                frames,
+                "{backend} slotted"
             );
-            for (f, (a, b)) in window.into_iter().zip(calls).enumerate() {
-                assert_eq!(
-                    without_gate_evals(a),
-                    without_gate_evals(b),
-                    "{backend} {f}"
-                );
-            }
-            assert_eq!(windowed.export_state(), serial.export_state(), "{backend}");
+            assert_eq!(sim.export_state(), base.export_state(), "{backend}");
         }
     }
 
     #[test]
     fn step_counters_tell_single_steps_from_windowed_commits() {
         // The end-to-end benchmark reads these counters and spans: one-
-        // vector steps count as steps but not as batched frames, a window
-        // of n vectors adds n to both, and a windowed commit's merge is
-        // timed as a `merge` span under its `sim_step`.
+        // vector steps and scored frames count as steps but not as batched
+        // frames, a window of n vectors adds n to both, and a windowed
+        // commit's merge is timed as a `merge` span under its `sim_step`.
         let circuit = s27();
         let mut sim = FaultSim::new(circuit);
         let counters = Arc::new(SimCounters::new());
@@ -1943,9 +1783,7 @@ mod tests {
         let seq = prng_sequence(4, 7, 91);
         sim.step(&seq[0]);
         let sample: Vec<FaultId> = sim.active_faults().iter().copied().step_by(2).collect();
-        let cp = sim.checkpoint();
-        sim.step_sampled(&seq[1..2], &sample);
-        sim.restore(&cp);
+        sim.score(&[&seq[1..2]], &sample);
         let s = counters.snapshot();
         assert_eq!((s.step_calls, s.commit_batch_frames), (2, 0));
 
@@ -2108,32 +1946,6 @@ mod synthetic_suite_tests {
             v.push(Logic::from_bool(*s & 1 == 1));
         }
         v
-    }
-
-    #[test]
-    fn s298_agrees_with_scalar_reference() {
-        let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
-        let faults = crate::fault::FaultList::collapsed(&circuit);
-        let mut s = 999u64;
-        let seq: Vec<Vec<Logic>> = (0..48)
-            .map(|_| random_vector(&mut s, circuit.num_inputs()))
-            .collect();
-        let mut sim = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
-        let mut fast = vec![false; faults.len()];
-        for v in &seq {
-            for f in sim.step(v).newly_detected {
-                fast[f.index()] = true;
-            }
-        }
-        for (id, fault) in faults.iter() {
-            let expect = super::tests::reference_detects(&circuit, fault, &seq);
-            assert_eq!(
-                fast[id.index()],
-                expect,
-                "fault {} mismatch",
-                fault.display(&circuit)
-            );
-        }
     }
 
     #[test]

@@ -38,8 +38,7 @@ const FROM_PLANES: [Logic; 4] = [Logic::X, Logic::One, Logic::Zero, Logic::X];
 /// Evaluates one gate of the good machine: matches its kind once, folds
 /// the fan-in values of `values` on their bit planes, inverts by swapping
 /// the planes, and converts back once. Agrees with
-/// [`eval_scalar`](crate::eval::eval_scalar), which the reference
-/// simulators keep as their own evaluator.
+/// [`eval_scalar`](crate::eval::eval_scalar).
 #[inline(always)]
 fn fold_gate(kind: GateKind, fanin: &[NetId], values: &[Logic]) -> Logic {
     let mut inputs = fanin.iter().map(|n| planes(values[n.index()]));
@@ -70,8 +69,9 @@ fn fold_gate(kind: GateKind, fanin: &[NetId], values: &[Logic]) -> Logic {
 /// `next_state` (one per flip-flop) by one frame under `vector`: latches
 /// the flip-flops, drives the inputs, folds every combinational gate in
 /// level order, and computes the next state. [`GoodSim::apply`] runs it on
-/// its own state; a batch scorer runs it on scratch copies, so the
-/// simulator's good machine stays where it is.
+/// its own state; a fault-simulation window runs it on scratch copies, so
+/// the simulator's good machine moves only when a commit loads its last
+/// frame.
 pub(crate) fn advance(
     circuit: &Circuit,
     lev: &Levelization,
@@ -305,8 +305,15 @@ impl GoodSim {
     /// Panics if the snapshot came from a different circuit (size mismatch).
     pub fn restore(&mut self, state: &GoodSimState) {
         assert_eq!(state.values.len(), self.values.len());
-        self.values.copy_from_slice(&state.values);
-        self.next_state.copy_from_slice(&state.next_state);
+        self.load(&state.values, &state.next_state);
+    }
+
+    /// Takes `values` (one per net) and `next_state` (one per flip-flop) as
+    /// its state: a committed window's last frame, which [`advance`] built
+    /// on a copy.
+    pub(crate) fn load(&mut self, values: &[Logic], next_state: &[Logic]) {
+        self.values.copy_from_slice(values);
+        self.next_state.copy_from_slice(next_state);
     }
 }
 

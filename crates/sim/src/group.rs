@@ -1,7 +1,7 @@
 //! Per-group fault propagation over a reusable scratch arena.
 //!
 //! Every [`FaultSim`](crate::FaultSim) step is a window of one or more
-//! vectors: the simulator advances the good machine over the window, then
+//! vectors: the simulator computes the window's good frames, then
 //! partitions the simulated fault list into groups of at most
 //! [`PackedValue::LANES`] faults and replays each group across the whole
 //! window ([`simulate_group`]). Every group is independent: it reads the
@@ -101,9 +101,8 @@ pub(crate) struct GroupCtx<'a> {
 }
 
 /// One good-machine frame a group replays against: net values after the
-/// combinational settle plus the latched next state, as slices so both the
-/// live [`GoodSim`](crate::GoodSim) (a window's last frame) and stored
-/// snapshots or scratch buffers (its earlier frames) can back it.
+/// combinational settle plus the latched next state, as slices into the
+/// simulator's scratch buffer of good frames.
 #[derive(Clone, Copy)]
 pub(crate) struct GoodFrame<'a> {
     /// Net values after the frame, one per net.
@@ -185,15 +184,12 @@ fn slot_lanes<P: PackedValue, const K: usize>(n: usize, used: usize) -> P::Mask 
 /// faulty flip-flop state at its end.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum WindowKind {
-    /// A full-list window: a detected lane leaves the later frames, as its
-    /// dropped fault leaves the active list. The last frame materializes
-    /// the surviving lanes' state.
+    /// A commit over the active list: a detected lane leaves the later
+    /// frames, as its dropped fault leaves the list. The last frame
+    /// materializes the surviving lanes' state.
     Full,
-    /// A sampled step: a detected lane restarts from the good state and
-    /// stays live, since the sample still lists its fault. The last frame
-    /// materializes the state.
-    Sampled,
-    /// A score: simulated like [`WindowKind::Sampled`], but nothing is
+    /// A score: a detected lane restarts from the good state and stays
+    /// live, since the sample still lists its fault. Nothing is
     /// materialized, since the simulator keeps its state.
     Score,
 }
@@ -1137,26 +1133,25 @@ fn materialize_new_ff<P: PackedValue>(
 /// live lanes among them are the frame's `launched` count. Frame `0` seeds
 /// from the shared faulty-FF table; each later frame seeds from the
 /// previous frame's packed carry, so the window never touches the
-/// copy-on-write table in between. Unless the window is a
-/// [`WindowKind::Score`], the *last* frame's outcome carries `new_ff`
-/// entries (a window that writes them runs one slot).
+/// copy-on-write table in between. In a [`WindowKind::Full`] window the
+/// *last* frame's outcome carries `new_ff` entries (such a window runs one
+/// slot).
 ///
 /// A lane detected at frame `f` starts frame `f+1` from the good state: its
 /// carried flip-flop divergence is dropped, as the drop after a one-vector
 /// step clears it. In a [`WindowKind::Full`] window the lane is also
 /// masked out of frames `f+1..` (events, detections, and FF effects), as
 /// the dropped fault leaves the active list; because lane values are
-/// independent, its continued propagation cannot perturb live lanes.
-/// Otherwise (sampled windows and scores) the lane stays live, as the
-/// sample still lists the fault, and may be detected again. Either way the
-/// window ends with the state of the lanes not detected at its last frame
-/// and clears the others.
+/// independent, its continued propagation cannot perturb live lanes. The
+/// window then ends with the state of the lanes not detected at its last
+/// frame and clears the others. In a [`WindowKind::Score`] the lane stays
+/// live, as the sample still lists the fault, and may be detected again.
 ///
-/// Every per-frame outcome is bit-identical to what a one-frame window per
-/// vector would have produced, and every slot's to what its candidate
-/// would get in a group of its own — except `gate_evals`/`scratch_bytes`/
-/// `events_amortized`, which (as with lane widths) depend on how the work
-/// was batched.
+/// A [`WindowKind::Full`] window's per-frame outcomes are bit-identical to
+/// what one-frame windows per vector would have produced, and every slot's
+/// to what its candidate would get in a group of its own — except
+/// `gate_evals`/`scratch_bytes`/`events_amortized`, which (as with lane
+/// widths) depend on how the work was batched.
 #[inline(always)]
 pub(crate) fn simulate_group<P: GroupWidth, const K: usize>(
     ctx: &GroupCtx<'_>,
@@ -1222,7 +1217,7 @@ pub(crate) fn simulate_group<P: GroupWidth, const K: usize>(
             live = carry;
         }
     }
-    if kind != WindowKind::Score {
+    if kind == WindowKind::Full {
         if let Some(last) = outs.last_mut() {
             materialize_new_ff(ctx, group, carry, arena, last);
         }

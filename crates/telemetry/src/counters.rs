@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// so parallel fitness workers aggregate into one place.
 #[derive(Debug, Default)]
 pub struct SimCounters {
-    /// Full or sampled fault-simulation steps (`step` / `step_sampled`).
+    /// Fault-simulation frames: committed (`step`, `step_window`) and
+    /// scored (`score`, one per frame of each candidate).
     pub step_calls: AtomicU64,
     /// Good-machine-only steps (`step_good_only`).
     pub good_only_calls: AtomicU64,
@@ -22,7 +23,8 @@ pub struct SimCounters {
     pub good_events: AtomicU64,
     /// Faulty-circuit events summed over all simulated faulty machines.
     pub faulty_events: AtomicU64,
-    /// Checkpoint restores (one per candidate evaluation in the GA loop).
+    /// Checkpoint restores: in the GA loop, one per scored batch or pool
+    /// chunk, since scoring writes nothing back.
     pub checkpoint_restores: AtomicU64,
     /// Estimated bytes the copy-on-write restores did *not* copy compared
     /// to a deep-copy restore of the same checkpoints (fault status, active
@@ -83,7 +85,7 @@ impl SimCounters {
         SimCounters::default()
     }
 
-    /// Records one full/sampled fault-simulation step.
+    /// Records one committed or scored fault-simulation frame.
     #[inline]
     pub fn record_step(&self, gate_evals: u64, good_events: u64, faulty_events: u64) {
         self.step_calls.fetch_add(1, Ordering::Relaxed);
@@ -302,7 +304,7 @@ impl SimCounters {
 /// Plain-integer snapshot of [`SimCounters`], embeddable in results.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CounterSnapshot {
-    /// Full or sampled fault-simulation steps.
+    /// Fault-simulation frames, committed and scored.
     pub step_calls: u64,
     /// Good-machine-only steps.
     pub good_only_calls: u64,
